@@ -24,6 +24,8 @@ import numpy as np
 from .channel import ChannelSnapshot, RadioConfig, aging_coefficient, estimate_variance_matrix
 from .selection import CooperationMatrix, SelectionConstraints
 
+SINR_ESTIMATORS = ("hardening", "per-draw")
+
 
 @dataclass(frozen=True)
 class PrecodingContext:
@@ -88,6 +90,52 @@ def draw_estimates(h0: np.ndarray, r_gain: np.ndarray, z: np.ndarray, rng) -> np
     return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
 
 
+#: Complex elements of one draw chunk of a group's gathered estimates; bounds
+#: the kernel's temporaries at ~4 MB whatever n_mc is.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _interferer_groups(ctx: PrecodingContext):
+    """Served UEs grouped by identical interferer set, in first-UE order."""
+    groups = {}
+    for k, (idx, s_set) in enumerate(zip(ctx.serving_sets, ctx.interferer_sets)):
+        if k not in s_set:
+            raise ValueError(f"interferer set of UE {k} does not contain it")
+        if idx.size:
+            groups.setdefault(s_set.tobytes(), (s_set, []))[1].append(k)
+    return groups.values()
+
+
+def _gram(u: np.ndarray) -> np.ndarray:
+    """Batched U^H U of (n, rows, S) draws."""
+    return u.conj().transpose(0, 2, 1) @ u
+
+
+def _common_rows(ctx: PrecodingContext, members) -> np.ndarray:
+    rows = ctx.serving_sets[members[0]]
+    for k in members[1:]:
+        rows = np.intersect1d(rows, ctx.serving_sets[k], assume_unique=True)
+    return rows
+
+
+def _member_grams(ctx, u, where, members, core, gram):
+    """Yield (k, U_k^H U_k) for each member in order, U_k being its rows of u.
+
+    ``gram`` is the Gram over ``core``, the rows every member serves. The
+    members are split in halves; each half adds the Gram of the rows all its
+    members serve beyond ``core`` and recurses, so a row shared by a subtree
+    enters one sum for all of it. Only row Grams are added, never subtracted.
+    """
+    if len(members) == 1:
+        yield members[0], gram
+        return
+    half = len(members) // 2
+    for part in (members[:half], members[half:]):
+        sub = _common_rows(ctx, part)
+        extra = where[np.setdiff1d(sub, core, assume_unique=True)]
+        yield from _member_grams(ctx, u, where, part, sub, gram + _gram(u[:, extra]))
+
+
 def precode_pmmse(
     ctx: PrecodingContext, estimates: np.ndarray, noise: float, powers_ue: np.ndarray
 ) -> np.ndarray:
@@ -95,9 +143,22 @@ def precode_pmmse(
 
     w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k and
     is normalized per draw. ``estimates`` is (M, K) or (N, M, K); the return
-    matches, with zeros outside the serving sets. When a serving set is larger
-    than its interferer set the solve goes through the matrix-inversion-lemma
-    form for speed (same result).
+    matches, with zeros outside the serving sets. Every interferer set must
+    contain its own UE, as PrecodingContext.from_matrix guarantees.
+
+    Served UEs are grouped by interferer set S, and each group gathers its
+    estimates est[:, R, S] once, over the union R of its members' serving
+    sets. A member with G <= |S| solves the G x G system directly. A member
+    with G > |S| solves an S x S system instead: its estimate is column j of
+    its serving rows U, so (n0 I + U P U^H)^-1 U e_j = U (U^H U + n0 P^-1)^-1
+    e_j / p_j, with nothing subtracted (the b - U(...)U^H b form of the
+    matrix-inversion lemma cancels away the result at high SNR). The Gram
+    U^H U is additive over serving rows: the Gram over the core (the APs every
+    such member of the group serves) is formed once, and each member adds the
+    Gram of its own extra rows, shared down a balanced split of the members
+    (see _member_grams). One matmul maps every member's S-vector back onto R.
+    The draw axis is processed in chunks of at most _CHUNK_ELEMS gathered
+    elements so the temporaries stay small under full-CF.
     """
     est = np.asarray(estimates)
     squeeze = est.ndim == 2
@@ -107,28 +168,40 @@ def precode_pmmse(
     if len(ctx.serving_sets) != k_ues:
         raise ValueError("context and estimate dimensions disagree")
     w = np.zeros_like(est)
-    for k in range(k_ues):
-        idx = ctx.serving_sets[k]
-        if idx.size == 0:
-            continue
-        s_set = ctx.interferer_sets[k]
-        u = est[:, idx[:, None], s_set[None, :]]  # (N, G, S)
-        p = powers_ue[s_set]
-        b = est[:, idx, k]
-        if idx.size <= s_set.size:
-            a = np.einsum("ngs,s,nhs->ngh", u, p, u.conj())
-            a[:, np.arange(idx.size), np.arange(idx.size)] += noise
-            sol = np.linalg.solve(a, b[..., None])[..., 0]
-        else:
-            # Woodbury: (n0 I + U P U^H)^-1 b
-            uhb = np.einsum("ngs,ng->ns", u.conj(), b)
-            inner = np.einsum("ngs,ngt->nst", u.conj(), u)
-            inner += np.diag(noise / p)[None]
-            mid = np.linalg.solve(inner, uhb[..., None])[..., 0]
-            sol = (b - np.einsum("ngs,ns->ng", u, mid)) / noise
+
+    def store(n0, k, sol):
         norm = np.linalg.norm(sol, axis=1, keepdims=True)
         sol = np.where(norm > 0, sol / np.where(norm > 0, norm, 1.0), 0.0)
-        w[:, idx, k] = sol
+        w[n0 : n0 + sol.shape[0], ctx.serving_sets[k], k] = sol
+
+    for s_set, members in _interferer_groups(ctx):
+        p = powers_ue[s_set]
+        col = {k: int(np.flatnonzero(s_set == k)[0]) for k in members}
+        wide = [k for k in members if ctx.serving_sets[k].size > s_set.size]
+        core = _common_rows(ctx, wide) if wide else np.arange(0)
+        rows = np.unique(np.concatenate([ctx.serving_sets[k] for k in members]))
+        where = np.empty(m_aps, dtype=np.intp)
+        where[rows] = np.arange(rows.size)
+        chunk = max(1, _CHUNK_ELEMS // (rows.size * s_set.size))
+        for n0 in range(0, n_draws, chunk):
+            u = est[n0 : n0 + chunk, rows[:, None], s_set[None, :]]  # (n, R, S)
+            for k in members:
+                if k not in wide:
+                    uk = u[:, where[ctx.serving_sets[k]]]  # (n, G, S)
+                    a = (uk * p) @ uk.conj().transpose(0, 2, 1)
+                    a[:, np.arange(a.shape[1]), np.arange(a.shape[1])] += noise
+                    store(n0, k, np.linalg.solve(a, uk[:, :, col[k], None])[..., 0])
+            if not wide:
+                continue
+            coef = np.empty((u.shape[0], s_set.size, len(wide)), dtype=u.dtype)
+            grams = _member_grams(ctx, u, where, wide, core, _gram(u[:, where[core]]))
+            for c, (k, inner) in enumerate(grams):
+                unit = np.zeros((s_set.size, 1))
+                unit[col[k]] = 1.0
+                coef[:, :, c] = np.linalg.solve(inner + np.diag(noise / p), unit)[..., 0]
+            proj = u @ coef  # (n, R, members)
+            for c, k in enumerate(wide):
+                store(n0, k, proj[:, where[ctx.serving_sets[k]], c])
     return w[0] if squeeze else w
 
 
@@ -144,7 +217,10 @@ def instant_sinr(
     """SINR per UE from Monte-Carlo received-gain draws.
 
     h and precoders are (N, M, K) draws; powers the per-link (M, K) split;
-    rho the aging correlation (scalar or per-UE).
+    rho the aging correlation (scalar or per-UE). The gain tensor
+    gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi is one batched matmul per
+    draw, formed as the conjugate of (sqrt(p) conj(w))^T h so the only (N, M, K)
+    temporary is the conjugated, power-scaled precoder.
 
     "hardening" combines empirical means first (use-and-forget bound: the
     desired-signal square is subtracted from the total received moment to
@@ -160,8 +236,9 @@ def instant_sinr(
         h = h[None]
     if wmat.ndim == 2:
         wmat = wmat[None]
-    sw = np.sqrt(powers)[None] * wmat
-    gains = np.einsum("nmk,nmi->nik", h.conj(), sw)
+    sw = np.conj(wmat)
+    sw *= np.sqrt(powers)[None]
+    gains = np.conj(sw.transpose(0, 2, 1) @ h)  # (N, i, k)
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.size == 1:
         rho = np.full(h.shape[2], rho[0])

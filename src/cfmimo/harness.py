@@ -10,7 +10,7 @@ seed) pair reproduces byte-identical reports regardless of execution order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -75,6 +75,15 @@ class ExperimentConfig:
     n_mc: int = 500
     seed: int = 0
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        for key in ("n_mc", "blocks", "ue_count"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.sinr_estimator not in ev.SINR_ESTIMATORS:
+            raise ConfigError(
+                f"unknown sinr_estimator {self.sinr_estimator!r}; known: {list(ev.SINR_ESTIMATORS)}"
+            )
 
     def radio(self) -> ch.RadioConfig:
         return ch.RadioConfig(
@@ -158,7 +167,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+    """Hash of every field that shapes the results; ``out_dir`` is left out."""
+    text = serialize_config(replace(cfg, out_dir=""))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _build_topology(cfg: ExperimentConfig) -> tp.NetworkTopology:

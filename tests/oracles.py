@@ -4,10 +4,14 @@ Everything here is written straight from the algorithm step lists with plain
 Python loops and lists, deliberately avoiding the vectorized package code
 paths. The selection oracles share the package's documented tie-breaks
 (descending beta, lowest AP id first; ascending UE order) and its outage
-masking, but none of its code.
+masking, but none of its code. The precoder and gain oracles loop over draws
+and UEs and call numpy only for one dense linear solve per UE and draw.
 """
 
 import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def j0_series(x, terms=60):
@@ -266,3 +270,115 @@ def best_episode_return(beta, tau_p, g_max, u_m, weights, beta0=0.0):
 
     explore(0, 0, [[0] * k_ues for _ in range(m)], 0.0)
     return best[0]
+
+
+def _q(z):
+    """Exact rational (re, im) pair of a complex float."""
+    z = complex(z)
+    return (Fraction(z.real), Fraction(z.imag))
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cdiv(x, y):
+    den = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
+
+
+def _system_exact(est, rows, interferers, k, noise, powers_ue):
+    """pmmse_oracle's system for one draw (M, K) as rational (re, im) pairs."""
+    a = [[(Fraction(noise) if r == c else Fraction(0), Fraction(0)) for c in rows] for r in rows]
+    for i in interferers:
+        v = [_q(est[r, i]) for r in rows]
+        p = Fraction(float(powers_ue[i]))
+        for r, vr in enumerate(v):
+            for c, vc in enumerate(v):
+                prod = _cmul(vr, (vc[0], -vc[1]))
+                a[r][c] = (a[r][c][0] + p * prod[0], a[r][c][1] + p * prod[1])
+    return a, [_q(est[r, k]) for r in rows]
+
+
+def _solve_exact(a, b):
+    """Gauss-Jordan elimination on rational (re, im) pairs; returns complex floats."""
+    n = len(b)
+    rows = [list(a[r]) + [b[r]] for r in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c] != (0, 0))
+        rows[c], rows[piv] = rows[piv], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != (0, 0):
+                f = _cdiv(rows[r][c], rows[c][c])
+                rows[r] = [(x[0] - fy[0], x[1] - fy[1]) for x, fy in zip(rows[r], (_cmul(f, v) for v in rows[c]))]
+    out = [_cdiv(rows[r][n], rows[r][r]) for r in range(n)]
+    return np.array([complex(float(x[0]), float(x[1])) for x in out])
+
+
+def pmmse_oracle(serving_sets, interferer_sets, estimates, noise, powers_ue, exact=False):
+    """Unit-norm partial MMSE precoders by one direct solve per UE and draw.
+
+    w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k|_{M_k}
+    and is normalized; entries outside M_k stay zero. ``estimates`` is
+    (N, M, K) or (M, K). With ``exact`` the system is formed and solved in
+    rational arithmetic (tiny sizes only), which stays accurate however badly
+    n0 conditions it.
+    """
+    est = np.asarray(estimates, dtype=complex)
+    squeeze = est.ndim == 2
+    if squeeze:
+        est = est[None]
+    w = np.zeros_like(est)
+    for n in range(est.shape[0]):
+        for k in range(est.shape[2]):
+            rows = [int(m) for m in serving_sets[k]]
+            if not rows:
+                continue
+            if exact:
+                a, b = _system_exact(est[n], rows, interferer_sets[k], k, noise, powers_ue)
+                sol = _solve_exact(a, b)
+            else:
+                a = noise * np.eye(len(rows), dtype=complex)
+                for i in interferer_sets[k]:
+                    v = est[n, rows, i]
+                    a += powers_ue[i] * np.outer(v, v.conj())
+                sol = np.linalg.solve(a, est[n, rows, k])
+            norm = math.sqrt(sum(abs(x) ** 2 for x in sol))
+            if norm > 0:
+                for r, x in zip(rows, sol):
+                    w[n, r, k] = x / norm
+    return w[0] if squeeze else w
+
+
+def gains_oracle(h, precoders, powers):
+    """Received gains gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi per draw, (N, i, k)."""
+    n_draws, m_aps, k_ues = h.shape
+    gains = np.zeros((n_draws, k_ues, k_ues), dtype=complex)
+    for n in range(n_draws):
+        for i in range(k_ues):
+            for k in range(k_ues):
+                gains[n, i, k] = sum(
+                    math.sqrt(powers[m, i]) * h[n, m, k].conjugate() * precoders[n, m, i]
+                    for m in range(m_aps)
+                )
+    return gains
+
+
+def sinr_from_gains_oracle(gains, rho, noise, estimator):
+    """Per-UE SINR from gain draws under the hardening or per-draw rule."""
+    n_draws, k_ues, _ = gains.shape
+    out = []
+    for k in range(k_ues):
+        if estimator == "hardening":
+            mean_kk = sum(gains[n, k, k] for n in range(n_draws)) / n_draws
+            moment = sum(abs(gains[n, i, k]) ** 2 for n in range(n_draws) for i in range(k_ues))
+            desired = abs(mean_kk) ** 2
+            out.append(rho[k] ** 2 * desired / (moment / n_draws - desired + noise))
+        else:
+            logs = 0.0
+            for n in range(n_draws):
+                desired = abs(gains[n, k, k]) ** 2
+                interference = sum(abs(gains[n, i, k]) ** 2 for i in range(k_ues)) - desired
+                logs += math.log1p(rho[k] ** 2 * desired / (interference + noise))
+            out.append(math.expm1(logs / n_draws))
+    return out

@@ -25,6 +25,7 @@ from cfmimo.topology import AreaSpec, generate_ppp_topology
 from cfmimo.channel import LogDistanceProvider, snapshot as make_channel_snapshot
 
 from conftest import make_snapshot, random_snapshot
+import oracles
 
 
 def test_context_sets():
@@ -120,8 +121,8 @@ def test_precoder_orthogonal_channels_align():
 
 
 def test_precoder_woodbury_path_matches_direct():
-    # serving set larger than interferer set triggers the lemma-based solve;
-    # force both paths on the same numbers and compare
+    # serving set larger than interferer set takes the S x S solve; the
+    # oracle solves the G x G system directly
     rng = np.random.default_rng(0)
     m, k = 6, 2
     est = rng.standard_normal((3, m, k)) + 1j * rng.standard_normal((3, m, k))
@@ -129,21 +130,136 @@ def test_precoder_woodbury_path_matches_direct():
     ctx = PrecodingContext.from_matrix(d)
     powers = np.full(k, 0.3)
     w_wood = precode_pmmse(ctx, est, noise=1e-3, powers_ue=powers)
-    big = PrecodingContext(
-        serving_sets=ctx.serving_sets,
-        interferer_sets=tuple(np.arange(k) for _ in range(k)),
-    )
-    # direct path: pad the interferer sets so idx.size <= s_set.size fails px
-    w_direct = np.zeros_like(est)
-    for kk in range(k):
-        idx = ctx.serving_sets[kk]
-        u = est[:, idx, :]
-        a = np.einsum("ngs,s,nhs->ngh", u, powers, u.conj())
-        a[:, np.arange(m), np.arange(m)] += 1e-3
-        sol = np.linalg.solve(a, est[:, idx, kk][..., None])[..., 0]
-        sol /= np.linalg.norm(sol, axis=1, keepdims=True)
-        w_direct[:, idx, kk] = sol
+    w_direct = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, 1e-3, powers)
     assert np.allclose(w_wood, w_direct, atol=1e-9)
+
+
+def _cn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_matches_oracle(d, est, noise=0.05, powers=None, ues=None):
+    ctx = PrecodingContext.from_matrix(CooperationMatrix(np.asarray(d)))
+    if powers is None:
+        powers = np.linspace(0.2, 0.5, est.shape[-1])
+    w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
+    ref = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, noise, powers)
+    assert w.shape == est.shape
+    cols = slice(None) if ues is None else ues
+    assert np.abs(w[..., cols] - ref[..., cols]).max() < 1e-9
+    return ctx, w
+
+
+@pytest.mark.parametrize("chunk_elems", [1 << 18, 100])
+def test_precoder_fullcf_distinct_serving_sets_one_group(monkeypatch, chunk_elems):
+    # every UE shares one interferer set while the serving sets differ, as
+    # under full-CF with beta0 cuts; a budget of 100 elements splits the 5
+    # draws into chunks of 2, 2 and 1
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
+    rng = np.random.default_rng(21)
+    m, k = 12, 4
+    d = np.ones((m, k), dtype=int)
+    d[[0, 3], 0] = 0
+    d[[5, 6, 7], 1] = 0
+    d[11, 2] = 0
+    ctx, _ = _assert_matches_oracle(d, _cn(rng, (5, m, k)))
+    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
+    assert len({idx.tobytes() for idx in ctx.serving_sets}) == k
+
+
+def test_precoder_group_mixes_direct_and_woodbury():
+    # one interferer group {0..3}: UE0 (G=2) and UE3 (G=3) solve directly,
+    # UE1 (G=10) and UE2 (G=7) through the S x S form
+    m = 10
+    d = np.zeros((m, 4), dtype=int)
+    d[[0, 1], 0] = 1
+    d[:, 1] = 1
+    d[:7, 2] = 1
+    d[[0, 5, 6], 3] = 1
+    rng = np.random.default_rng(22)
+    ctx, _ = _assert_matches_oracle(d, _cn(rng, (4, m, 4)))
+    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
+    assert [idx.size for idx in ctx.serving_sets] == [2, 10, 7, 3]
+
+
+def test_precoder_rejects_interferer_set_without_own_ue():
+    ctx = PrecodingContext(
+        serving_sets=(np.array([0]), np.array([0])),
+        interferer_sets=(np.array([0, 1]), np.array([0])),
+    )
+    with pytest.raises(ValueError, match="UE 1"):
+        precode_pmmse(ctx, np.ones((1, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
+
+
+def test_precoder_unserved_ues_zero():
+    d = np.array([[1, 0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 0], [1, 0, 1, 0]])
+    rng = np.random.default_rng(23)
+    _, w = _assert_matches_oracle(d, _cn(rng, (3, 4, 4)))
+    assert not w[..., [1, 3]].any()
+
+
+def test_precoder_two_dimensional_input():
+    rng = np.random.default_rng(24)
+    d = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1], [1, 1, 1]])
+    est = _cn(rng, (5, 3))
+    _, w = _assert_matches_oracle(d, est)
+    assert w.shape == (5, 3)
+
+
+def test_precoder_strong_rows_outside_serving_set():
+    # rows 6 and 7 lie outside UE0's serving set and carry 1e6 times the
+    # amplitude for the other UEs; forming UE0's Gram as a full Gram minus
+    # those rows would lose UE0's part of it to cancellation
+    m = 8
+    d = np.ones((m, 3), dtype=int)
+    d[[6, 7], 0] = 0
+    d[5, 2] = 0
+    rng = np.random.default_rng(25)
+    est = _cn(rng, (6, m, 3))
+    est[:, 6:, 1:] *= 1e6
+    _assert_matches_oracle(d, est, ues=0)
+
+
+@pytest.mark.parametrize("noise", [1e-2, 1e-10, 1e-12])
+def test_precoder_accurate_at_high_snr(noise):
+    # per-link SNR p |est|^2 / n0 up to ~1e12; UE2 (G=3) solves directly, the
+    # others (G=7, 8) take the S x S form. A float direct solve already loses
+    # ~1e-6 at n0 = 1e-10, so the reference is solved in exact arithmetic.
+    m = 8
+    d = np.ones((m, 3), dtype=int)
+    d[7, 0] = 0
+    d[3:, 2] = 0
+    rng = np.random.default_rng(26)
+    est = _cn(rng, (3, m, 3))
+    powers = np.array([0.2, 0.3, 0.25])
+    ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
+    w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
+    ref = oracles.pmmse_oracle(
+        ctx.serving_sets, ctx.interferer_sets, est, noise, powers, exact=True
+    )
+    assert np.abs(w - ref).max() < 1e-12
+
+
+def _sinr_instance(seed, n=7, m=5, k=4):
+    rng = np.random.default_rng(seed)
+    d = (rng.uniform(size=(m, k)) < 0.6).astype(int)
+    d[0] = 1
+    coop = CooperationMatrix(d)
+    ctx = PrecodingContext.from_matrix(coop)
+    h = _cn(rng, (n, m, k))
+    w = precode_pmmse(ctx, _cn(rng, (n, m, k)), noise=0.1, powers_ue=np.full(k, 0.2))
+    powers = radiated_powers(coop, RadioConfig(tx_power_w=0.2))
+    return ctx, h, w, powers, rng.uniform(0.3, 1.0, size=k)
+
+
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_instant_sinr_matches_gain_loop_oracle(estimator):
+    for seed in range(3):
+        ctx, h, w, powers, rho = _sinr_instance(seed)
+        gamma = instant_sinr(ctx, h, w, powers, rho, noise=0.05, estimator=estimator)
+        gains = oracles.gains_oracle(h, w, powers)
+        ref = oracles.sinr_from_gains_oracle(gains, rho, 0.05, estimator)
+        assert np.allclose(gamma, ref, rtol=1e-12, atol=0.0)
 
 
 def test_precoder_duplicate_channels_split_interference():

@@ -148,6 +148,10 @@ def test_report_hash_tracks_config():
     assert a != b
 
 
+def test_report_hash_ignores_out_dir():
+    assert config_hash(mini_config(out_dir="a")) == config_hash(mini_config(out_dir="b/c"))
+
+
 def test_cli_simulate_and_export(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(tmp_path / "out"))))
@@ -187,3 +191,19 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr("cfmimo.cli.hn.run_experiment", boom)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "line", ["n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo"]
+)
+def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))) + line + "\n")
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not out.exists()
