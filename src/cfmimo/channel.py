@@ -10,6 +10,7 @@ pilot-contaminated variance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from scipy.special import j0
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
 LIGHT_SPEED = 299792458.0
+ESTIMATE_FORMS = ("raw", "mmse")
+PILOT_METHODS = ("random", "sequential")
 
 
 class MapParseError(ValueError):
@@ -60,7 +63,7 @@ class RadioConfig:
                 raise ValueError(f"{name} must be positive")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
-        if self.estimate_form not in ("raw", "mmse"):
+        if self.estimate_form not in ESTIMATE_FORMS:
             raise ValueError(f"unknown estimate_form {self.estimate_form!r}")
 
 
@@ -189,13 +192,18 @@ class PathLossMap:
         return out
 
 
+_MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
+
+
 def load_pathloss_map(path, topo) -> PathLossMap:
     """Parse a path-loss map file for ``topo``.
 
     Format: header ``grid_dx,grid_dy,origin_x,origin_y`` then rows
-    ``ap_id,cell_ix,cell_iy,pathloss_db``. Every AP id must belong to the
-    topology and appear at least once; duplicate cells and non-positive grid
-    spacing are parse errors.
+    ``ap_id,cell_ix,cell_iy,pathloss_db``. Blank lines are skipped; ``#``
+    starts no comment, so a ``#`` line is a malformed row. Every AP id must
+    belong to the topology and appear at least once; duplicate cells and
+    non-positive grid spacing are parse errors. Each error names the file
+    line (``path:line``) of the first offending row.
     """
     with open(path) as f:
         lines = f.read().splitlines()
@@ -211,39 +219,77 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     if dx <= 0 or dy <= 0:
         raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
 
-    rows: dict[tuple[int, int, int], float] = {}
-    for ln, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    if not any(line.strip() for line in body):
+        raise MapParseError(f"{path}: no map rows")
+    bad = None
+    try:
+        rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+    except ValueError:
+        # loadtxt's message gives no file line, and loadtxt refuses some rows
+        # the row rules accept (whitespace-only lines, "1_0"): rescan by them.
+        rows, bad = _scan_map_rows(path, body, topo.n_aps)
+    bad_ap = np.flatnonzero((rows["ap"] < 0) | (rows["ap"] >= topo.n_aps))
+    n_ok = int(bad_ap[0]) if bad_ap.size else len(rows)
+    ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
+    if n_ok:
+        ix_min, iy_min = int(ix.min()), int(iy.min())
+        nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
+        cell = (ap * nx + ix - ix_min) * ny + iy - iy_min
+        order = np.argsort(cell, kind="stable")
+        repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+        if repeats.size:
+            i = int(repeats.min())
+            raise MapParseError(
+                f"{path}:{_map_row_line(body, i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})"
+            )
+    if bad_ap.size:
+        raise MapParseError(f"{path}:{_map_row_line(body, n_ok)}: unknown AP id {rows['ap'][n_ok]}")
+    if bad is not None:
+        raise bad
+    missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()
+    if missing:
+        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+
+    table = np.full((topo.n_aps, nx, ny), np.inf)
+    table.reshape(-1)[cell] = rows["pl"]
+    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
+
+
+def _scan_map_rows(path, body, n_aps):
+    """Parse rows one by one up to the first malformed one.
+
+    Returns the rows before it and the error naming its line (None when
+    every row parses). Besides the field rules and the AP id range, a cell
+    index beyond int64, which no table could hold, ends the scan.
+    """
+    parsed, bad = [], None
+    for ln, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db'")
+            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db'")
+            break
         try:
-            ap = int(parts[0])
-            cix, ciy = int(parts[1]), int(parts[2])
-            pl = float(parts[3])
+            ap, cix, ciy, pl = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError:
-            raise MapParseError(f"{path}:{ln}: non-numeric field in {line!r}") from None
-        if ap < 0 or ap >= topo.n_aps:
-            raise MapParseError(f"{path}:{ln}: unknown AP id {ap}")
-        if (ap, cix, ciy) in rows:
-            raise MapParseError(f"{path}:{ln}: duplicate cell ({ap}, {cix}, {ciy})")
-        rows[(ap, cix, ciy)] = pl
-    if not rows:
-        raise MapParseError(f"{path}: no map rows")
-    seen_aps = {ap for ap, _, _ in rows}
-    missing = sorted(set(range(topo.n_aps)) - seen_aps)
-    if missing:
-        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+            bad = MapParseError(f"{path}:{ln}: non-numeric field in {line!r}")
+            break
+        if not 0 <= ap < n_aps:
+            bad = MapParseError(f"{path}:{ln}: unknown AP id {ap}")
+            break
+        if max(abs(cix), abs(ciy)) >= 2**63:
+            bad = MapParseError(f"{path}:{ln}: cell index out of range in {line!r}")
+            break
+        parsed.append((ap, cix, ciy, pl))
+    return np.array(parsed, dtype=_MAP_ROW), bad
 
-    ix_min = min(c[1] for c in rows)
-    ix_max = max(c[1] for c in rows)
-    iy_min = min(c[2] for c in rows)
-    iy_max = max(c[2] for c in rows)
-    table = np.full((topo.n_aps, ix_max - ix_min + 1, iy_max - iy_min + 1), np.inf)
-    for (ap, cix, ciy), pl in rows.items():
-        table[ap, cix - ix_min, ciy - iy_min] = pl
-    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
+
+def _map_row_line(body, i) -> int:
+    """File line number of data row ``i``, counting past blank lines."""
+    rows = (ln for ln, line in enumerate(body, start=2) if line.strip())
+    return next(itertools.islice(rows, i, None))
 
 
 def save_pathloss_map(path, dx, dy, origin, entries) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +81,15 @@ class ExperimentConfig:
         for key in ("n_mc", "blocks", "ue_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if self.sinr_estimator not in ev.SINR_ESTIMATORS:
-            raise ConfigError(
-                f"unknown sinr_estimator {self.sinr_estimator!r}; known: {list(ev.SINR_ESTIMATORS)}"
-            )
+        for key, known in (
+            ("sinr_estimator", ev.SINR_ESTIMATORS),
+            ("estimate_form", ch.ESTIMATE_FORMS),
+            ("pilot_method", ch.PILOT_METHODS),
+        ):
+            if getattr(self, key) not in known:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; known: {list(known)}")
+        if self.tau_p >= self.tau_c:
+            raise ConfigError(f"tau_p ({self.tau_p}) must be shorter than tau_c ({self.tau_c})")
 
     def radio(self) -> ch.RadioConfig:
         return ch.RadioConfig(
@@ -222,25 +228,50 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
     raise ConfigError(f"unknown channel_provider {cfg.channel_provider!r}")
 
 
-def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.MetricsReport:
+class Scenario(NamedTuple):
+    """What every algorithm of one (config, seed) shares: the topology, the
+    mobility trace, the path-loss provider and the pilot assignment."""
+
+    topo: tp.NetworkTopology
+    trace: mb.MobilityTrace
+    provider: object
+    pilots: np.ndarray
+
+
+def _build_scenario(cfg: ExperimentConfig) -> Scenario:
+    topo = _build_topology(cfg)
+    trace = _build_trace(cfg, topo.area)
+    cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
+    provider = _build_provider(cfg, topo, cfg.radio(), cfg_k)
+    pilots = ch.assign_pilots(
+        cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method
+    )
+    return Scenario(topo, trace, provider, pilots)
+
+
+def _check_algorithm(name: str) -> None:
+    if name not in sel.ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+
+
+def run_experiment(
+    cfg: ExperimentConfig, algorithm: str | None = None, scenario: Scenario | None = None
+) -> ev.MetricsReport:
     """Run one experiment end to end; fully deterministic per (config, seed).
 
     Per block: advance UE positions, snapshot the channel, select serving
     sets, evaluate SE over n_mc Monte-Carlo draws. Module errors propagate
-    annotated with the failing block index.
+    annotated with the failing block index. ``scenario`` must have been
+    built from ``cfg``; it is built here when not given.
     """
     algo = algorithm or cfg.algorithm
-    if algo not in sel.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}; known: {sorted(sel.ALGORITHMS)}")
+    _check_algorithm(algo)
     radio = cfg.radio()
     constraints = cfg.constraints()
-    topo = _build_topology(cfg)
-    trace = _build_trace(cfg, topo.area)
-    cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
-    provider = _build_provider(cfg, topo, radio, cfg_k)
-    pilots = ch.assign_pilots(
-        cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method
-    )
+    if scenario is None:
+        scenario = _build_scenario(cfg)
+    topo, trace, provider, pilots = scenario
+    cfg_k = trace.ue_count
     weights = sel.RewardWeights(step=cfg.mdp_w1, round=cfg.mdp_w2, episode=cfg.mdp_w3)
 
     se_blocks = np.zeros((cfg_k, cfg.blocks))
@@ -284,10 +315,15 @@ def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.Me
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
-    All runs share the config's master seed, so topologies, traces, shadowing,
-    pilots, and Monte-Carlo draws coincide across algorithms.
+    Every algorithm name is checked before any work. The scenario (topology,
+    trace, path-loss provider, pilots) is built once and shared; snapshots
+    are still taken per block inside each run. Monte-Carlo draws derive from
+    the config's master seed, so they coincide across algorithms too.
     """
-    return {name: run_experiment(cfg, algorithm=name) for name in algorithms}
+    for name in algorithms:
+        _check_algorithm(name)
+    scenario = _build_scenario(cfg)
+    return {name: run_experiment(cfg, algorithm=name, scenario=scenario) for name in algorithms}
 
 
 def comparison_table(reports: dict[str, ev.MetricsReport]) -> str:

@@ -386,3 +386,89 @@ def test_map_monotone_outage(tmp_path):
     full_beta = snapshot(topo, pos, load_pathloss_map(full_path, topo), cfg).beta
     sub_beta = snapshot(topo, pos, load_pathloss_map(sub_path, topo), cfg).beta
     assert np.all(sub_beta <= full_beta + 1e-18)
+
+
+def _write_map_text(path, body):
+    path.write_text("10,10,0,0\n" + body)
+    return path
+
+
+def _load_two_ap_map(path):
+    return load_pathloss_map(path, generate_ppp_topology(AreaSpec(100.0, 100.0), 2, seed=1))
+
+
+def test_map_duplicate_cell_names_line(tmp_path):
+    path = _write_map_text(tmp_path / "map.txt", "0,0,0,90\n1,0,0,91\n0,1,0,92\n1,0,0,93\n")
+    with pytest.raises(MapParseError, match=r"map\.txt:5: duplicate cell \(1, 0, 0\)$"):
+        _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize("row", ["0,x,0,90", "0,0,0,loud", "0,1.5,0,90", "1.5,0,0,90"])
+def test_map_non_numeric_field_names_line(tmp_path, row):
+    path = _write_map_text(tmp_path / "map.txt", f"0,0,0,90\n1,0,0,91\n{row}\n")
+    with pytest.raises(MapParseError, match=rf"map\.txt:4: non-numeric field in '{row}'$"):
+        _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize("row", ["0,1,0", "0,1,0,90,7", "# AP 0 coverage"])
+def test_map_wrong_field_count_names_line(tmp_path, row):
+    path = _write_map_text(tmp_path / "map.txt", f"0,0,0,90\n{row}\n1,0,0,91\n")
+    with pytest.raises(MapParseError, match=r"map\.txt:3: expected 'ap_id,cell_ix,cell_iy,pathloss_db'$"):
+        _load_two_ap_map(path)
+
+
+def test_map_hash_starts_no_comment(tmp_path):
+    path = _write_map_text(tmp_path / "map.txt", "0,0,0,90\n1,0,0,91\n#0,1,0,90\n")
+    with pytest.raises(MapParseError, match=r"map\.txt:4: non-numeric field in '#0,1,0,90'$"):
+        _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,1,0", "expected 'ap_id,cell_ix,cell_iy,pathloss_db'"),
+        ("0,1,x,90", "non-numeric field in '0,1,x,90'"),
+        ("5,1,0,90", "unknown AP id 5"),
+        ("0,0,0,95", r"duplicate cell \(0, 0, 0\)"),
+    ],
+)
+def test_map_line_number_counts_blank_lines(tmp_path, row, message):
+    # blank and whitespace-only lines are skipped but still count as lines
+    path = _write_map_text(tmp_path / "map.txt", f"\n0,0,0,90\n  \n\n1,0,0,91\n\t\n{row}\n")
+    with pytest.raises(MapParseError, match=rf"map\.txt:8: {message}$"):
+        _load_two_ap_map(path)
+
+
+def test_map_blank_lines_skipped(tmp_path):
+    path = _write_map_text(tmp_path / "map.txt", "\n0,0,0,90\n  \n1,0,0,91\n\n")
+    out = _load_two_ap_map(path).pathloss_db(np.array([[0.0, 0.0]]))
+    assert out[:, 0].tolist() == [90.0, 91.0]
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n"])
+def test_map_header_without_rows_rejected(tmp_path, body):
+    path = _write_map_text(tmp_path / "map.txt", body)
+    with pytest.raises(MapParseError, match=r"map\.txt: no map rows$"):
+        _load_two_ap_map(path)
+
+
+def test_map_round_trip_bit_identical(tmp_path):
+    # every listed cell reads back bit for bit; every other cell of the
+    # bounding box, for every AP, is outage (+inf)
+    rng = np.random.default_rng(3)
+    cells = {(ap, int(ix), int(iy)) for ap in range(3) for ix, iy in rng.integers(-4, 6, size=(25, 2))}
+    # values exact at the file's 10 significant digits
+    entries = [(ap, ix, iy, float(f"{rng.uniform(40.0, 160.0):.10g}")) for ap, ix, iy in sorted(cells)]
+    path = tmp_path / "map.txt"
+    dx, dy, origin = 2.5, 4.0, (-3.0, 7.0)
+    save_pathloss_map(path, dx, dy, origin, entries)
+    plmap = load_pathloss_map(path, generate_ppp_topology(AreaSpec(100.0, 100.0), 3, seed=1))
+    ixs = range(min(c[1] for c in cells), max(c[1] for c in cells) + 1)
+    iys = range(min(c[2] for c in cells), max(c[2] for c in cells) + 1)
+    grid = [(ix, iy) for ix in ixs for iy in iys]
+    centres = np.array([[origin[0] + ix * dx, origin[1] + iy * dy] for ix, iy in grid])
+    expected = np.full((3, len(grid)), np.inf)
+    for ap, ix, iy, pl in entries:
+        expected[ap, grid.index((ix, iy))] = pl
+    got = plmap.pathloss_db(centres)
+    assert got.tobytes() == expected.tobytes()

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from cfmimo import channel as ch
 from cfmimo import cli
+from cfmimo.channel import RadioConfig
 from cfmimo.evaluation import export_cdf, write_report
 from cfmimo.harness import (
     ConfigError,
@@ -17,6 +19,9 @@ from cfmimo.harness import (
     run_experiment,
     serialize_config,
 )
+from cfmimo.topology import AreaSpec, generate_ppp_topology, save_topology
+
+import mapgen
 
 
 def mini_config(**kw) -> ExperimentConfig:
@@ -91,10 +96,19 @@ def test_compare_single_algorithm():
     assert table.splitlines()[0].startswith("algorithm,")
 
 
-def test_compare_shares_realizations(tmp_path):
-    # the same algorithm run inside and outside compare is byte-identical,
-    # so all algorithms in one comparison see the same channels
-    cfg = mini_config()
+def map_config(tmp_path) -> ExperimentConfig:
+    """mini_config on a file topology with a mapgen shadow map."""
+    topo = generate_ppp_topology(AreaSpec(200.0, 200.0), 12, seed=4)
+    topo_path, map_path = tmp_path / "topo.txt", tmp_path / "map.txt"
+    save_topology(topo, topo_path)
+    mapgen.build_shadow_map(map_path, topo, RadioConfig(), grid=20.0, seed=9)
+    return mini_config(
+        topology_source="file", topology_file=str(topo_path),
+        channel_provider="map", pathloss_map_file=str(map_path),
+    )
+
+
+def _assert_compare_matches_lone_run(cfg, tmp_path):
     inside = compare_algorithms(cfg, ["small-cell", "full-cf"])["small-cell"]
     outside = run_experiment(cfg, algorithm="small-cell")
     d1, d2 = tmp_path / "in", tmp_path / "out"
@@ -102,6 +116,39 @@ def test_compare_shares_realizations(tmp_path):
     write_report(outside, d2)
     assert (d1 / "report.txt").read_bytes() == (d2 / "report.txt").read_bytes()
     assert (d1 / "se_blocks.csv").read_bytes() == (d2 / "se_blocks.csv").read_bytes()
+
+
+def test_compare_shares_realizations(tmp_path):
+    # the same algorithm run inside and outside compare is byte-identical,
+    # so all algorithms in one comparison see the same channels
+    _assert_compare_matches_lone_run(mini_config(), tmp_path)
+
+
+def test_compare_shares_realizations_map(tmp_path):
+    _assert_compare_matches_lone_run(map_config(tmp_path), tmp_path)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compare_builds_provider_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ch.LogDistanceProvider, "__init__")
+    compare_algorithms(mini_config(), ["small-cell", "full-cf"])
+    assert len(calls) == 1
+
+    cfg = map_config(tmp_path)
+    calls = _count_calls(monkeypatch, ch, "load_pathloss_map")
+    compare_algorithms(cfg, ["small-cell", "full-cf"])
+    assert len(calls) == 1
 
 
 def test_unknown_algorithm_rejected():
@@ -194,7 +241,11 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "line", ["n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo"]
+    "line",
+    [
+        "n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo",
+        "estimate_form = xx", "pilot_method = bogus", "tau_p = 300",
+    ],
 )
 def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
     out = tmp_path / "out"
@@ -206,4 +257,18 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
 
     monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
+    assert rc == 2
     assert not out.exists()
