@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSnapshot, RadioConfig, aging_coefficient, estimate_variance_matrix
-from .selection import CooperationMatrix, SelectionConstraints
+from .selection import CooperationMatrix, SelectionConstraints, jain_index
 
 SINR_ESTIMATORS = ("hardening", "per-draw")
 
@@ -323,16 +323,9 @@ def objective_values(coop: CooperationMatrix, rates) -> tuple[float, float, int,
     """
     rates = np.asarray(rates, dtype=float)
     sum_rate = float(rates.sum())
-    phi = _jain(rates)
+    phi = jain_index(rates)
     pf = float(np.log(np.maximum(rates, 1.0)).sum())
     return sum_rate, phi, coop.total_connections, pf
-
-
-def _jain(values: np.ndarray) -> float:
-    ssq = float(np.dot(values, values))
-    if ssq == 0.0:
-        return 1.0
-    return float(values.sum()) ** 2 / (values.size * ssq)
 
 
 @dataclass(frozen=True)
@@ -417,7 +410,7 @@ def build_report(
         w_per_block=w_blocks,
         rate_per_ue=rate_per_ue,
         sum_rate=sum_rate,
-        jain=_jain(rate_per_ue),
+        jain=jain_index(rate_per_ue),
         pf_objective=pf,
         mean_connections=float(g_blocks.sum(axis=0).mean()),
         w_violation_blocks=w_bad,

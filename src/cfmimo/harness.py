@@ -70,6 +70,7 @@ class ExperimentConfig:
     beta0_db: float = -20.0
     allow_tau_p_equality: bool = False
     mdp_round_budget: int = 100
+    # reward weights of the selection MDP; the greedy rollout reads no reward
     mdp_w1: float = 1.0
     mdp_w2: float = 10.0
     mdp_w3: float = 2000.0
@@ -78,7 +79,7 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        for key in ("n_mc", "blocks", "ue_count"):
+        for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key, known in (
@@ -90,6 +91,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; known: {list(known)}")
         if self.tau_p >= self.tau_c:
             raise ConfigError(f"tau_p ({self.tau_p}) must be shorter than tau_c ({self.tau_c})")
+        try:
+            self.constraints()
+            self.radio()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
     def radio(self) -> ch.RadioConfig:
         return ch.RadioConfig(
@@ -260,9 +266,9 @@ def run_experiment(
     """Run one experiment end to end; fully deterministic per (config, seed).
 
     Per block: advance UE positions, snapshot the channel, select serving
-    sets, evaluate SE over n_mc Monte-Carlo draws. Module errors propagate
-    annotated with the failing block index. ``scenario`` must have been
-    built from ``cfg``; it is built here when not given.
+    sets, evaluate SE over n_mc Monte-Carlo draws. Module errors, and a
+    non-finite SE, raise RuntimeError naming the failing block. ``scenario``
+    must have been built from ``cfg``; it is built here when not given.
     """
     algo = algorithm or cfg.algorithm
     _check_algorithm(algo)
@@ -272,7 +278,6 @@ def run_experiment(
         scenario = _build_scenario(cfg)
     topo, trace, provider, pilots = scenario
     cfg_k = trace.ue_count
-    weights = sel.RewardWeights(step=cfg.mdp_w1, round=cfg.mdp_w2, episode=cfg.mdp_w3)
 
     se_blocks = np.zeros((cfg_k, cfg.blocks))
     rate_blocks = np.zeros((cfg_k, cfg.blocks))
@@ -283,14 +288,16 @@ def run_experiment(
             positions = trace.positions[:, b, :]
             snap = ch.snapshot(topo, positions, provider, radio)
             coop = sel.run_algorithm(
-                algo, snap, constraints, topo=topo,
-                mdp_round_budget=cfg.mdp_round_budget, mdp_weights=weights,
+                algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget
             )
             _, se, rate = ev.evaluate_block(
                 snap, coop, pilots, trace.speed, radio,
                 n_mc=cfg.n_mc, seed=derive_seed(cfg.seed, "eval", b),
                 estimator=cfg.sinr_estimator,
             )
+            bad = np.flatnonzero(~np.isfinite(se))
+            if bad.size:
+                raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
         except ConfigError:
             raise
         except Exception as e:

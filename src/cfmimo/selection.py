@@ -111,6 +111,11 @@ def _descending_order(beta_col: np.ndarray) -> np.ndarray:
     return np.argsort(-beta_col, kind="stable")
 
 
+def _rank_order(beta: np.ndarray) -> np.ndarray:
+    """Per-UE AP ranks: column k is UE k's stable descending-beta AP order."""
+    return np.argsort(-beta, axis=0, kind="stable")
+
+
 def select_unifsrv_heu(
     snapshot: ChannelSnapshot, constraints: SelectionConstraints
 ) -> CooperationMatrix:
@@ -125,49 +130,68 @@ def select_unifsrv_heu(
     the serving-set cap g_max, and the delta SNR-fraction stop rule.
     Returned sets always satisfy both caps; the load check uses strict <
     unless allow_tau_p_equality is set.
+
+    AP loads, serving-set sizes, served SNRs and simplified SINRs are kept
+    per UE and recomputed only for a UE whose serving set grew, so a rank
+    costs one vector pass plus one load check per eligible UE. The rank walk
+    stops early once no UE can grow any more: each has reached g_max, the
+    delta fraction, or its last candidate AP. None of these can reverse.
     """
     beta = candidate_beta(snapshot, constraints)
     m_aps, k_ues = beta.shape
-    order = np.stack([_descending_order(beta[:, k]) for k in range(k_ues)], axis=1)
+    order = _rank_order(beta)
+    ranked_beta = np.take_along_axis(beta, order, axis=0)
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    # the delta rule reads the axis-0 sum and the simplified SINR the
+    # per-column sum; the two sum in different orders
     total = beta.sum(axis=0)
-
-    def load_ok(ap: int) -> bool:
-        load = int(d[ap, :].sum())
-        if constraints.allow_tau_p_equality:
-            return load <= constraints.tau_p
-        return load < constraints.tau_p
+    col_total = np.array([float(beta[:, k].sum()) for k in range(k_ues)])
+    load_cap = constraints.tau_p + 1 if constraints.allow_tau_p_equality else constraints.tau_p
+    w = np.zeros(m_aps, dtype=int)
+    ues = np.arange(k_ues)
 
     # initial connection: best candidate AP with spare load, so the load cap
     # holds even when many UEs share one best AP
     for k in range(k_ues):
-        for ap in order[:, k]:
-            if beta[ap, k] <= 0.0:
-                break
-            if load_ok(ap):
-                d[ap, k] = 1
-                break
+        col = order[:, k]
+        free = col[(ranked_beta[:, k] > 0.0) & (w[col] < load_cap)]
+        if free.size:
+            d[free[0], k] = 1
+            w[free[0]] += 1
+    g = d.sum(axis=0)
+    served = np.array([float(np.dot(d[:, k].astype(float), beta[:, k])) for k in range(k_ues)])
+    # the first threshold (rank 2) is taken on simplified_sinr_all; from then
+    # on s is simplified_sinr's per-column form, updated as serving sets
+    # grow. The forms sum in different orders, so this keeps every D the
+    # same as a per-rank recomputation
+    s_col = served / (col_total - served + 1.0)
     s = simplified_sinr_all(d, beta)
 
     for rank in range(1, m_aps):
+        aps = order[rank]
+        can_grow = (
+            (ranked_beta[rank] > 0.0) & (g < constraints.g_max) & (served < constraints.delta * total)
+        )
+        if not can_grow.any():
+            break
         phi = jain_index(s)
         idx = int(np.ceil((1.0 - phi) * k_ues))
         idx = min(max(idx, 1), k_ues)
         alpha = np.sort(s)[idx - 1]
-        for k in range(k_ues):
-            ap = order[rank, k]
-            if beta[ap, k] <= 0.0:
-                s[k] = simplified_sinr(d[:, k], beta[:, k])
-                continue
-            served = float(np.dot(d[:, k].astype(float), beta[:, k]))
-            if (
-                s[k] < alpha
-                and load_ok(ap)
-                and int(d[:, k].sum()) < constraints.g_max
-                and served < constraints.delta * total[k]
-            ):
+        # a UE whose initial connection fell back past a full AP may reach
+        # that AP again here; it is already served there
+        eligible = can_grow & (s < alpha) & (d[aps, ues] == 0)
+        # earlier UEs at this rank fill APs first, so the load check walks
+        # in ascending UE id
+        for k in np.flatnonzero(eligible):
+            ap = aps[k]
+            if w[ap] < load_cap:
                 d[ap, k] = 1
-            s[k] = simplified_sinr(d[:, k], beta[:, k])
+                w[ap] += 1
+                g[k] += 1
+                served[k] = float(np.dot(d[:, k].astype(float), beta[:, k]))
+                s_col[k] = served[k] / (col_total[k] - served[k] + 1.0)
+        s = s_col
     return CooperationMatrix(d=d)
 
 
@@ -292,9 +316,9 @@ class ApSelectionEnv:
     candidate AP to the current UE, rewarding the step with
     step_weight * beta / beta_max, or -1 when the chosen AP is already at
     the load cap (the connection is then refused, so the cap always holds).
-    A UE's round ends after ``round_budget`` steps, when its serving set
-    reaches g_max, or on the SKIP action; the round reward scales with how
-    small the serving set stayed. The episode reward is the fairness-scaled
+    A UE's round ends after ``round_budget`` (at least 1) steps, when its
+    serving set reaches g_max, or on the SKIP action; the round reward
+    scales with how small the serving set stayed. The episode reward is the fairness-scaled
     sum of simplified SINRs over all UEs. Single-owner mutable state: use
     one environment per worker.
     """
@@ -306,6 +330,8 @@ class ApSelectionEnv:
         weights: RewardWeights | None = None,
         round_budget: int = 100,
     ):
+        if round_budget < 1:
+            raise ValueError(f"round_budget must be at least 1, got {round_budget}")
         self.beta = candidate_beta(snapshot, constraints)
         self.constraints = constraints
         self.weights = weights or RewardWeights()
@@ -417,13 +443,32 @@ def run_episode(env: ApSelectionEnv, policy=greedy_policy):
 def select_mdp_greedy(
     snapshot: ChannelSnapshot,
     constraints: SelectionConstraints,
-    weights: RewardWeights | None = None,
     round_budget: int = 100,
 ) -> CooperationMatrix:
-    """Serving sets produced by the greedy reference policy on the MDP env."""
-    env = ApSelectionEnv(snapshot, constraints, weights=weights, round_budget=round_budget)
-    _, coop, _ = run_episode(env, greedy_policy)
-    return coop
+    """Serving sets of the greedy reference policy on the MDP env, in closed form.
+
+    ``run_episode(ApSelectionEnv(...), greedy_policy)`` never picks a full or
+    already-connected AP, and a UE's own connections change no other AP's
+    load. So UE k, taken in ascending id, gets the first
+    min(g_max, round_budget) APs of its stable descending-beta order that
+    are candidates and below tau_p at the start of its round. This builds
+    that D directly; no env step is taken and no reward is computed, since
+    rewards never steer the greedy actions.
+    """
+    if round_budget < 1:
+        raise ValueError(f"round_budget must be at least 1, got {round_budget}")
+    beta = candidate_beta(snapshot, constraints)
+    m_aps, k_ues = beta.shape
+    order = _rank_order(beta)
+    take = min(constraints.g_max, round_budget)
+    d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    w = np.zeros(m_aps, dtype=int)
+    for k in range(k_ues):
+        col = order[:, k]
+        chosen = col[(beta[col, k] > 0.0) & (w[col] < constraints.tau_p)][:take]
+        d[chosen, k] = 1
+        w[chosen] += 1
+    return CooperationMatrix(d=d)
 
 
 def brute_force_selection(
@@ -482,7 +527,11 @@ def run_algorithm(
     mdp_round_budget: int = 100,
     mdp_weights: RewardWeights | None = None,
 ) -> CooperationMatrix:
-    """Dispatch a selection algorithm by config key."""
+    """Dispatch a selection algorithm by config key.
+
+    ``mdp_weights`` is accepted for existing callers and not used: the
+    rewards never steer the greedy rollout behind mdp-greedy.
+    """
     if name == "unifsrv-heu":
         return select_unifsrv_heu(snapshot, constraints)
     if name == "puc":
@@ -498,7 +547,5 @@ def run_algorithm(
     if name == "full-cf":
         return select_full_cf(snapshot, constraints)
     if name == "mdp-greedy":
-        return select_mdp_greedy(
-            snapshot, constraints, weights=mdp_weights, round_budget=mdp_round_budget
-        )
+        return select_mdp_greedy(snapshot, constraints, round_budget=mdp_round_budget)
     raise ValueError(f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")

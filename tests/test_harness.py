@@ -245,6 +245,7 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     [
         "n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo",
         "estimate_form = xx", "pilot_method = bogus", "tau_p = 300",
+        "tx_power_w = 0", "delta = 1.5", "g_max = 0", "mdp_round_budget = 0",
     ],
 )
 def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
@@ -258,6 +259,27 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
     monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
     assert not out.exists()
+
+
+def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
+    evaluate_block = cli.hn.ev.evaluate_block
+    calls = []
+
+    def nan_on_block_1(*args, **kwargs):
+        gamma, se, rate = evaluate_block(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            se = se.copy()
+            se[2] = np.nan
+        return gamma, se, rate
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", nan_on_block_1)
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
+    assert "block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
+    assert not (out / "small-cell" / "report.txt").exists()
 
 
 def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypatch):

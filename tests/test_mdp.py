@@ -167,3 +167,33 @@ def test_select_mdp_greedy_respects_load_cap():
         assert coop.g_k.max() <= 4
         want = oracles.mdp_greedy_oracle(snap.beta.tolist(), tau_p=2, g_max=4, u_m=20)
         assert np.array_equal(coop.d, want)
+
+
+def test_select_mdp_greedy_matches_oracle_and_env_rollout_on_tied_sweep():
+    # integer beta gives ties; tau_p up to 4 fills APs, and round budgets
+    # below g_max end rounds early
+    rng = np.random.default_rng(7)
+    short_rounds = 0
+    for _ in range(250):
+        m, k = int(rng.integers(2, 41)), int(rng.integers(1, 31))
+        beta = np.round(rng.uniform(0.0, 6.0, size=(m, k)))
+        tau_p, g_max = int(rng.integers(0, 5)), int(rng.integers(1, 9))
+        round_budget = int(rng.integers(1, 8))
+        short_rounds += round_budget < g_max
+        cons = SelectionConstraints(
+            g_max=g_max, tau_p=tau_p, beta0=1.0, allow_tau_p_equality=bool(rng.integers(2))
+        )
+        snap = make_snapshot(beta)
+        got = select_mdp_greedy(snap, cons, round_budget=round_budget).d
+        want = oracles.mdp_greedy_oracle(beta.tolist(), tau_p, g_max, round_budget, beta0=1.0)
+        assert np.array_equal(got, want), (m, k, tau_p, g_max, round_budget)
+        _, rolled, _ = run_episode(ApSelectionEnv(snap, cons, round_budget=round_budget), greedy_policy)
+        assert np.array_equal(got, rolled.d), (m, k, tau_p, g_max, round_budget)
+    assert short_rounds > 50
+
+
+def test_round_budget_below_one_rejected():
+    with pytest.raises(ValueError, match="round_budget"):
+        make_env(round_budget=0)
+    with pytest.raises(ValueError, match="round_budget"):
+        select_mdp_greedy(make_snapshot(MDP_BETA), MDP_CONS, round_budget=0)

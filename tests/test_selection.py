@@ -157,6 +157,31 @@ def test_unifsrv_matches_pseudocode_oracle():
         assert np.array_equal(got, want)
 
 
+def test_unifsrv_matches_oracle_on_tied_sweep():
+    # integer beta gives ties and exact sums; tau_p up to 4 fills a UE's best
+    # AP before its first connection, so that connection falls back to a
+    # lower-ranked AP which the rank walk reaches again later
+    rng = np.random.default_rng(2024)
+    fell_back = 0
+    for _ in range(250):
+        m, k = int(rng.integers(2, 41)), int(rng.integers(1, 31))
+        beta = np.round(rng.uniform(0.0, 6.0, size=(m, k)))
+        tau_p, g_max = int(rng.integers(0, 5)), int(rng.integers(1, 9))
+        delta = float(rng.choice([0.6, 0.95, 1.0]))
+        equality = bool(rng.integers(2))
+        cons = SelectionConstraints(
+            g_max=g_max, tau_p=tau_p, delta=delta, beta0=1.0, allow_tau_p_equality=equality
+        )
+        got = select_unifsrv_heu(make_snapshot(beta), cons).d
+        want = oracles.unifsrv_heu_oracle(
+            beta.tolist(), tau_p, g_max, delta, beta0=1.0, allow_tau_p_equality=equality
+        )
+        assert np.array_equal(got, want), (m, k, tau_p, g_max, delta, equality)
+        best = np.argmax(beta, axis=0)
+        fell_back += int(np.any(got.any(axis=0) & (got[best, np.arange(k)] == 0)))
+    assert fell_back > 50
+
+
 def test_unifsrv_tau_p_equality_toggle():
     # the relaxed reading may overfill an AP by one
     beta = np.array([[5.0, 4.0, 3.0, 6.0], [0.4, 0.3, 0.2, 0.1]])
