@@ -11,13 +11,21 @@ are combined either with the use-and-forget hardening bound
     gamma_k = rho_k^2 |E{gain_kk}|^2 / (sum_i E{|gain_ik|^2} - |E{gain_kk}|^2 + n0)
 
 or per draw (instantaneous SINR of every realization, ergodic-equivalent
-output). The default slot is the block end (worst aging); a list of slots
-averages the per-slot results.
+output), at the block end (worst aging).
+
+A block's draws split in two. draw_block takes what no selection changes:
+the unit-variance block-start fading h0/sqrt(R), the estimate-error
+direction and the aged channel, three (n_mc, M, K) complex arrays.
+evaluate_draws then runs what the cooperation matrix shapes: the estimate
+variance Z, the estimates mixed from the shared draws, the precoders and the
+SINR. So several algorithms evaluated on one block share one set of draws;
+evaluate_block is the two in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +82,48 @@ def radiated_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
     return split_powers(coop, cfg) * np.maximum(coop.g_k, 1)[None, :]
 
 
+#: Scale of either part of a CN(0, 1) draw; (x + 1j*y) / sqrt(2) is computed
+#: as x * (1 / sqrt(2)), so the product gives the same bytes.
+_HALF_SCALE = 1.0 / np.sqrt(2.0)
+
+
+def _complex_normal(rng, shape, scale, buf=None) -> np.ndarray:
+    """scale * (x + 1j*y) for standard-normal x then y, built in place.
+
+    ``buf`` is an optional float scratch array of ``shape`` that the draws
+    pass through.
+    """
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape, out=buf), scale, out=part)
+    return out
+
+
+def _inv_sqrt_gain(r_gain: np.ndarray) -> np.ndarray:
+    """1/sqrt(R) per link, 0 where R = 0 (outage)."""
+    r_gain = np.asarray(r_gain, dtype=float)
+    return np.where(r_gain > 0, 1.0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
+
+
+def mix_estimates(unit: np.ndarray, eps: np.ndarray, r_gain: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Estimates sqrt(Z) (a unit + sqrt(1 - a^2) eps) with a = min(1, sqrt(Z/R)).
+
+    ``unit`` is the channel over sqrt(R) (0 where R = 0) and ``eps`` an
+    independent CN(0, 1) draw of the same shape; r_gain and z broadcast
+    against them.
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
+    a = np.minimum(1.0, np.sqrt(ratio))
+    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
+    est = np.multiply(unit, a)
+    est.real += eps.real * b
+    est.imag += eps.imag * b
+    est *= np.sqrt(z)
+    return est
+
+
 def draw_estimates(h0: np.ndarray, r_gain: np.ndarray, z: np.ndarray, rng) -> np.ndarray:
     """Channel estimates with exact variance Z, correlated with h0.
 
@@ -81,13 +131,47 @@ def draw_estimates(h0: np.ndarray, r_gain: np.ndarray, z: np.ndarray, rng) -> np
     a*sqrt(Z*R) whenever Z <= R and caps at full correlation otherwise.
     h0 may be (M, K) or batched (N, M, K).
     """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
-    a = np.minimum(1.0, np.sqrt(ratio))
-    unit = np.where(r_gain > 0, h0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
-    eps = (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)) / np.sqrt(2.0)
-    return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
+    unit = h0 * _inv_sqrt_gain(r_gain)
+    return mix_estimates(unit, _complex_normal(rng, h0.shape, _HALF_SCALE), r_gain, z)
+
+
+class BlockDraws(NamedTuple):
+    """The Monte-Carlo draws of one block that no selection changes.
+
+    unit is the block-start channel h0 over sqrt(R) (0 on outage links), eps
+    the estimate-error direction and h_t the channel aged to the block end,
+    each (n_mc, M, K) complex; rho is the per-UE aging correlation at the
+    block end.
+    """
+
+    unit: np.ndarray
+    eps: np.ndarray
+    h_t: np.ndarray
+    rho: np.ndarray
+
+
+def draw_block(snap: ChannelSnapshot, speeds, cfg: RadioConfig, n_mc: int, seed) -> BlockDraws:
+    """Draw one block's fading, estimate-error and aging realizations.
+
+    The stream draws h0, then eps, then the aging innovation g, each real
+    part before its imaginary part; h_t = rho h0 + sqrt(1 - rho^2) g is
+    built in g's array and h0 becomes unit in place.
+    """
+    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
+    rng = np.random.default_rng(seed)
+    r = snap.channel_gain()
+    shape = (n_mc, snap.n_aps, snap.n_ues)
+    buf = np.empty(shape)
+    h0 = _complex_normal(rng, shape, np.sqrt(r / 2.0), buf)
+    eps = _complex_normal(rng, shape, _HALF_SCALE, buf)
+    h_t = _complex_normal(rng, shape, np.sqrt(r / 2.0), buf)
+    rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
+    h_t *= np.sqrt(np.maximum(0.0, 1.0 - rho**2))
+    for part_t, part_0 in ((h_t.real, h0.real), (h_t.imag, h0.imag)):
+        part_t += np.multiply(part_0, rho, out=buf)
+    del buf
+    h0 *= _inv_sqrt_gain(r)
+    return BlockDraws(unit=h0, eps=eps, h_t=h_t, rho=rho)
 
 
 #: Complex elements of one draw chunk of a group's gathered estimates; bounds
@@ -266,6 +350,34 @@ def spectral_efficiency(gamma, cfg: RadioConfig):
     return se, cfg.bandwidth_hz * se
 
 
+def evaluate_draws(
+    snap: ChannelSnapshot,
+    coop: CooperationMatrix,
+    pilots: np.ndarray,
+    speeds,
+    cfg: RadioConfig,
+    draws: BlockDraws,
+    estimator: str = "hardening",
+):
+    """Monte-Carlo SE of one cooperation matrix on a block's shared draws.
+
+    Returns (gamma, se, rate) per UE. Only the estimates depend on ``coop``
+    (through Z); ``draws`` is read, never written. ``estimator`` selects the
+    SINR combination rule of instant_sinr.
+    """
+    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
+    ctx = PrecodingContext.from_matrix(coop)
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg, split_powers(coop, cfg))
+    est = mix_estimates(draws.unit, draws.eps, snap.channel_gain(), z)
+    w = precode_pmmse(ctx, est, snap.noise_power, np.full(snap.n_ues, cfg.tx_power_w))
+    del est
+    gamma = instant_sinr(
+        ctx, draws.h_t, w, radiated_powers(coop, cfg), draws.rho, snap.noise_power, estimator=estimator
+    )
+    se, rate = spectral_efficiency(gamma, cfg)
+    return gamma, se, rate
+
+
 def evaluate_block(
     snap: ChannelSnapshot,
     coop: CooperationMatrix,
@@ -274,45 +386,16 @@ def evaluate_block(
     cfg: RadioConfig,
     n_mc: int = 500,
     seed=0,
-    slots=None,
     estimator: str = "hardening",
 ):
     """Monte-Carlo SE for one block; returns (gamma, se, rate) per UE.
 
     Draws n_mc joint realizations of the block-start channel, its aged value
-    at each requested slot, and the channel estimates; slot results are
-    averaged (default: single worst-aging slot at the block end).
-    ``estimator`` selects the SINR combination rule of instant_sinr.
+    at the block end and the channel estimates (draw_block), then evaluates
+    ``coop`` on them (evaluate_draws).
     """
-    if slots is None:
-        slots = [cfg.block_len_slots]
-    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
-    rng = np.random.default_rng(seed)
-    ctx = PrecodingContext.from_matrix(coop)
-    powers = split_powers(coop, cfg)
-    powers_eff = radiated_powers(coop, cfg)
-    r = snap.channel_gain()
-    shape = (n_mc, snap.n_aps, snap.n_ues)
-    h0 = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
-
-    gamma_acc = np.zeros(snap.n_ues)
-    se_acc = np.zeros(snap.n_ues)
-    rate_acc = np.zeros(snap.n_ues)
-    for t in slots:
-        z = estimate_variance_matrix(snap, pilots, t, speeds, cfg, powers)
-        est = draw_estimates(h0, r[None], z[None], rng)
-        w = precode_pmmse(ctx, est, snap.noise_power, powers_ue)
-        rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
-        g = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        h_t = rho[None, None, :] * h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2))[None, None, :] * g
-        gamma = instant_sinr(ctx, h_t, w, powers_eff, rho, snap.noise_power, estimator=estimator)
-        se, rate = spectral_efficiency(gamma, cfg)
-        gamma_acc += gamma
-        se_acc += se
-        rate_acc += rate
-    n_slots = len(slots)
-    return gamma_acc / n_slots, se_acc / n_slots, rate_acc / n_slots
+    draws = draw_block(snap, speeds, cfg, n_mc, seed)
+    return evaluate_draws(snap, coop, pilots, speeds, cfg, draws, estimator=estimator)
 
 
 def objective_values(coop: CooperationMatrix, rates) -> tuple[float, float, int, float]:

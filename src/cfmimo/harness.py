@@ -1,10 +1,12 @@
 """Experiment orchestration: config parsing, seeding, per-block simulation.
 
 One experiment = (topology, mobility trace, channel provider, selection
-algorithm) driven block by block: update UE positions, snapshot the channel,
-select serving sets, evaluate SE by Monte-Carlo, aggregate. Every random
-stream derives from the master seed through a stable hash, so a (config,
-seed) pair reproduces byte-identical reports regardless of execution order.
+algorithms) driven block by block: update UE positions, snapshot the
+channel, draw the block's Monte-Carlo realizations, then for each algorithm
+select serving sets and evaluate SE on those shared draws; aggregate per
+algorithm. Every random stream derives from the master seed through a
+stable hash, so a (config, seed) pair reproduces byte-identical reports
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -260,77 +262,96 @@ def _check_algorithm(name: str) -> None:
         raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
 
 
+def _run_blocks(
+    cfg: ExperimentConfig, algorithms: list, scenario: Scenario
+) -> dict[str, ev.MetricsReport]:
+    """The block-major loop: one report per algorithm on shared draws.
+
+    Per block: advance UE positions, take one channel snapshot and one set of
+    Monte-Carlo draws, then select and evaluate each algorithm on them. A
+    block's three (n_mc, M, K) draw arrays are freed before the next block's.
+    Module errors, and a non-finite SE, raise RuntimeError naming the block.
+    """
+    radio = cfg.radio()
+    constraints = cfg.constraints()
+    topo, trace, provider, pilots = scenario
+    cfg_k = trace.ue_count
+    se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
+    rate_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
+    g_blocks = {a: np.zeros((cfg_k, cfg.blocks), dtype=int) for a in algorithms}
+    w_blocks = {a: np.zeros((topo.n_aps, cfg.blocks), dtype=int) for a in algorithms}
+    for b in range(cfg.blocks):
+        where = f"block {b}"
+        try:
+            snap = ch.snapshot(topo, trace.positions[:, b, :], provider, radio)
+            draws = ev.draw_block(snap, trace.speed, radio, cfg.n_mc, derive_seed(cfg.seed, "eval", b))
+            for algo in algorithms:
+                if len(algorithms) > 1:
+                    where = f"block {b}, {algo}"
+                coop = sel.run_algorithm(
+                    algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget
+                )
+                _, se, rate = ev.evaluate_draws(
+                    snap, coop, pilots, trace.speed, radio, draws, estimator=cfg.sinr_estimator
+                )
+                bad = np.flatnonzero(~np.isfinite(se))
+                if bad.size:
+                    raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
+                se_blocks[algo][:, b] = se
+                rate_blocks[algo][:, b] = rate
+                g_blocks[algo][:, b] = coop.g_k
+                w_blocks[algo][:, b] = coop.w_m
+            del draws
+        except ConfigError:
+            raise
+        except Exception as e:
+            raise RuntimeError(f"{where}: {e}") from e
+    return {
+        algo: ev.build_report(
+            algorithm=algo,
+            seed=cfg.seed,
+            config_hash=config_hash(cfg),
+            n_mc=cfg.n_mc,
+            se_blocks=se_blocks[algo],
+            rate_blocks=rate_blocks[algo],
+            g_blocks=g_blocks[algo],
+            w_blocks=w_blocks[algo],
+            constraints=constraints,
+        )
+        for algo in algorithms
+    }
+
+
 def run_experiment(
     cfg: ExperimentConfig, algorithm: str | None = None, scenario: Scenario | None = None
 ) -> ev.MetricsReport:
     """Run one experiment end to end; fully deterministic per (config, seed).
 
-    Per block: advance UE positions, snapshot the channel, select serving
-    sets, evaluate SE over n_mc Monte-Carlo draws. Module errors, and a
-    non-finite SE, raise RuntimeError naming the failing block. ``scenario``
-    must have been built from ``cfg``; it is built here when not given.
+    The block loop of compare_algorithms with one algorithm, so a lone run
+    and the same algorithm inside a comparison write the same report.
+    ``scenario`` must have been built from ``cfg``; it is built here when not
+    given.
     """
     algo = algorithm or cfg.algorithm
     _check_algorithm(algo)
-    radio = cfg.radio()
-    constraints = cfg.constraints()
     if scenario is None:
         scenario = _build_scenario(cfg)
-    topo, trace, provider, pilots = scenario
-    cfg_k = trace.ue_count
-
-    se_blocks = np.zeros((cfg_k, cfg.blocks))
-    rate_blocks = np.zeros((cfg_k, cfg.blocks))
-    g_blocks = np.zeros((cfg_k, cfg.blocks), dtype=int)
-    w_blocks = np.zeros((topo.n_aps, cfg.blocks), dtype=int)
-    for b in range(cfg.blocks):
-        try:
-            positions = trace.positions[:, b, :]
-            snap = ch.snapshot(topo, positions, provider, radio)
-            coop = sel.run_algorithm(
-                algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget
-            )
-            _, se, rate = ev.evaluate_block(
-                snap, coop, pilots, trace.speed, radio,
-                n_mc=cfg.n_mc, seed=derive_seed(cfg.seed, "eval", b),
-                estimator=cfg.sinr_estimator,
-            )
-            bad = np.flatnonzero(~np.isfinite(se))
-            if bad.size:
-                raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
-        except ConfigError:
-            raise
-        except Exception as e:
-            raise RuntimeError(f"block {b}: {e}") from e
-        se_blocks[:, b] = se
-        rate_blocks[:, b] = rate
-        g_blocks[:, b] = coop.g_k
-        w_blocks[:, b] = coop.w_m
-    return ev.build_report(
-        algorithm=algo,
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        n_mc=cfg.n_mc,
-        se_blocks=se_blocks,
-        rate_blocks=rate_blocks,
-        g_blocks=g_blocks,
-        w_blocks=w_blocks,
-        constraints=constraints,
-    )
+    return _run_blocks(cfg, [algo], scenario)[algo]
 
 
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
-    Every algorithm name is checked before any work. The scenario (topology,
-    trace, path-loss provider, pilots) is built once and shared; snapshots
-    are still taken per block inside each run. Monte-Carlo draws derive from
-    the config's master seed, so they coincide across algorithms too.
+    Every algorithm name is checked before any work. The run is block-major:
+    the scenario (topology, trace, path-loss provider, pilots) is built once,
+    and each block takes one channel snapshot and one set of Monte-Carlo
+    draws that every algorithm is evaluated on. Three (n_mc, M, K) complex
+    draw arrays stay live per block, whatever the number of algorithms.
     """
+    algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:
         _check_algorithm(name)
-    scenario = _build_scenario(cfg)
-    return {name: run_experiment(cfg, algorithm=name, scenario=scenario) for name in algorithms}
+    return _run_blocks(cfg, algorithms, _build_scenario(cfg))
 
 
 def comparison_table(reports: dict[str, ev.MetricsReport]) -> str:

@@ -6,6 +6,8 @@ paths. The selection oracles share the package's documented tie-breaks
 (descending beta, lowest AP id first; ascending UE order) and its outage
 masking, but none of its code. The precoder and gain oracles loop over draws
 and UEs and call numpy only for one dense linear solve per UE and draw.
+evaluate_block_reference is the exception: it pins the Monte-Carlo draw
+arithmetic bit for bit, so it keeps the package's earlier whole-array form.
 """
 
 import math
@@ -382,3 +384,53 @@ def sinr_from_gains_oracle(gains, rho, noise, estimator):
                 logs += math.log1p(rho[k] ** 2 * desired / (interference + noise))
             out.append(math.expm1(logs / n_draws))
     return out
+
+
+def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, estimator="hardening"):
+    """Monte-Carlo (gamma, se, rate) per UE, drawn and mixed out of place.
+
+    The package's earlier single-slot evaluate_block arithmetic, kept as it
+    was: every draw and the estimate mix are whole-array expressions
+    (complex divisions, np.where masks) rather than the in-place products of
+    draw_block and mix_estimates. Precoding, SINR and Z reuse the package's
+    functions, so a byte-level match pins the draw order and the in-place
+    arithmetic only.
+    """
+    from cfmimo.channel import aging_coefficient, estimate_variance_matrix
+    from cfmimo.evaluation import (
+        PrecodingContext,
+        instant_sinr,
+        precode_pmmse,
+        radiated_powers,
+        spectral_efficiency,
+        split_powers,
+    )
+
+    def draw_estimates(h0, r_gain, z, rng):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
+        a = np.minimum(1.0, np.sqrt(ratio))
+        unit = np.where(r_gain > 0, h0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
+        eps = (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)) / np.sqrt(2.0)
+        return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
+
+    t = cfg.block_len_slots
+    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
+    rng = np.random.default_rng(seed)
+    ctx = PrecodingContext.from_matrix(coop)
+    powers = split_powers(coop, cfg)
+    powers_eff = radiated_powers(coop, cfg)
+    r = snap.channel_gain()
+    shape = (n_mc, snap.n_aps, snap.n_ues)
+    h0 = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
+    z = estimate_variance_matrix(snap, pilots, t, speeds, cfg, powers)
+    est = draw_estimates(h0, r[None], z[None], rng)
+    w = precode_pmmse(ctx, est, snap.noise_power, powers_ue)
+    rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
+    g = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    h_t = rho[None, None, :] * h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2))[None, None, :] * g
+    gamma = instant_sinr(ctx, h_t, w, powers_eff, rho, snap.noise_power, estimator=estimator)
+    se, rate = spectral_efficiency(gamma, cfg)
+    return gamma, se, rate

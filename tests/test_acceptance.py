@@ -28,7 +28,7 @@ from cfmimo.channel import (
     snapshot,
 )
 from cfmimo.evaluation import evaluate_block, write_report
-from cfmimo.harness import ExperimentConfig, run_experiment
+from cfmimo.harness import ExperimentConfig, compare_algorithms, run_experiment
 from cfmimo.selection import (
     SelectionConstraints,
     brute_force_selection,
@@ -65,10 +65,7 @@ def desk_reports():
     out = {}
     for est in ("hardening", "per-draw"):
         cfg = ExperimentConfig(**DESK, sinr_estimator=est)
-        out[est] = {
-            "small-cell": run_experiment(cfg, algorithm="small-cell"),
-            "full-cf": run_experiment(cfg, algorithm="full-cf"),
-        }
+        out[est] = compare_algorithms(cfg, ["small-cell", "full-cf"])
     return out
 
 
@@ -80,10 +77,7 @@ def benchmark_reports():
         blocks=20, n_mc=300, seed=1, g_max=30, delta=0.95, tau_p=10,
         estimate_form="mmse", sinr_estimator="per-draw",
     )
-    return {
-        a: run_experiment(cfg, algorithm=a)
-        for a in ("full-cf", "unifsrv-heu", "puc", "puc-const")
-    }
+    return compare_algorithms(cfg, ["full-cf", "unifsrv-heu", "puc", "puc-const"])
 
 
 def test_criterion_1_sum_rate_ratio(desk_reports):
@@ -168,8 +162,8 @@ def test_criterion_5_serving_set_economy(tmp_path):
         ue_count=20, blocks=8, n_mc=250, seed=11, g_max=18, delta=0.95, tau_p=10,
         estimate_form="mmse", sinr_estimator="per-draw",
     )
-    rep_heu = run_experiment(cfg, algorithm="unifsrv-heu")
-    rep_puc = run_experiment(cfg, algorithm="puc")
+    reps = compare_algorithms(cfg, ["unifsrv-heu", "puc"])
+    rep_heu, rep_puc = reps["unifsrv-heu"], reps["puc"]
     g_ratio = float(rep_heu.mean_g_per_ue.mean() / rep_puc.mean_g_per_ue.mean())
     rate_ratio = float(rep_heu.sum_rate / rep_puc.sum_rate)
     _report(

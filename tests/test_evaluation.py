@@ -471,3 +471,23 @@ def test_evaluate_block_deterministic():
     b = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=100, seed=11)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("form", ["raw", "mmse"])
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_evaluate_block_matches_reference_bytes(form, estimator):
+    base, _ = _desk_instance(m=12, k=5, seed=3)
+    cfg = RadioConfig(estimate_form=form)
+    pl = base.pathloss_db.copy()
+    pl[4, 2] = np.inf  # one outage link: R = 0 and beta = 0, served under full D
+    beta = np.where(np.isfinite(pl), base.beta, 0.0)
+    snap = ChannelSnapshot(beta=beta, pathloss_db=pl, noise_power=base.noise_power)
+    pilots = np.array([0, 1, 0, 2, 1])
+    speeds = np.array([0.0, 0.8, 3.0, 12.0, 30.0])
+    for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap)):
+        got = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator)
+        want = oracles.evaluate_block_reference(
+            snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator
+        )
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)

@@ -5,6 +5,7 @@ import pytest
 
 from cfmimo import channel as ch
 from cfmimo import cli
+from cfmimo import evaluation as ev
 from cfmimo.channel import RadioConfig
 from cfmimo.evaluation import export_cdf, write_report
 from cfmimo.harness import (
@@ -109,13 +110,15 @@ def map_config(tmp_path) -> ExperimentConfig:
 
 
 def _assert_compare_matches_lone_run(cfg, tmp_path):
-    inside = compare_algorithms(cfg, ["small-cell", "full-cf"])["small-cell"]
-    outside = run_experiment(cfg, algorithm="small-cell")
-    d1, d2 = tmp_path / "in", tmp_path / "out"
-    write_report(inside, d1)
-    write_report(outside, d2)
-    assert (d1 / "report.txt").read_bytes() == (d2 / "report.txt").read_bytes()
-    assert (d1 / "se_blocks.csv").read_bytes() == (d2 / "se_blocks.csv").read_bytes()
+    # every algorithm, not just the first, since later ones reuse the block's draws
+    reports = compare_algorithms(cfg, ["small-cell", "full-cf"])
+    for algo, inside in reports.items():
+        outside = run_experiment(cfg, algorithm=algo)
+        d1, d2 = tmp_path / "in" / algo, tmp_path / "out" / algo
+        write_report(inside, d1)
+        write_report(outside, d2)
+        assert (d1 / "report.txt").read_bytes() == (d2 / "report.txt").read_bytes()
+        assert (d1 / "se_blocks.csv").read_bytes() == (d2 / "se_blocks.csv").read_bytes()
 
 
 def test_compare_shares_realizations(tmp_path):
@@ -149,6 +152,18 @@ def test_compare_builds_provider_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, ch, "load_pathloss_map")
     compare_algorithms(cfg, ["small-cell", "full-cf"])
     assert len(calls) == 1
+
+
+def test_compare_draws_once_per_block(tmp_path, monkeypatch):
+    cfg = mini_config()
+    calls = _count_calls(monkeypatch, ev, "draw_block")
+    compare_algorithms(cfg, ["small-cell", "full-cf"])
+    assert len(calls) == cfg.blocks
+
+    cfg = map_config(tmp_path)
+    calls = _count_calls(monkeypatch, ev, "draw_block")
+    compare_algorithms(cfg, ["small-cell", "full-cf"])
+    assert len(calls) == cfg.blocks
 
 
 def test_unknown_algorithm_rejected():
@@ -256,7 +271,7 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
     assert not out.exists()
 
@@ -265,18 +280,18 @@ def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys)
     out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
-    evaluate_block = cli.hn.ev.evaluate_block
+    evaluate_draws = cli.hn.ev.evaluate_draws
     calls = []
 
     def nan_on_block_1(*args, **kwargs):
-        gamma, se, rate = evaluate_block(*args, **kwargs)
+        gamma, se, rate = evaluate_draws(*args, **kwargs)
         calls.append(None)
         if len(calls) == 2:
             se = se.copy()
             se[2] = np.nan
         return gamma, se, rate
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", nan_on_block_1)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", nan_on_block_1)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
     assert "block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
     assert not (out / "small-cell" / "report.txt").exists()
@@ -290,7 +305,7 @@ def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypa
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_block", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
     rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
     assert rc == 2
     assert not out.exists()
