@@ -10,17 +10,12 @@ from .topology import AreaSpec, NetworkTopology, build_square_clusters, generate
 from .mobility import MobilityTrace, generate_rwp, load_tracks
 from .channel import (
     ChannelSnapshot,
-    FadingState,
     RadioConfig,
     aging_coefficient,
-    apply_shadowing,
     assign_pilots,
-    draw_fading,
-    estimate_variance,
     load_pathloss_map,
     noise_power_w,
     pathloss_three_slope,
-    realize_channel,
     snapshot,
 )
 from .selection import (
@@ -42,7 +37,6 @@ from .selection import (
     select_puc_const,
     select_small_cell,
     select_unifsrv_heu,
-    simplified_sinr,
 )
 from .evaluation import (
     ConstraintReport,

@@ -11,10 +11,10 @@ pilot-contaminated variance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
@@ -102,16 +102,6 @@ def pathloss_three_slope(d, cfg: RadioConfig):
     far = l0 + 35.0 * np.log10(d_km)
     out = np.where(d > cfg.dc_m, far, np.where(d <= cfg.d0_m, near, mid))
     return out if out.ndim else float(out)
-
-
-def apply_shadowing(pl_db: np.ndarray, sigma: float, seed) -> np.ndarray:
-    """Add i.i.d. log-normal shadowing, one fixed draw per AP-UE pair."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return np.array(pl_db, dtype=float, copy=True)
-    rng = np.random.default_rng(seed)
-    return np.asarray(pl_db, dtype=float) + sigma * rng.standard_normal(np.shape(pl_db))
 
 
 @dataclass(frozen=True)
@@ -309,6 +299,77 @@ def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:
     return ChannelSnapshot(beta=beta, pathloss_db=pl_db, noise_power=n0)
 
 
+# Cephes j0 (Moshier), the rational approximations scipy.special.j0
+# evaluates, so _j0 returns the same bits without importing scipy.
+_J0_DR1 = 5.78318596294678452118e0  # first zero of J0, squared
+_J0_DR2 = 3.04712623436620863991e1  # second zero, squared
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12,
+          -2.49248344360967716204e14, 9.70862251047306323952e15)
+_J0_RQ = (4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+          1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+          5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+          5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+          -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+          7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+_SQRT_2_OVER_PI = 7.9788456080286535587989e-1
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first."""
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _p1evl(x, coef):
+    """Horner's rule for a monic polynomial whose leading 1 is not stored."""
+    out = x + coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _j0(x):
+    """Bessel function J0 of the first kind, elementwise, as Cephes computes it.
+
+    |x| <= 5: (z - DR1)(z - DR2) RP(z)/RQ(z) with z = x^2, or 1 - z/4 below
+    1e-5. |x| > 5: the Hankel asymptotic form with rational P and Q. cos and
+    sin come from math (the C library scipy calls too), as numpy's own may
+    round differently.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x <= 5.0
+    a = x[near]
+    z = a * a
+    p = (z - _J0_DR1) * (z - _J0_DR2)
+    p = p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    out[near] = np.where(a < 1.0e-5, 1.0 - z / 4.0, p)
+    a = x[~near]
+    with np.errstate(over="ignore"):
+        q = 25.0 / (a * a)
+    w = 5.0 / a
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+    # cos(inf) is a domain error in math and nan in C; nan passes through both
+    xn = np.where(np.isinf(a), np.nan, a - np.pi / 4.0).tolist()
+    cos = np.array(list(map(math.cos, xn)))
+    sin = np.array(list(map(math.sin, xn)))
+    p = p * cos - w * q * sin
+    out[~near] = p * _SQRT_2_OVER_PI / np.sqrt(a)
+    return out
+
+
 def aging_coefficient(t, v, cfg: RadioConfig):
     """Bessel channel-aging correlation at slot ``t`` for UE speed ``v``.
 
@@ -321,41 +382,8 @@ def aging_coefficient(t, v, cfg: RadioConfig):
         2.0 * np.pi * (v * cfg.carrier_freq_hz / LIGHT_SPEED)
         * cfg.slot_duration_s * (t - cfg.pilot_len_slots - 1)
     )
-    out = j0(arg)
+    out = _j0(arg)
     return out if np.ndim(out) else float(out)
-
-
-@dataclass(frozen=True)
-class FadingState:
-    """Block-start Rayleigh state h0 ~ CN(0, R) plus the draw stream."""
-
-    h0: np.ndarray
-    r_gain: np.ndarray
-    rng: np.random.Generator
-
-
-def draw_fading(snap: ChannelSnapshot, seed) -> FadingState:
-    """Draw the block-start channel matrix for one block."""
-    rng = np.random.default_rng(seed)
-    r = snap.channel_gain()
-    h0 = np.sqrt(r / 2.0) * (
-        rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
-    )
-    return FadingState(h0=h0, r_gain=r, rng=rng)
-
-
-def realize_channel(state: FadingState, t, v, cfg: RadioConfig) -> np.ndarray:
-    """Aged channel h[t] = rho*h0 + sqrt(1-rho^2)*g with fresh g ~ CN(0, R).
-
-    ``v`` may be scalar or per-UE (K,); the per-draw innovation g comes from
-    the state's stream, so consecutive calls yield independent realizations.
-    """
-    rho = np.atleast_1d(aging_coefficient(t, v, cfg))[None, :]
-    r = state.r_gain
-    g = np.sqrt(r / 2.0) * (
-        state.rng.standard_normal(r.shape) + 1j * state.rng.standard_normal(r.shape)
-    )
-    return rho * state.h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2)) * g
 
 
 def assign_pilots(k: int, tau_p: int, seed, method: str = "random") -> np.ndarray:
@@ -377,28 +405,6 @@ def copilot_mask(pilots: np.ndarray) -> np.ndarray:
     """(K, K) boolean matrix; entry [i, j] true iff i and j share a pilot."""
     p = np.asarray(pilots)
     return p[:, None] == p[None, :]
-
-
-def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig, p_mk=None):
-    """Variance Z of the aged MMSE channel estimate for one AP-UE link.
-
-    ``copilot_betas`` holds beta from the same AP to every UE sharing the
-    pilot (including this one). The aging factor uses the pilot-to-slot lag
-    tau_p + 1 - t. Form "raw" applies the contamination quotient
-    rho^2 * beta^2 * n0 / (p * sum(beta) * n0 + p) as given; form "mmse" is
-    the conventional saturating estimator in channel-gain units,
-    rho^2 * R * (beta*p*tau_p) / (sum(beta)*p*tau_p + 1), bounded by R.
-    """
-    p = cfg.tx_power_w if p_mk is None else p_mk
-    n0 = noise_power_w(cfg)
-    rho = aging_coefficient(cfg.pilot_len_slots + 1 - np.asarray(t, dtype=float), v, cfg)
-    beta_mk = np.asarray(beta_mk, dtype=float)
-    csum = np.sum(np.asarray(copilot_betas, dtype=float))
-    if cfg.estimate_form == "raw":
-        return rho**2 * beta_mk**2 * n0 / (p * csum * n0 + p)
-    r_gain = beta_mk * n0 / p
-    tp = cfg.pilot_len_slots
-    return rho**2 * r_gain * (beta_mk * p * tp) / (csum * p * tp + 1.0)
 
 
 def estimate_variance_matrix(

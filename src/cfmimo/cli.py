@@ -58,22 +58,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export_cdf(args) -> int:
-    raw = os.path.join(args.run, "se_blocks.csv")
-    if not os.path.exists(raw):
-        raise FileNotFoundError(f"no raw SE file at {raw}")
-    values = []
-    with open(raw) as f:
-        next(f)
-        for line in f:
-            values.append(float(line.split(",")[2]))
-    values.sort()
-    n = len(values)
-    out = os.path.join(args.run, "cdf.csv")
-    with open(out, "w") as f:
-        f.write("se,cdf\n")
-        for i, v in enumerate(values, start=1):
-            f.write(f"{v:.10g},{i / n:.10g}\n")
-    print(f"wrote {out} ({n} samples)")
+    values, _ = ev.export_cdf(args.run)
+    print(f"wrote {os.path.join(args.run, 'cdf.csv')} ({values.size} samples)")
     return 0
 
 

@@ -24,6 +24,7 @@ evaluate_block is the two in one call.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,17 +123,6 @@ def mix_estimates(unit: np.ndarray, eps: np.ndarray, r_gain: np.ndarray, z: np.n
     est.imag += eps.imag * b
     est *= np.sqrt(z)
     return est
-
-
-def draw_estimates(h0: np.ndarray, r_gain: np.ndarray, z: np.ndarray, rng) -> np.ndarray:
-    """Channel estimates with exact variance Z, correlated with h0.
-
-    a = min(1, sqrt(Z/R)) reproduces the MMSE orthogonality Cov(est, h0) =
-    a*sqrt(Z*R) whenever Z <= R and caps at full correlation otherwise.
-    h0 may be (M, K) or batched (N, M, K).
-    """
-    unit = h0 * _inv_sqrt_gain(r_gain)
-    return mix_estimates(unit, _complex_normal(rng, h0.shape, _HALF_SCALE), r_gain, z)
 
 
 class BlockDraws(NamedTuple):
@@ -501,21 +491,28 @@ def build_report(
     )
 
 
-def export_cdf(report: MetricsReport) -> tuple[np.ndarray, np.ndarray]:
-    """Plot-ready empirical CDF of per-UE-per-block SE.
+def export_cdf(run_dir) -> tuple[np.ndarray, np.ndarray]:
+    """Write ``cdf.csv``, the empirical CDF of a finished run's per-UE-per-block SE.
 
-    Returns (sorted values, ordinates i/n for i = 1..n).
+    Reads the SE column of the run's ``se_blocks.csv`` and writes rows
+    ``se,cdf`` in ascending SE. Returns (sorted values, ordinates i/n for
+    i = 1..n).
     """
-    values = np.sort(report.se_per_block.reshape(-1))
+    raw = os.path.join(run_dir, "se_blocks.csv")
+    if not os.path.exists(raw):
+        raise FileNotFoundError(f"no raw SE file at {raw}")
+    values = np.sort(np.loadtxt(raw, delimiter=",", skiprows=1, usecols=2, ndmin=1))
     n = values.size
-    return values, np.arange(1, n + 1) / n
+    ordinates = np.arange(1, n + 1) / n
+    with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
+        f.write("se,cdf\n")
+        f.writelines(f"{v:.10g},{c:.10g}\n" for v, c in zip(values.tolist(), ordinates.tolist()))
+    return values, ordinates
 
 
 def write_report(report: MetricsReport, out_dir) -> None:
     """Serialize the report: metadata header, per-UE rows, aggregate rows,
     plus the raw per-block SE file for CDF plotting."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.txt"), "w") as f:
         f.write("# run metadata\n")

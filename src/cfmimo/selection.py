@@ -79,15 +79,6 @@ def candidate_beta(snapshot: ChannelSnapshot, constraints: SelectionConstraints)
     return np.where(snapshot.beta >= constraints.beta0, snapshot.beta, 0.0)
 
 
-def simplified_sinr(d_col: np.ndarray, beta_col: np.ndarray) -> float:
-    """Selection-time SINR proxy: served SNR over unserved SNR plus one."""
-    d_col = np.asarray(d_col, dtype=float)
-    beta_col = np.asarray(beta_col, dtype=float)
-    served = float(np.dot(d_col, beta_col))
-    total = float(beta_col.sum())
-    return served / (total - served + 1.0)
-
-
 def simplified_sinr_all(d: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Vectorized simplified SINR per UE column."""
     served = np.einsum("mk,mk->k", np.asarray(d, dtype=float), beta)
@@ -161,9 +152,10 @@ def select_unifsrv_heu(
     g = d.sum(axis=0)
     served = np.array([float(np.dot(d[:, k].astype(float), beta[:, k])) for k in range(k_ues)])
     # the first threshold (rank 2) is taken on simplified_sinr_all; from then
-    # on s is simplified_sinr's per-column form, updated as serving sets
-    # grow. The forms sum in different orders, so this keeps every D the
-    # same as a per-rank recomputation
+    # on s is the per-column form, served (one dot product per UE) over
+    # unserved plus one, updated as serving sets grow. The forms sum in
+    # different orders, so this keeps every D the same as a per-rank
+    # recomputation
     s_col = served / (col_total - served + 1.0)
     s = simplified_sinr_all(d, beta)
 

@@ -8,12 +8,20 @@ masking, but none of its code. The precoder and gain oracles loop over draws
 and UEs and call numpy only for one dense linear solve per UE and draw.
 evaluate_block_reference is the exception: it pins the Monte-Carlo draw
 arithmetic bit for bit, so it keeps the package's earlier whole-array form.
+
+The channel and selection references at the end (fading state and aged
+channel, shadowing, scalar estimate variance, simplified SINR, estimate
+draws) are the per-link forms the package replaced with its matrix and
+block forms; the tests check the statistics and closed forms on them.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from cfmimo.channel import ChannelSnapshot, RadioConfig, aging_coefficient, noise_power_w
 
 
 def j0_series(x, terms=60):
@@ -396,7 +404,7 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     functions, so a byte-level match pins the draw order and the in-place
     arithmetic only.
     """
-    from cfmimo.channel import aging_coefficient, estimate_variance_matrix
+    from cfmimo.channel import estimate_variance_matrix
     from cfmimo.evaluation import (
         PrecodingContext,
         instant_sinr,
@@ -405,15 +413,6 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
         spectral_efficiency,
         split_powers,
     )
-
-    def draw_estimates(h0, r_gain, z, rng):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
-        a = np.minimum(1.0, np.sqrt(ratio))
-        unit = np.where(r_gain > 0, h0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
-        eps = (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)) / np.sqrt(2.0)
-        return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
 
     t = cfg.block_len_slots
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
@@ -434,3 +433,93 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     gamma = instant_sinr(ctx, h_t, w, powers_eff, rho, snap.noise_power, estimator=estimator)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
+
+
+def draw_estimates(h0, r_gain, z, rng):
+    """Channel estimates with exact variance Z, correlated with h0.
+
+    a = min(1, sqrt(Z/R)) reproduces the MMSE orthogonality Cov(est, h0) =
+    a*sqrt(Z*R) whenever Z <= R and caps at full correlation otherwise.
+    h0 may be (M, K) or batched (N, M, K).
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
+    a = np.minimum(1.0, np.sqrt(ratio))
+    unit = np.where(r_gain > 0, h0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
+    eps = (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)) / np.sqrt(2.0)
+    return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
+
+
+@dataclass(frozen=True)
+class FadingState:
+    """Block-start Rayleigh state h0 ~ CN(0, R) plus the draw stream."""
+
+    h0: np.ndarray
+    r_gain: np.ndarray
+    rng: np.random.Generator
+
+
+def draw_fading(snap: ChannelSnapshot, seed) -> FadingState:
+    """Draw the block-start channel matrix for one block."""
+    rng = np.random.default_rng(seed)
+    r = snap.channel_gain()
+    h0 = np.sqrt(r / 2.0) * (
+        rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+    )
+    return FadingState(h0=h0, r_gain=r, rng=rng)
+
+
+def realize_channel(state: FadingState, t, v, cfg: RadioConfig) -> np.ndarray:
+    """Aged channel h[t] = rho*h0 + sqrt(1-rho^2)*g with fresh g ~ CN(0, R).
+
+    ``v`` may be scalar or per-UE (K,); the per-draw innovation g comes from
+    the state's stream, so consecutive calls yield independent realizations.
+    """
+    rho = np.atleast_1d(aging_coefficient(t, v, cfg))[None, :]
+    r = state.r_gain
+    g = np.sqrt(r / 2.0) * (
+        state.rng.standard_normal(r.shape) + 1j * state.rng.standard_normal(r.shape)
+    )
+    return rho * state.h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2)) * g
+
+
+def apply_shadowing(pl_db: np.ndarray, sigma: float, seed) -> np.ndarray:
+    """Add i.i.d. log-normal shadowing, one fixed draw per AP-UE pair."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if sigma == 0:
+        return np.array(pl_db, dtype=float, copy=True)
+    rng = np.random.default_rng(seed)
+    return np.asarray(pl_db, dtype=float) + sigma * rng.standard_normal(np.shape(pl_db))
+
+
+def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig, p_mk=None):
+    """Variance Z of the aged MMSE channel estimate for one AP-UE link.
+
+    ``copilot_betas`` holds beta from the same AP to every UE sharing the
+    pilot (including this one). The aging factor uses the pilot-to-slot lag
+    tau_p + 1 - t. Form "raw" applies the contamination quotient
+    rho^2 * beta^2 * n0 / (p * sum(beta) * n0 + p) as given; form "mmse" is
+    the conventional saturating estimator in channel-gain units,
+    rho^2 * R * (beta*p*tau_p) / (sum(beta)*p*tau_p + 1), bounded by R.
+    """
+    p = cfg.tx_power_w if p_mk is None else p_mk
+    n0 = noise_power_w(cfg)
+    rho = aging_coefficient(cfg.pilot_len_slots + 1 - np.asarray(t, dtype=float), v, cfg)
+    beta_mk = np.asarray(beta_mk, dtype=float)
+    csum = np.sum(np.asarray(copilot_betas, dtype=float))
+    if cfg.estimate_form == "raw":
+        return rho**2 * beta_mk**2 * n0 / (p * csum * n0 + p)
+    r_gain = beta_mk * n0 / p
+    tp = cfg.pilot_len_slots
+    return rho**2 * r_gain * (beta_mk * p * tp) / (csum * p * tp + 1.0)
+
+
+def simplified_sinr(d_col: np.ndarray, beta_col: np.ndarray) -> float:
+    """Selection-time SINR proxy: served SNR over unserved SNR plus one."""
+    d_col = np.asarray(d_col, dtype=float)
+    beta_col = np.asarray(beta_col, dtype=float)
+    served = float(np.dot(d_col, beta_col))
+    total = float(beta_col.sum())
+    return served / (total - served + 1.0)

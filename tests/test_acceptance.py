@@ -22,9 +22,7 @@ from cfmimo.channel import (
     RadioConfig,
     aging_coefficient,
     assign_pilots,
-    draw_fading,
     pathloss_three_slope,
-    realize_channel,
     snapshot,
 )
 from cfmimo.evaluation import evaluate_block, write_report
@@ -34,13 +32,13 @@ from cfmimo.selection import (
     brute_force_selection,
     jain_index,
     run_algorithm,
-    simplified_sinr,
 )
 from cfmimo.topology import AreaSpec, build_square_clusters, generate_ppp_topology, save_topology
 
 from conftest import make_snapshot, random_snapshot
 import mapgen
 import oracles
+from oracles import draw_fading, realize_channel, simplified_sinr
 
 
 def _report(num: int, detail: str, ok: bool) -> None:

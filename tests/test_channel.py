@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import j0 as scipy_j0
 from scipy.stats import ks_2samp
 
 from cfmimo.channel import (
@@ -8,24 +9,21 @@ from cfmimo.channel import (
     LogDistanceProvider,
     MapParseError,
     RadioConfig,
+    _j0,
     aging_coefficient,
-    apply_shadowing,
     assign_pilots,
     copilot_mask,
-    draw_fading,
-    estimate_variance,
     estimate_variance_matrix,
     hata_offset_db,
     load_pathloss_map,
     noise_power_w,
     pathloss_three_slope,
-    realize_channel,
     save_pathloss_map,
     snapshot,
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, generate_ppp_topology
 
-from oracles import j0_series
+from oracles import apply_shadowing, draw_fading, estimate_variance, j0_series, realize_channel
 
 # fixed-offset term checked against an independent hand evaluation of the
 # constants at f_c = 2000 MHz, a_AP = 12.5 m, a_UE = 1.65 m
@@ -179,6 +177,30 @@ def test_aging_matches_series_oracle(radio):
         rho = aging_coefficient(t, 7.0, radio)
         arg = 2 * np.pi * (7.0 * radio.carrier_freq_hz / LIGHT_SPEED) * radio.slot_duration_s * lag
         assert rho == pytest.approx(j0_series(arg), abs=1e-9)
+
+
+def test_j0_bit_identical_to_scipy():
+    # scipy evaluates the same Cephes approximations; it is the oracle here
+    # only, the package never imports it
+    edges = [0.0, -0.0, 1e-5, 5.0, -5.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    near = [np.nextafter(e, d) for e in (1e-5, 5.0, -5.0) for d in (-np.inf, np.inf)]
+    x = np.concatenate([
+        np.linspace(-60.0, 200.0, 1_000_001),
+        np.geomspace(1e-9, 5.0, 100_001),  # both sides of the 1e-5 cut
+        edges,
+        near,
+    ])
+    assert np.array_equal(_j0(x), scipy_j0(x), equal_nan=True)
+
+
+def test_aging_scalar_in_float_out(radio):
+    rho = aging_coefficient(radio.block_len_slots, 30.0, radio)
+    assert type(rho) is float
+    assert rho == scipy_j0(
+        2.0 * np.pi * (30.0 * radio.carrier_freq_hz / LIGHT_SPEED)
+        * radio.slot_duration_s * (radio.block_len_slots - radio.pilot_len_slots - 1)
+    )
+    assert aging_coefficient(np.arange(3), 30.0, radio).shape == (3,)
 
 
 def _fading_snapshot(m=2, k=3):

@@ -6,7 +6,6 @@ from cfmimo.evaluation import (
     ConstraintReport,
     PrecodingContext,
     check_constraints,
-    draw_estimates,
     evaluate_block,
     instant_sinr,
     objective_values,
@@ -26,6 +25,7 @@ from cfmimo.channel import LogDistanceProvider, snapshot as make_channel_snapsho
 
 from conftest import make_snapshot, random_snapshot
 import oracles
+from oracles import draw_estimates
 
 
 def test_context_sets():

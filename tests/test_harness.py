@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cfmimo
 from cfmimo import channel as ch
 from cfmimo import cli
 from cfmimo import evaluation as ev
@@ -194,14 +197,15 @@ def test_track_file_too_short_rejected(tmp_path):
         run_experiment(cfg)
 
 
-def test_export_cdf_ordinates():
+def test_export_cdf_ordinates(tmp_path):
     cfg = mini_config(topology_m=4, ue_count=1, blocks=3, n_mc=40)
     rep = run_experiment(cfg)
-    values, ordinates = export_cdf(rep)
+    write_report(rep, tmp_path)
+    values, ordinates = export_cdf(tmp_path)
     assert np.allclose(ordinates, [1 / 3, 2 / 3, 1.0])
     assert np.all(np.diff(values) >= 0)
-    # independent re-sort oracle (plain Python sort)
-    assert values.tolist() == sorted(rep.se_per_block.reshape(-1).tolist())
+    # independent re-sort oracle (plain Python sort of the written SE values)
+    assert values.tolist() == sorted(float(f"{v:.10g}") for v in rep.se_per_block.reshape(-1).tolist())
 
 
 def test_report_hash_tracks_config():
@@ -235,6 +239,44 @@ def test_cli_compare(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "comparison.csv").exists()
     assert (tmp_path / "out" / "full-cf" / "report.txt").exists()
+
+
+_NO_SCIPY_RUN = """
+import sys
+import cfmimo.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+if loaded:
+    sys.exit(f"import cfmimo.cli loaded {loaded}")
+sys.modules["scipy"] = None  # any later import of scipy now fails
+cfg, out, algorithms = sys.argv[1:]
+rc = cfmimo.cli.main(["compare", "--config", cfg, "--algorithms", algorithms, "--out", out])
+for a in algorithms.split(","):
+    rc = rc or cfmimo.cli.main(["export-cdf", "--run", f"{out}/{a}"])
+sys.exit(rc)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config()))
+    algorithms = ["small-cell", "full-cf"]
+    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    blocked = tmp_path / "blocked"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(cfg_path), str(blocked), ",".join(algorithms)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    plain = tmp_path / "plain"
+    assert cli.main(["compare", "--config", str(cfg_path), "--algorithms", ",".join(algorithms),
+                     "--out", str(plain)]) == 0
+    names = ["comparison.csv"]
+    for a in algorithms:
+        assert cli.main(["export-cdf", "--run", str(plain / a)]) == 0
+        names += [f"{a}/report.txt", f"{a}/se_blocks.csv", f"{a}/cdf.csv"]
+    for name in names:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_cli_config_error_exit_code(tmp_path):

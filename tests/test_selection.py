@@ -12,12 +12,12 @@ from cfmimo.selection import (
     select_puc_const,
     select_small_cell,
     select_unifsrv_heu,
-    simplified_sinr,
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology
 
 from conftest import make_snapshot, random_snapshot
 import oracles
+from oracles import simplified_sinr
 
 
 def loose(g_max=100, tau_p=100, delta=0.95, e_best=1, beta0=0.0):
