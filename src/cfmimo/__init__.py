@@ -48,6 +48,7 @@ from .evaluation import (
     instant_sinr,
     objective_values,
     precode_pmmse,
+    received_gains,
     spectral_efficiency,
     write_report,
 )

@@ -425,7 +425,7 @@ def estimate_variance_matrix(
     # contamination sum per (AP, pilot group), mapped back onto UE columns
     groups = np.asarray(pilots)
     csum = np.zeros_like(beta)
-    for pid in np.unique(groups):
+    for pid in dict.fromkeys(groups.tolist()):
         cols = groups == pid
         csum[:, cols] = beta[:, cols].sum(axis=1, keepdims=True)
     if cfg.estimate_form == "raw":

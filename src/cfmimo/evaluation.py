@@ -18,12 +18,19 @@ the unit-variance block-start fading h0/sqrt(R), the estimate-error
 direction and the aged channel, three (n_mc, M, K) complex arrays.
 evaluate_draws then runs what the cooperation matrix shapes: the estimate
 variance Z, the estimates mixed from the shared draws, the precoders and the
-SINR. So several algorithms evaluated on one block share one set of draws;
-evaluate_block is the two in one call.
+received gains. So several algorithms evaluated on one block share one set
+of draws; evaluate_block is the two in one call.
+
+evaluate_draws streams the draw axis in chunks of about _CHUNK_ELEMS (M, K)
+elements: each chunk's estimates, precoders and power-scaled conjugate
+precoders live only while its gains are formed. So the live arrays of an
+evaluation are the three draw arrays, one chunk of each of those three, and
+the (n_mc, K, K) gains that instant_sinr combines once every chunk is in.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -164,8 +171,9 @@ def draw_block(snap: ChannelSnapshot, speeds, cfg: RadioConfig, n_mc: int, seed)
     return BlockDraws(unit=h0, eps=eps, h_t=h_t, rho=rho)
 
 
-#: Complex elements of one draw chunk of a group's gathered estimates; bounds
-#: the kernel's temporaries at ~4 MB whatever n_mc is.
+#: Complex (M, K) elements of one draw chunk in evaluate_draws (which takes
+#: at least two draws a chunk); bounds each chunk's estimates, precoders and
+#: precoding temporaries at ~4 MB whatever n_mc is.
 _CHUNK_ELEMS = 1 << 18
 
 
@@ -185,17 +193,11 @@ def _gram(u: np.ndarray) -> np.ndarray:
     return u.conj().transpose(0, 2, 1) @ u
 
 
-def _common_rows(ctx: PrecodingContext, members) -> np.ndarray:
-    rows = ctx.serving_sets[members[0]]
-    for k in members[1:]:
-        rows = np.intersect1d(rows, ctx.serving_sets[k], assume_unique=True)
-    return rows
-
-
-def _member_grams(ctx, u, where, members, core, gram):
+def _member_grams(served, u, where, members, core, gram):
     """Yield (k, U_k^H U_k) for each member in order, U_k being its rows of u.
 
-    ``gram`` is the Gram over ``core``, the rows every member serves. The
+    ``served`` is the (M, K) boolean serving matrix and ``gram`` the Gram over
+    ``core``, the rows every member serves (a boolean mask over M). The
     members are split in halves; each half adds the Gram of the rows all its
     members serve beyond ``core`` and recurses, so a row shared by a subtree
     enters one sum for all of it. Only row Grams are added, never subtracted.
@@ -205,9 +207,9 @@ def _member_grams(ctx, u, where, members, core, gram):
         return
     half = len(members) // 2
     for part in (members[:half], members[half:]):
-        sub = _common_rows(ctx, part)
-        extra = where[np.setdiff1d(sub, core, assume_unique=True)]
-        yield from _member_grams(ctx, u, where, part, sub, gram + _gram(u[:, extra]))
+        sub = served[:, part].all(axis=1)
+        extra = where[np.flatnonzero(sub & ~core)]
+        yield from _member_grams(served, u, where, part, sub, gram + _gram(u[:, extra]))
 
 
 def precode_pmmse(
@@ -231,70 +233,73 @@ def precode_pmmse(
     such member of the group serves) is formed once, and each member adds the
     Gram of its own extra rows, shared down a balanced split of the members
     (see _member_grams). One matmul maps every member's S-vector back onto R.
-    The draw axis is processed in chunks of at most _CHUNK_ELEMS gathered
-    elements so the temporaries stay small under full-CF.
+    Every draw is solved on its own; evaluate_draws passes chunks of about
+    _CHUNK_ELEMS (M, K) elements, which bounds every gathered temporary.
     """
     est = np.asarray(estimates)
     squeeze = est.ndim == 2
     if squeeze:
         est = est[None]
-    n_draws, m_aps, k_ues = est.shape
+    m_aps, k_ues = est.shape[1:]
     if len(ctx.serving_sets) != k_ues:
         raise ValueError("context and estimate dimensions disagree")
     w = np.zeros_like(est)
+    served = np.zeros((m_aps, k_ues), dtype=bool)
+    for k, idx in enumerate(ctx.serving_sets):
+        served[idx, k] = True
 
-    def store(n0, k, sol):
+    def store(k, sol):
         norm = np.linalg.norm(sol, axis=1, keepdims=True)
-        sol = np.where(norm > 0, sol / np.where(norm > 0, norm, 1.0), 0.0)
-        w[n0 : n0 + sol.shape[0], ctx.serving_sets[k], k] = sol
+        w[:, ctx.serving_sets[k], k] = np.where(norm > 0, sol / np.where(norm > 0, norm, 1.0), 0.0)
 
     for s_set, members in _interferer_groups(ctx):
         p = powers_ue[s_set]
         col = {k: int(np.flatnonzero(s_set == k)[0]) for k in members}
         wide = [k for k in members if ctx.serving_sets[k].size > s_set.size]
-        core = _common_rows(ctx, wide) if wide else np.arange(0)
-        rows = np.unique(np.concatenate([ctx.serving_sets[k] for k in members]))
+        rows = np.flatnonzero(served[:, members].any(axis=1))
         where = np.empty(m_aps, dtype=np.intp)
         where[rows] = np.arange(rows.size)
-        chunk = max(1, _CHUNK_ELEMS // (rows.size * s_set.size))
-        for n0 in range(0, n_draws, chunk):
-            u = est[n0 : n0 + chunk, rows[:, None], s_set[None, :]]  # (n, R, S)
-            for k in members:
-                if k not in wide:
-                    uk = u[:, where[ctx.serving_sets[k]]]  # (n, G, S)
-                    a = (uk * p) @ uk.conj().transpose(0, 2, 1)
-                    a[:, np.arange(a.shape[1]), np.arange(a.shape[1])] += noise
-                    store(n0, k, np.linalg.solve(a, uk[:, :, col[k], None])[..., 0])
-            if not wide:
-                continue
-            coef = np.empty((u.shape[0], s_set.size, len(wide)), dtype=u.dtype)
-            grams = _member_grams(ctx, u, where, wide, core, _gram(u[:, where[core]]))
-            for c, (k, inner) in enumerate(grams):
-                unit = np.zeros((s_set.size, 1))
-                unit[col[k]] = 1.0
-                coef[:, :, c] = np.linalg.solve(inner + np.diag(noise / p), unit)[..., 0]
-            proj = u @ coef  # (n, R, members)
-            for c, k in enumerate(wide):
-                store(n0, k, proj[:, where[ctx.serving_sets[k]], c])
+        u = est[:, rows[:, None], s_set[None, :]]  # (n, R, S)
+        for k in members:
+            if k not in wide:
+                uk = u[:, where[ctx.serving_sets[k]]]  # (n, G, S)
+                a = (uk * p) @ uk.conj().transpose(0, 2, 1)
+                a[:, np.arange(a.shape[1]), np.arange(a.shape[1])] += noise
+                store(k, np.linalg.solve(a, uk[:, :, col[k], None])[..., 0])
+        if not wide:
+            continue
+        core = served[:, wide].all(axis=1)
+        coef = np.empty((u.shape[0], s_set.size, len(wide)), dtype=u.dtype)
+        grams = _member_grams(served, u, where, wide, core, _gram(u[:, where[np.flatnonzero(core)]]))
+        for c, (k, inner) in enumerate(grams):
+            unit = np.zeros((s_set.size, 1))
+            unit[col[k]] = 1.0
+            coef[:, :, c] = np.linalg.solve(inner + np.diag(noise / p), unit)[..., 0]
+        proj = u @ coef  # (n, R, members)
+        for c, k in enumerate(wide):
+            store(k, proj[:, where[ctx.serving_sets[k]], c])
     return w[0] if squeeze else w
 
 
-def instant_sinr(
-    ctx: PrecodingContext,
-    h: np.ndarray,
-    precoders: np.ndarray,
-    powers: np.ndarray,
-    rho,
-    noise: float,
-    estimator: str = "hardening",
-) -> np.ndarray:
+def received_gains(h: np.ndarray, precoders: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Received-gain draws gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi.
+
+    h and precoders are (N, M, K) draws, powers the per-link (M, K) split;
+    returns (N, i, k). Formed as the conjugate of (sqrt(p) conj(w))^T h, one
+    batched matmul per draw; the power-scaled conjugate precoder is the one
+    temporary of the inputs' size, and the inputs are not written.
+    """
+    sw = np.conj(precoders)
+    sw *= np.sqrt(powers)
+    gains = sw.transpose(0, 2, 1) @ h
+    return np.conj(gains, out=gains)
+
+
+def instant_sinr(gains: np.ndarray, rho, noise: float, estimator: str = "hardening") -> np.ndarray:
     """SINR per UE from Monte-Carlo received-gain draws.
 
-    h and precoders are (N, M, K) draws; powers the per-link (M, K) split;
-    rho the aging correlation (scalar or per-UE). The gain tensor
-    gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi is one batched matmul per
-    draw, formed as the conjugate of (sqrt(p) conj(w))^T h so the only (N, M, K)
-    temporary is the conjugated, power-scaled precoder.
+    gains is the (N, i, k) output of received_gains; rho the aging
+    correlation (scalar or per-UE).
 
     "hardening" combines empirical means first (use-and-forget bound: the
     desired-signal square is subtracted from the total received moment to
@@ -304,18 +309,10 @@ def instant_sinr(
     the mean per-draw log2(1 + gamma_n); single-AP links are then not
     penalized by the missing channel hardening.
     """
-    h = np.asarray(h)
-    wmat = np.asarray(precoders)
-    if h.ndim == 2:
-        h = h[None]
-    if wmat.ndim == 2:
-        wmat = wmat[None]
-    sw = np.conj(wmat)
-    sw *= np.sqrt(powers)[None]
-    gains = np.conj(sw.transpose(0, 2, 1) @ h)  # (N, i, k)
+    k_ues = gains.shape[2]
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if rho.size == 1:
-        rho = np.full(h.shape[2], rho[0])
+        rho = np.full(k_ues, rho[0])
     if estimator == "hardening":
         mu = gains.mean(axis=0)
         m2 = (np.abs(gains) ** 2).mean(axis=0)
@@ -324,7 +321,7 @@ def instant_sinr(
         return rho**2 * desired / (interference + noise)
     if estimator == "per-draw":
         p2 = np.abs(gains) ** 2  # (N, i, k)
-        k_idx = np.arange(h.shape[2])
+        k_idx = np.arange(k_ues)
         desired = p2[:, k_idx, k_idx]
         interference = p2.sum(axis=1) - desired
         gamma_n = rho[None, :] ** 2 * desired / (interference + noise)
@@ -352,18 +349,35 @@ def evaluate_draws(
     """Monte-Carlo SE of one cooperation matrix on a block's shared draws.
 
     Returns (gamma, se, rate) per UE. Only the estimates depend on ``coop``
-    (through Z); ``draws`` is read, never written. ``estimator`` selects the
-    SINR combination rule of instant_sinr.
+    (through Z); ``draws`` is read, never written. The draws are taken in
+    chunks of about _CHUNK_ELEMS (M, K) elements: each chunk's estimates are
+    mixed and precoded and its received gains stored, and instant_sinr
+    combines the gains of every draw with ``estimator`` at the end, so every
+    sum over draws runs in draw order whatever the chunk size.
+
+    No chunk holds a single draw unless the block does. precode_pmmse's
+    gathers lay two or more draws out draw-innermost, and numpy then runs
+    its matmuls and norms in its own loops; one draw comes out row-major and
+    takes BLAS and pairwise sums, which round differently.
     """
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
     ctx = PrecodingContext.from_matrix(coop)
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg, split_powers(coop, cfg))
-    est = mix_estimates(draws.unit, draws.eps, snap.channel_gain(), z)
-    w = precode_pmmse(ctx, est, snap.noise_power, np.full(snap.n_ues, cfg.tx_power_w))
-    del est
-    gamma = instant_sinr(
-        ctx, draws.h_t, w, radiated_powers(coop, cfg), draws.rho, snap.noise_power, estimator=estimator
-    )
+    r = snap.channel_gain()
+    powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
+    powers = radiated_powers(coop, cfg)
+    n_mc = draws.unit.shape[0]
+    gains = np.empty((n_mc, snap.n_ues, snap.n_ues), dtype=complex)
+    step = max(2, _CHUNK_ELEMS // (snap.n_aps * snap.n_ues))
+    starts = list(range(0, n_mc, step))
+    if len(starts) > 1 and n_mc - starts[-1] == 1:
+        starts.pop()  # a one-draw tail joins the chunk before it
+    for n0, n1 in zip(starts, starts[1:] + [n_mc]):
+        c = slice(n0, n1)
+        w = precode_pmmse(ctx, mix_estimates(draws.unit[c], draws.eps[c], r, z), snap.noise_power, powers_ue)
+        gains[c] = received_gains(draws.h_t[c], w, powers)
+        del w
+    gamma = instant_sinr(gains, draws.rho, snap.noise_power, estimator=estimator)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
 
@@ -394,11 +408,14 @@ def objective_values(coop: CooperationMatrix, rates) -> tuple[float, float, int,
     The proportional-fairness objective floors rates at 1 bit/s before the
     log to keep zero-rate UEs finite.
     """
-    rates = np.asarray(rates, dtype=float)
-    sum_rate = float(rates.sum())
-    phi = jain_index(rates)
-    pf = float(np.log(np.maximum(rates, 1.0)).sum())
+    sum_rate, phi, pf = _rate_objectives(rates)
     return sum_rate, phi, coop.total_connections, pf
+
+
+def _rate_objectives(rates) -> tuple[float, float, float]:
+    """(sum rate, Jain index, PF objective) of per-UE rates."""
+    rates = np.asarray(rates, dtype=float)
+    return float(rates.sum()), jain_index(rates), float(np.log(np.maximum(rates, 1.0)).sum())
 
 
 @dataclass(frozen=True)
@@ -469,8 +486,7 @@ def build_report(
 ) -> MetricsReport:
     """Aggregate per-block results into a MetricsReport."""
     rate_per_ue = rate_blocks.mean(axis=1)
-    sum_rate = float(rate_per_ue.sum())
-    pf = float(np.log(np.maximum(rate_per_ue, 1.0)).sum())
+    sum_rate, jain, pf = _rate_objectives(rate_per_ue)
     w_bad = int(np.count_nonzero((w_blocks > constraints.tau_p).any(axis=0)))
     g_bad = int(np.count_nonzero((g_blocks > constraints.g_max).any(axis=0)))
     return MetricsReport(
@@ -483,7 +499,7 @@ def build_report(
         w_per_block=w_blocks,
         rate_per_ue=rate_per_ue,
         sum_rate=sum_rate,
-        jain=jain_index(rate_per_ue),
+        jain=jain,
         pf_objective=pf,
         mean_connections=float(g_blocks.sum(axis=0).mean()),
         w_violation_blocks=w_bad,
@@ -510,6 +526,27 @@ def export_cdf(run_dir) -> tuple[np.ndarray, np.ndarray]:
     return values, ordinates
 
 
+def _percentile_rows(values: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(values, q, axis=1) by its default linear method.
+
+    Written out because numpy's percentile calls np.unique, whose first call
+    in a process imports numpy.ma (~15 ms). The steps are numpy's: virtual
+    index (n - 1) q/100, both neighbours clamped to the last value from n - 1
+    up, and the lerp that works from the upper neighbour when the weight is at
+    least 0.5, so the result is the same to the bit.
+    """
+    s = np.sort(values, axis=1)
+    n = s.shape[1]
+    virtual = (n - 1) * (q / 100)
+    lo = hi = -1
+    if virtual < n - 1:
+        lo = math.floor(virtual)
+        hi = lo + 1
+    t = virtual - lo
+    diff = s[:, hi] - s[:, lo]
+    return s[:, hi] - diff * (1 - t) if t >= 0.5 else s[:, lo] + diff * t
+
+
 def write_report(report: MetricsReport, out_dir) -> None:
     """Serialize the report: metadata header, per-UE rows, aggregate rows,
     plus the raw per-block SE file for CDF plotting."""
@@ -525,7 +562,7 @@ def write_report(report: MetricsReport, out_dir) -> None:
         f.write("# per-ue\n")
         f.write("ue_id,mean_se,p95_se,mean_G\n")
         mean_se = report.se_per_block.mean(axis=1)
-        p95_se = np.percentile(report.se_per_block, 95, axis=1)
+        p95_se = _percentile_rows(report.se_per_block, 95)
         mean_g = report.mean_g_per_ue
         for k in range(report.n_ues):
             f.write(f"{k},{mean_se[k]:.10g},{p95_se[k]:.10g},{mean_g[k]:.10g}\n")

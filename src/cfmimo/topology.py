@@ -42,15 +42,12 @@ class NetworkTopology:
     ``ap_positions`` is an (M, 2) float array ordered by AP id. When a cluster
     grid has been built, ``cluster_of_ap`` holds one cluster index in
     [0, n_clusters) per AP; otherwise it is None and n_clusters is 0.
-    ``obstacles`` (vertex arrays of building footprints) are carried for
-    visual export only; the statistical channel model never consults them.
     """
 
     area: AreaSpec
     ap_positions: np.ndarray
     cluster_of_ap: np.ndarray | None = None
     n_clusters: int = 0
-    obstacles: tuple = ()
 
     def __post_init__(self):
         pos = np.asarray(self.ap_positions, dtype=float)
@@ -107,7 +104,6 @@ def build_square_clusters(topo: NetworkTopology, n_per_side: int) -> NetworkTopo
         ap_positions=topo.ap_positions,
         cluster_of_ap=cluster,
         n_clusters=n_per_side * n_per_side,
-        obstacles=topo.obstacles,
     )
 
 

@@ -410,6 +410,7 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
         instant_sinr,
         precode_pmmse,
         radiated_powers,
+        received_gains,
         spectral_efficiency,
         split_powers,
     )
@@ -430,7 +431,7 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
     g = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     h_t = rho[None, None, :] * h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2))[None, None, :] * g
-    gamma = instant_sinr(ctx, h_t, w, powers_eff, rho, snap.noise_power, estimator=estimator)
+    gamma = instant_sinr(received_gains(h_t, w, powers_eff), rho, snap.noise_power, estimator=estimator)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
 

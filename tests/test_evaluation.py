@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,16 @@ from cfmimo.channel import ChannelSnapshot, RadioConfig, noise_power_w
 from cfmimo.evaluation import (
     ConstraintReport,
     PrecodingContext,
+    _percentile_rows,
     check_constraints,
+    draw_block,
     evaluate_block,
+    evaluate_draws,
     instant_sinr,
     objective_values,
     precode_pmmse,
     radiated_powers,
+    received_gains,
     spectral_efficiency,
     split_powers,
 )
@@ -69,34 +75,31 @@ def test_radiated_powers_scale_with_serving_set():
 def test_instant_sinr_per_draw_single_link():
     # one draw, one UE, no interference: per-draw gamma is the plain
     # instantaneous SNR p |conj(h) w|^2 / n0
-    ctx = PrecodingContext.from_matrix(CooperationMatrix(np.array([[1]])))
     h = np.array([[[0.5 - 1.2j]]])
     w = h / np.abs(h)
     p = np.array([[0.3]])
     n0 = 1e-2
-    gamma = instant_sinr(ctx, h, w, p, rho=1.0, noise=n0, estimator="per-draw")
+    gamma = instant_sinr(received_gains(h, w, p), rho=1.0, noise=n0, estimator="per-draw")
     direct = 0.3 * abs(h[0, 0, 0]) ** 2 / n0
     assert gamma[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_instant_sinr_per_draw_is_log_mean():
     # the ergodic-equivalent output satisfies log2(1+gamma) = mean log2(1+gamma_n)
-    ctx = PrecodingContext.from_matrix(CooperationMatrix(np.array([[1]])))
     rng = np.random.default_rng(9)
     h = rng.standard_normal((200, 1, 1)) + 1j * rng.standard_normal((200, 1, 1))
     w = h / np.abs(h)
     p = np.array([[0.3]])
     n0 = 0.5
-    gamma = instant_sinr(ctx, h, w, p, rho=1.0, noise=n0, estimator="per-draw")
+    gamma = instant_sinr(received_gains(h, w, p), rho=1.0, noise=n0, estimator="per-draw")
     gamma_n = 0.3 * np.abs(h[:, 0, 0]) ** 2 / n0
     assert np.log2(1 + gamma[0]) == pytest.approx(np.mean(np.log2(1 + gamma_n)), rel=1e-9)
 
 
 def test_instant_sinr_unknown_estimator_rejected():
-    ctx = PrecodingContext.from_matrix(CooperationMatrix(np.array([[1]])))
     h = np.ones((1, 1, 1), dtype=complex)
     with pytest.raises(ValueError, match="estimator"):
-        instant_sinr(ctx, h, h, np.array([[0.2]]), rho=1.0, noise=1e-3, estimator="magic")
+        instant_sinr(received_gains(h, h, np.array([[0.2]])), rho=1.0, noise=1e-3, estimator="magic")
 
 
 def test_precoder_single_link_matched_filter():
@@ -150,12 +153,9 @@ def _assert_matches_oracle(d, est, noise=0.05, powers=None, ues=None):
     return ctx, w
 
 
-@pytest.mark.parametrize("chunk_elems", [1 << 18, 100])
-def test_precoder_fullcf_distinct_serving_sets_one_group(monkeypatch, chunk_elems):
+def test_precoder_fullcf_distinct_serving_sets_one_group():
     # every UE shares one interferer set while the serving sets differ, as
-    # under full-CF with beta0 cuts; a budget of 100 elements splits the 5
-    # draws into chunks of 2, 2 and 1
-    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
+    # under full-CF with beta0 cuts
     rng = np.random.default_rng(21)
     m, k = 12, 4
     d = np.ones((m, k), dtype=int)
@@ -249,14 +249,14 @@ def _sinr_instance(seed, n=7, m=5, k=4):
     h = _cn(rng, (n, m, k))
     w = precode_pmmse(ctx, _cn(rng, (n, m, k)), noise=0.1, powers_ue=np.full(k, 0.2))
     powers = radiated_powers(coop, RadioConfig(tx_power_w=0.2))
-    return ctx, h, w, powers, rng.uniform(0.3, 1.0, size=k)
+    return h, w, powers, rng.uniform(0.3, 1.0, size=k)
 
 
 @pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
 def test_instant_sinr_matches_gain_loop_oracle(estimator):
     for seed in range(3):
-        ctx, h, w, powers, rho = _sinr_instance(seed)
-        gamma = instant_sinr(ctx, h, w, powers, rho, noise=0.05, estimator=estimator)
+        h, w, powers, rho = _sinr_instance(seed)
+        gamma = instant_sinr(received_gains(h, w, powers), rho, noise=0.05, estimator=estimator)
         gains = oracles.gains_oracle(h, w, powers)
         ref = oracles.sinr_from_gains_oracle(gains, rho, 0.05, estimator)
         assert np.allclose(gamma, ref, rtol=1e-12, atol=0.0)
@@ -271,14 +271,14 @@ def test_precoder_duplicate_channels_split_interference():
     ctx1 = PrecodingContext.from_matrix(d1)
     w1 = precode_pmmse(ctx1, h, noise=n0, powers_ue=np.array([0.2]))
     p1 = np.full((2, 1), 0.1)
-    g1 = instant_sinr(ctx1, h[None], w1[None], p1, rho=1.0, noise=n0)
+    g1 = instant_sinr(received_gains(h[None], w1[None], p1), rho=1.0, noise=n0)
     # duplicated UE with the same channel
     h2 = np.concatenate([h, h], axis=1)
     d2 = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx2 = PrecodingContext.from_matrix(d2)
     w2 = precode_pmmse(ctx2, h2, noise=n0, powers_ue=np.array([0.2, 0.2]))
     p2 = np.full((2, 2), 0.1)
-    g2 = instant_sinr(ctx2, h2[None], w2[None], p2, rho=1.0, noise=n0)
+    g2 = instant_sinr(received_gains(h2[None], w2[None], p2), rho=1.0, noise=n0)
     assert g2[0] <= g1[0] + 1e-9
     assert g2[1] <= g1[0] + 1e-9
 
@@ -294,7 +294,7 @@ def test_instant_sinr_single_link_oracle():
     n0 = 1e-13
     w = precode_pmmse(ctx, h, noise=n0, powers_ue=np.array([0.2]))
     p = np.full((m, 1), 0.2)
-    gamma = instant_sinr(ctx, h[None], w[None], p, rho=1.0, noise=n0)
+    gamma = instant_sinr(received_gains(h[None], w[None], p), rho=1.0, noise=n0)
     direct = abs(np.sum(np.sqrt(0.2) * np.conj(h[:, 0]) * w[:, 0])) ** 2 / n0
     assert gamma[0] == pytest.approx(direct, rel=1e-9)
 
@@ -305,18 +305,16 @@ def test_instant_sinr_unserved_ue_zero():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
     w = precode_pmmse(ctx, h, noise=1e-3, powers_ue=np.array([0.2, 0.2]))
-    gamma = instant_sinr(ctx, h, w, np.full((2, 2), 0.1), rho=1.0, noise=1e-3)
+    gamma = instant_sinr(received_gains(h, w, np.full((2, 2), 0.1)), rho=1.0, noise=1e-3)
     assert gamma[1] == 0.0
 
 
 def test_instant_sinr_vanishes_with_aging():
-    d = CooperationMatrix(np.array([[1]]))
-    ctx = PrecodingContext.from_matrix(d)
     h = np.array([[[1.0 + 0j]]])
     w = np.array([[[1.0 + 0j]]])
     p = np.array([[0.2]])
-    g_fresh = instant_sinr(ctx, h, w, p, rho=1.0, noise=1e-3)
-    g_aged = instant_sinr(ctx, h, w, p, rho=0.0, noise=1e-3)
+    g_fresh = instant_sinr(received_gains(h, w, p), rho=1.0, noise=1e-3)
+    g_aged = instant_sinr(received_gains(h, w, p), rho=0.0, noise=1e-3)
     assert g_aged[0] == 0.0
     assert g_fresh[0] > 0
 
@@ -430,11 +428,11 @@ def test_se_invariant_under_joint_ap_relabeling():
     )
     powers = split_powers(coop, cfg)
     w = precode_pmmse(ctx, h, noise=snap.noise_power, powers_ue=np.full(4, cfg.tx_power_w))
-    gamma = instant_sinr(ctx, h, w, powers, rho=1.0, noise=snap.noise_power)
+    gamma = instant_sinr(received_gains(h, w, powers), rho=1.0, noise=snap.noise_power)
     perm = rng.permutation(10)
-    coop_p = CooperationMatrix(coop.d[perm])
-    ctx_p = PrecodingContext.from_matrix(coop_p)
-    gamma_p = instant_sinr(ctx_p, h[:, perm], w[:, perm], powers[perm], rho=1.0, noise=snap.noise_power)
+    gamma_p = instant_sinr(
+        received_gains(h[:, perm], w[:, perm], powers[perm]), rho=1.0, noise=snap.noise_power
+    )
     assert np.allclose(gamma_p, gamma, rtol=1e-10)
 
 
@@ -473,17 +471,21 @@ def test_evaluate_block_deterministic():
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("form", ["raw", "mmse"])
-@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
-def test_evaluate_block_matches_reference_bytes(form, estimator):
+def _outage_instance():
+    """12 x 5 snapshot with one outage link, its pilots and speeds."""
     base, _ = _desk_instance(m=12, k=5, seed=3)
-    cfg = RadioConfig(estimate_form=form)
     pl = base.pathloss_db.copy()
     pl[4, 2] = np.inf  # one outage link: R = 0 and beta = 0, served under full D
     beta = np.where(np.isfinite(pl), base.beta, 0.0)
     snap = ChannelSnapshot(beta=beta, pathloss_db=pl, noise_power=base.noise_power)
-    pilots = np.array([0, 1, 0, 2, 1])
-    speeds = np.array([0.0, 0.8, 3.0, 12.0, 30.0])
+    return snap, np.array([0, 1, 0, 2, 1]), np.array([0.0, 0.8, 3.0, 12.0, 30.0])
+
+
+@pytest.mark.parametrize("form", ["raw", "mmse"])
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_evaluate_block_matches_reference_bytes(form, estimator):
+    snap, pilots, speeds = _outage_instance()
+    cfg = RadioConfig(estimate_form=form)
     for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap)):
         got = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator)
         want = oracles.evaluate_block_reference(
@@ -491,3 +493,71 @@ def test_evaluate_block_matches_reference_bytes(form, estimator):
         )
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("form", ["raw", "mmse"])
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
+    # a budget of 100 elements takes the 12 x 5 draws two at a time, the
+    # last three together (no one-draw chunk), 1 << 40 all 63 in one chunk;
+    # every sum over draws runs in draw order either way
+    snap, pilots, speeds = _outage_instance()
+    cfg = RadioConfig(estimate_form=form)
+    cuts = np.ones((12, 5), dtype=int)
+    cuts[[0, 3], 0] = 0
+    cuts[[5, 6, 7], 1] = 0
+    cuts[11, 2] = 0
+    cuts[9, 3] = 0
+    cuts[[0, 3, 5, 6, 7, 8, 9, 10, 11], 4] = 0
+    coops = [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap)]
+    # one interferer group over distinct serving sets, as under full-CF with
+    # beta0 cuts: UEs 0-3 solve the S x S form, UE 4 (G = 3) solves directly
+    ctx = PrecodingContext.from_matrix(coops[1])
+    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
+    assert len({idx.tobytes() for idx in ctx.serving_sets}) == 5
+    for coop in coops:
+        runs = []
+        for chunk_elems in (100, 1 << 40):
+            monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
+            runs.append(evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=63, seed=17, estimator=estimator))
+        for x, y in zip(*runs):
+            assert np.array_equal(x, y)
+
+
+def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
+    # with M >> K a chunk's estimates, precoders and conjugate precoders are a
+    # small slice of the draws; evaluated whole, each would be one (n, M, K)
+    # complex array on its own
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1 << 14)
+    n, m, k = 512, 64, 8
+    snap, cfg = _desk_instance(m=m, k=k)
+    speeds = np.full(k, 0.8)
+    draws = draw_block(snap, speeds, cfg, n, seed=3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        evaluate_draws(snap, select_full_cf(snap), np.arange(k) % cfg.pilot_len_slots, speeds, cfg, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < n * m * k * np.dtype(complex).itemsize
+
+
+def test_received_gains_leaves_inputs():
+    h, w, powers, _ = _sinr_instance(4)
+    copies = h.copy(), w.copy(), powers.copy()
+    received_gains(h, w, powers)
+    for before, after in zip(copies, (h, w, powers)):
+        assert np.array_equal(before, after)
+
+
+def test_percentile_rows_matches_numpy():
+    # report.txt's p95 column: the same bits as np.percentile for every
+    # block count, zeros and ties included
+    rng = np.random.default_rng(12)
+    for n in range(1, 120):
+        x = rng.exponential(size=(6, n))
+        x[1] = 0.0
+        x[2] = np.round(x[2], 1)
+        for q in (95, 50):
+            assert _percentile_rows(x, q).tobytes() == np.percentile(x, q, axis=1).tobytes()

@@ -279,6 +279,36 @@ def test_cli_runs_without_scipy(tmp_path):
         assert (blocked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
+_NUMPY_MA_PROBE = """
+import sys
+import cfmimo.cli
+if "numpy.ma" in sys.modules:
+    print("numpy imports numpy.ma eagerly")
+    sys.exit(0)
+cfg, out = sys.argv[1:]
+rc = cfmimo.cli.main(["compare", "--config", cfg, "--algorithms", "unifsrv-heu,full-cf,small-cell", "--out", out])
+if "numpy.ma" in sys.modules:
+    sys.exit("compare imported numpy.ma")
+sys.exit(rc)
+"""
+
+
+def test_cli_compare_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy's set routines and percentile import numpy.ma (~15 ms) on their
+    # first call; a compare run calls none of them
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config()))
+    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, str(cfg_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if "eagerly" in proc.stdout:
+        pytest.skip("this numpy imports numpy.ma on import")
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text("blocks = banana\n")
