@@ -5,7 +5,7 @@ shadowing, or an ingested path-loss map) yields the M x K path-loss matrix,
 from which the average-SNR matrix beta = p / (L * n0) is formed. Within a
 block, scalar Rayleigh channels decorrelate with UE motion following a
 zeroth-order Bessel correlation; channel estimates carry the aged,
-pilot-contaminated variance.
+pilot-contaminated MMSE variance.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
 LIGHT_SPEED = 299792458.0
-ESTIMATE_FORMS = ("raw", "mmse")
+ESTIMATE_FORMS = ("mmse",)
 PILOT_METHODS = ("random", "sequential")
 
 
@@ -33,9 +33,9 @@ class RadioConfig:
 
     The per-AP transmit budget ``tx_power_w`` doubles as the baseline per-link
     power in beta; at evaluation time each AP splits it equally over its
-    served UEs. ``estimate_form`` selects the channel-estimate variance
-    model: "raw" follows the aged contamination quotient as given, "mmse" is
-    the conventional saturating estimator bounded by the channel variance.
+    served UEs; pilots are sent at ``tx_power_w``. ``estimate_form`` names
+    the channel-estimate variance model; "mmse", the pilot-contaminated MMSE
+    estimate bounded by the channel variance, is the only one.
     """
 
     carrier_freq_hz: float = 2.0e9
@@ -50,7 +50,7 @@ class RadioConfig:
     shadowing_sigma_db: float = 8.0
     d0_m: float = 10.0
     dc_m: float = 50.0
-    estimate_form: str = "raw"
+    estimate_form: str = "mmse"
 
     def __post_init__(self):
         if self.pilot_len_slots >= self.block_len_slots:
@@ -64,7 +64,8 @@ class RadioConfig:
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
         if self.estimate_form not in ESTIMATE_FORMS:
-            raise ValueError(f"unknown estimate_form {self.estimate_form!r}")
+            why = "was removed" if self.estimate_form == "raw" else "is unknown"
+            raise ValueError(f"estimate_form {self.estimate_form!r} {why}; known: {list(ESTIMATE_FORMS)}")
 
 
 def noise_power_w(cfg: RadioConfig) -> float:
@@ -408,17 +409,16 @@ def copilot_mask(pilots: np.ndarray) -> np.ndarray:
 
 
 def estimate_variance_matrix(
-    snap: ChannelSnapshot, pilots: np.ndarray, t, speeds, cfg: RadioConfig, powers=None
+    snap: ChannelSnapshot, pilots: np.ndarray, t, speeds, cfg: RadioConfig
 ) -> np.ndarray:
-    """Vectorized Z over all links; ``powers`` is (M, K) per-link or None.
+    """MMSE estimate variance Z over all links, aged to slot ``t``.
 
-    Links with zero power (unserved under equal split) fall back to the
-    config baseline so Z stays defined for inspection.
+    Z = rho^2 R (beta p tau_p) / (csum p tau_p + 1) with the pilot power
+    p = tx_power_w on every link, csum the sum of beta over the UE's copilot
+    group at that AP and rho the aging factor over the pilot-to-slot lag
+    tau_p + 1 - t. So 0 <= Z <= rho^2 R, and Z = 0 where R = 0.
     """
     beta = snap.beta
-    m, k = beta.shape
-    p = np.full((m, k), cfg.tx_power_w) if powers is None else np.where(powers > 0, powers, cfg.tx_power_w)
-    n0 = snap.noise_power
     rho = np.atleast_1d(
         aging_coefficient(cfg.pilot_len_slots + 1 - np.asarray(t, dtype=float), speeds, cfg)
     )[None, :]
@@ -428,8 +428,5 @@ def estimate_variance_matrix(
     for pid in dict.fromkeys(groups.tolist()):
         cols = groups == pid
         csum[:, cols] = beta[:, cols].sum(axis=1, keepdims=True)
-    if cfg.estimate_form == "raw":
-        return rho**2 * beta**2 * n0 / (p * csum * n0 + p)
-    r_gain = beta * n0 / p
-    tp = cfg.pilot_len_slots
-    return rho**2 * r_gain * (beta * p * tp) / (csum * p * tp + 1.0)
+    ptp = cfg.tx_power_w * cfg.pilot_len_slots
+    return rho**2 * snap.channel_gain() * (beta * ptp) / (csum * ptp + 1.0)

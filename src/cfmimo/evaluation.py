@@ -14,18 +14,17 @@ or per draw (instantaneous SINR of every realization, ergodic-equivalent
 output), at the block end (worst aging).
 
 A block's draws split in two. draw_block takes what no selection changes:
-the unit-variance block-start fading h0/sqrt(R), the estimate-error
-direction and the aged channel, three (n_mc, M, K) complex arrays.
-evaluate_draws then runs what the cooperation matrix shapes: the estimate
-variance Z, the estimates mixed from the shared draws, the precoders and the
-received gains. So several algorithms evaluated on one block share one set
-of draws; evaluate_block is the two in one call.
+the MMSE channel estimates, whose variance Z comes from the pilot power, and
+the channel aged to the block end, two (n_mc, M, K) complex arrays.
+evaluate_draws then runs what the cooperation matrix shapes: the precoders
+and the received gains. So several algorithms evaluated on one block share
+one set of draws; evaluate_block is the two in one call.
 
 evaluate_draws streams the draw axis in chunks of about _CHUNK_ELEMS (M, K)
-elements: each chunk's estimates, precoders and power-scaled conjugate
-precoders live only while its gains are formed. So the live arrays of an
-evaluation are the three draw arrays, one chunk of each of those three, and
-the (n_mc, K, K) gains that instant_sinr combines once every chunk is in.
+elements: each chunk's precoders and power-scaled conjugate precoders live
+only while its gains are formed. So the live arrays of an evaluation are the
+two draw arrays, one chunk of the precoders and of their conjugate, and the
+(n_mc, K, K) gains that instant_sinr combines once every chunk is in.
 """
 
 from __future__ import annotations
@@ -90,11 +89,6 @@ def radiated_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
     return split_powers(coop, cfg) * np.maximum(coop.g_k, 1)[None, :]
 
 
-#: Scale of either part of a CN(0, 1) draw; (x + 1j*y) / sqrt(2) is computed
-#: as x * (1 / sqrt(2)), so the product gives the same bytes.
-_HALF_SCALE = 1.0 / np.sqrt(2.0)
-
-
 def _complex_normal(rng, shape, scale, buf=None) -> np.ndarray:
     """scale * (x + 1j*y) for standard-normal x then y, built in place.
 
@@ -107,68 +101,50 @@ def _complex_normal(rng, shape, scale, buf=None) -> np.ndarray:
     return out
 
 
-def _inv_sqrt_gain(r_gain: np.ndarray) -> np.ndarray:
-    """1/sqrt(R) per link, 0 where R = 0 (outage)."""
-    r_gain = np.asarray(r_gain, dtype=float)
-    return np.where(r_gain > 0, 1.0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
-
-
-def mix_estimates(unit: np.ndarray, eps: np.ndarray, r_gain: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Estimates sqrt(Z) (a unit + sqrt(1 - a^2) eps) with a = min(1, sqrt(Z/R)).
-
-    ``unit`` is the channel over sqrt(R) (0 where R = 0) and ``eps`` an
-    independent CN(0, 1) draw of the same shape; r_gain and z broadcast
-    against them.
-    """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
-    a = np.minimum(1.0, np.sqrt(ratio))
-    b = np.sqrt(np.maximum(0.0, 1.0 - a**2))
-    est = np.multiply(unit, a)
-    est.real += eps.real * b
-    est.imag += eps.imag * b
-    est *= np.sqrt(z)
-    return est
-
-
 class BlockDraws(NamedTuple):
     """The Monte-Carlo draws of one block that no selection changes.
 
-    unit is the block-start channel h0 over sqrt(R) (0 on outage links), eps
-    the estimate-error direction and h_t the channel aged to the block end,
+    est is the channel estimate and h_t the channel aged to the block end,
     each (n_mc, M, K) complex; rho is the per-UE aging correlation at the
     block end.
     """
 
-    unit: np.ndarray
-    eps: np.ndarray
+    est: np.ndarray
     h_t: np.ndarray
     rho: np.ndarray
 
 
-def draw_block(snap: ChannelSnapshot, speeds, cfg: RadioConfig, n_mc: int, seed) -> BlockDraws:
-    """Draw one block's fading, estimate-error and aging realizations.
+def draw_block(snap: ChannelSnapshot, pilots: np.ndarray, speeds, cfg: RadioConfig, n_mc: int, seed) -> BlockDraws:
+    """Draw one block's channel estimates and aged channel.
 
-    The stream draws h0, then eps, then the aging innovation g, each real
-    part before its imaginary part; h_t = rho h0 + sqrt(1 - rho^2) g is
-    built in g's array and h0 becomes unit in place.
+    The stream draws the block-start channel h0 ~ CN(0, R), then the
+    estimate error eps ~ CN(0, 1), then the aging innovation g ~ CN(0, R),
+    each real part before its imaginary part. With Z the estimate variance
+    (estimate_variance_matrix at the block end) and c = Z/R (0 where R = 0),
+    est = c h0 + sqrt(Z (1 - c)) eps, so E|est|^2 = E{est conj(h0)} = Z. est
+    is built in eps's array and h_t = rho h0 + sqrt(1 - rho^2) g in h0's,
+    each part of g passing through one float scratch array.
     """
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
     rng = np.random.default_rng(seed)
     r = snap.channel_gain()
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
+    c = np.divide(z, r, out=np.zeros_like(z), where=r > 0)
     shape = (n_mc, snap.n_aps, snap.n_ues)
+    scale = np.sqrt(r / 2.0)
     buf = np.empty(shape)
-    h0 = _complex_normal(rng, shape, np.sqrt(r / 2.0), buf)
-    eps = _complex_normal(rng, shape, _HALF_SCALE, buf)
-    h_t = _complex_normal(rng, shape, np.sqrt(r / 2.0), buf)
+    h0 = _complex_normal(rng, shape, scale, buf)
+    est = _complex_normal(rng, shape, np.sqrt(z * (1.0 - c) / 2.0), buf)
+    for part_e, part_0 in ((est.real, h0.real), (est.imag, h0.imag)):
+        part_e += np.multiply(part_0, c, out=buf)
     rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
-    h_t *= np.sqrt(np.maximum(0.0, 1.0 - rho**2))
-    for part_t, part_0 in ((h_t.real, h0.real), (h_t.imag, h0.imag)):
-        part_t += np.multiply(part_0, rho, out=buf)
-    del buf
-    h0 *= _inv_sqrt_gain(r)
-    return BlockDraws(unit=h0, eps=eps, h_t=h_t, rho=rho)
+    fresh = np.sqrt(np.maximum(0.0, 1.0 - rho**2))
+    for part in (h0.real, h0.imag):
+        np.multiply(rng.standard_normal(shape, out=buf), scale, out=buf)
+        buf *= fresh
+        part *= rho
+        part += buf
+    return BlockDraws(est=est, h_t=h0, rho=rho)
 
 
 #: Complex (M, K) elements of one draw chunk in evaluate_draws (which takes
@@ -340,33 +316,27 @@ def spectral_efficiency(gamma, cfg: RadioConfig):
 def evaluate_draws(
     snap: ChannelSnapshot,
     coop: CooperationMatrix,
-    pilots: np.ndarray,
-    speeds,
     cfg: RadioConfig,
     draws: BlockDraws,
     estimator: str = "hardening",
 ):
     """Monte-Carlo SE of one cooperation matrix on a block's shared draws.
 
-    Returns (gamma, se, rate) per UE. Only the estimates depend on ``coop``
-    (through Z); ``draws`` is read, never written. The draws are taken in
-    chunks of about _CHUNK_ELEMS (M, K) elements: each chunk's estimates are
-    mixed and precoded and its received gains stored, and instant_sinr
-    combines the gains of every draw with ``estimator`` at the end, so every
-    sum over draws runs in draw order whatever the chunk size.
+    Returns (gamma, se, rate) per UE; ``draws`` is read, never written. The
+    draws are taken in chunks of about _CHUNK_ELEMS (M, K) elements: each
+    chunk's estimates are precoded and its received gains stored, and
+    instant_sinr combines the gains of every draw with ``estimator`` at the
+    end, so every sum over draws runs in draw order whatever the chunk size.
 
     No chunk holds a single draw unless the block does. precode_pmmse's
     gathers lay two or more draws out draw-innermost, and numpy then runs
     its matmuls and norms in its own loops; one draw comes out row-major and
     takes BLAS and pairwise sums, which round differently.
     """
-    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
     ctx = PrecodingContext.from_matrix(coop)
-    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg, split_powers(coop, cfg))
-    r = snap.channel_gain()
     powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
     powers = radiated_powers(coop, cfg)
-    n_mc = draws.unit.shape[0]
+    n_mc = draws.est.shape[0]
     gains = np.empty((n_mc, snap.n_ues, snap.n_ues), dtype=complex)
     step = max(2, _CHUNK_ELEMS // (snap.n_aps * snap.n_ues))
     starts = list(range(0, n_mc, step))
@@ -374,7 +344,7 @@ def evaluate_draws(
         starts.pop()  # a one-draw tail joins the chunk before it
     for n0, n1 in zip(starts, starts[1:] + [n_mc]):
         c = slice(n0, n1)
-        w = precode_pmmse(ctx, mix_estimates(draws.unit[c], draws.eps[c], r, z), snap.noise_power, powers_ue)
+        w = precode_pmmse(ctx, draws.est[c], snap.noise_power, powers_ue)
         gains[c] = received_gains(draws.h_t[c], w, powers)
         del w
     gamma = instant_sinr(gains, draws.rho, snap.noise_power, estimator=estimator)
@@ -394,12 +364,12 @@ def evaluate_block(
 ):
     """Monte-Carlo SE for one block; returns (gamma, se, rate) per UE.
 
-    Draws n_mc joint realizations of the block-start channel, its aged value
-    at the block end and the channel estimates (draw_block), then evaluates
-    ``coop`` on them (evaluate_draws).
+    Draws n_mc joint realizations of the channel estimates and the channel
+    aged to the block end (draw_block), then evaluates ``coop`` on them
+    (evaluate_draws).
     """
-    draws = draw_block(snap, speeds, cfg, n_mc, seed)
-    return evaluate_draws(snap, coop, pilots, speeds, cfg, draws, estimator=estimator)
+    draws = draw_block(snap, pilots, speeds, cfg, n_mc, seed)
+    return evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
 
 
 def objective_values(coop: CooperationMatrix, rates) -> tuple[float, float, int, float]:

@@ -62,7 +62,7 @@ class ExperimentConfig:
     ap_height_m: float = 12.5
     ue_height_m: float = 1.65
     shadowing_sigma_db: float = 8.0
-    estimate_form: str = "raw"
+    estimate_form: str = "mmse"
     sinr_estimator: str = "hardening"  # hardening | per-draw
     pilot_method: str = "random"
     algorithm: str = "unifsrv-heu"
@@ -86,7 +86,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key, known in (
             ("sinr_estimator", ev.SINR_ESTIMATORS),
-            ("estimate_form", ch.ESTIMATE_FORMS),
             ("pilot_method", ch.PILOT_METHODS),
         ):
             if getattr(self, key) not in known:
@@ -181,8 +180,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of every field that shapes the results; ``out_dir`` is left out."""
-    text = serialize_config(replace(cfg, out_dir=""))
+    """Hash of every field that shapes the results.
+
+    ``out_dir`` and ``algorithm`` are left out, so every report of a compare
+    run and a lone run of the same config file carry the same hash.
+    """
+    text = serialize_config(replace(cfg, out_dir="", algorithm=""))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -269,7 +272,7 @@ def _run_blocks(
 
     Per block: advance UE positions, take one channel snapshot and one set of
     Monte-Carlo draws, then select and evaluate each algorithm on them. A
-    block's three (n_mc, M, K) draw arrays are freed before the next block's.
+    block's two (n_mc, M, K) draw arrays are freed before the next block's.
     Module errors, and a non-finite SE, raise RuntimeError naming the block.
     """
     radio = cfg.radio()
@@ -284,16 +287,14 @@ def _run_blocks(
         where = f"block {b}"
         try:
             snap = ch.snapshot(topo, trace.positions[:, b, :], provider, radio)
-            draws = ev.draw_block(snap, trace.speed, radio, cfg.n_mc, derive_seed(cfg.seed, "eval", b))
+            draws = ev.draw_block(snap, pilots, trace.speed, radio, cfg.n_mc, derive_seed(cfg.seed, "eval", b))
             for algo in algorithms:
                 if len(algorithms) > 1:
                     where = f"block {b}, {algo}"
                 coop = sel.run_algorithm(
                     algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget
                 )
-                _, se, rate = ev.evaluate_draws(
-                    snap, coop, pilots, trace.speed, radio, draws, estimator=cfg.sinr_estimator
-                )
+                _, se, rate = ev.evaluate_draws(snap, coop, radio, draws, estimator=cfg.sinr_estimator)
                 bad = np.flatnonzero(~np.isfinite(se))
                 if bad.size:
                     raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
@@ -345,7 +346,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Every algorithm name is checked before any work. The run is block-major:
     the scenario (topology, trace, path-loss provider, pilots) is built once,
     and each block takes one channel snapshot and one set of Monte-Carlo
-    draws that every algorithm is evaluated on. Three (n_mc, M, K) complex
+    draws that every algorithm is evaluated on. Two (n_mc, M, K) complex
     draw arrays stay live per block, whatever the number of algorithms.
     """
     algorithms = list(dict.fromkeys(algorithms))

@@ -395,14 +395,13 @@ def sinr_from_gains_oracle(gains, rho, noise, estimator):
 
 
 def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, estimator="hardening"):
-    """Monte-Carlo (gamma, se, rate) per UE, drawn and mixed out of place.
+    """Monte-Carlo (gamma, se, rate) per UE, drawn out of place.
 
-    The package's earlier single-slot evaluate_block arithmetic, kept as it
-    was: every draw and the estimate mix are whole-array expressions
-    (complex divisions, np.where masks) rather than the in-place products of
-    draw_block and mix_estimates. Precoding, SINR and Z reuse the package's
-    functions, so a byte-level match pins the draw order and the in-place
-    arithmetic only.
+    The package's single-slot evaluate_block arithmetic with every draw and
+    the estimate as a whole-array expression (complex products, np.where
+    masks) rather than the in-place products of draw_block. Precoding, SINR
+    and Z reuse the package's functions, so a byte-level match pins the draw
+    order and the in-place arithmetic only.
     """
     from cfmimo.channel import estimate_variance_matrix
     from cfmimo.evaluation import (
@@ -412,20 +411,18 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
         radiated_powers,
         received_gains,
         spectral_efficiency,
-        split_powers,
     )
 
     t = cfg.block_len_slots
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
     rng = np.random.default_rng(seed)
     ctx = PrecodingContext.from_matrix(coop)
-    powers = split_powers(coop, cfg)
     powers_eff = radiated_powers(coop, cfg)
     r = snap.channel_gain()
     shape = (n_mc, snap.n_aps, snap.n_ues)
     h0 = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
-    z = estimate_variance_matrix(snap, pilots, t, speeds, cfg, powers)
+    z = estimate_variance_matrix(snap, pilots, t, speeds, cfg)
     est = draw_estimates(h0, r[None], z[None], rng)
     w = precode_pmmse(ctx, est, snap.noise_power, powers_ue)
     rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
@@ -437,19 +434,48 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
 
 
 def draw_estimates(h0, r_gain, z, rng):
-    """Channel estimates with exact variance Z, correlated with h0.
+    """MMSE channel estimates est = c h0 + sqrt(Z (1 - c)) eps, c = Z/R.
 
-    a = min(1, sqrt(Z/R)) reproduces the MMSE orthogonality Cov(est, h0) =
-    a*sqrt(Z*R) whenever Z <= R and caps at full correlation otherwise.
-    h0 may be (M, K) or batched (N, M, K).
+    eps ~ CN(0, 1) is drawn from ``rng``, and c = 0 where R = 0. Then
+    E|est|^2 = c^2 R + Z (1 - c) = Z and E{est conj(h0)} = c R = Z, which
+    needs Z <= R. h0 may be (M, K) or batched (N, M, K).
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
-    a = np.minimum(1.0, np.sqrt(ratio))
-    unit = np.where(r_gain > 0, h0 / np.sqrt(np.where(r_gain > 0, r_gain, 1.0)), 0.0)
-    eps = (rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)) / np.sqrt(2.0)
-    return np.sqrt(z) * (a * unit + np.sqrt(np.maximum(0.0, 1.0 - a**2)) * eps)
+        c = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
+    eps = rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)
+    return c * h0 + np.sqrt(z * (1.0 - c) / 2.0) * eps
+
+
+def hardening_one_link_sinr(gamma_bar, p, tau_p):
+    """Use-and-forget SINR of one static UE served by one AP with MMSE CSI.
+
+    Noise-limited, unit-norm precoder est/|est|: h = est + e with e
+    independent of est ~ CN(0, Z), so the mean gain is sqrt(p) E|est| =
+    sqrt(p Z pi/4) and the gain power p R. With c^2 = Z/R = x/(x + 1),
+    x = gamma_bar p tau_p the pilot processing gain (rho = 1),
+    gamma = c^2 (pi/4) gamma_bar / ((1 - c^2 pi/4) gamma_bar + 1).
+    """
+    x = gamma_bar * p * tau_p
+    q = x / (x + 1.0) * math.pi / 4.0
+    return q * gamma_bar / ((1.0 - q) * gamma_bar + 1.0)
+
+
+def exp_integral_e1(x, terms=80):
+    """E1(x) = -gamma_Euler - ln x - sum_{k>=1} (-x)^k / (k k!), for 0 < x <= 5."""
+    euler_gamma = 0.5772156649015329
+    term, parts = 1.0, []
+    for k in range(1, terms):
+        term *= -x / k
+        parts.append(term / k)
+    return -euler_gamma - math.log(x) - math.fsum(parts)
+
+
+def per_draw_one_link_se(gamma_bar):
+    """Mean log2(1 + gamma_bar |h|^2) over Rayleigh h, in bit/s/Hz before
+    the pilot overhead: e^{1/gamma_bar} E1(1/gamma_bar) / ln 2. One AP's
+    unit-norm precoder passes |h| whatever the estimate, so CSI drops out."""
+    return math.exp(1.0 / gamma_bar) * exp_integral_e1(1.0 / gamma_bar) / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -495,23 +521,19 @@ def apply_shadowing(pl_db: np.ndarray, sigma: float, seed) -> np.ndarray:
     return np.asarray(pl_db, dtype=float) + sigma * rng.standard_normal(np.shape(pl_db))
 
 
-def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig, p_mk=None):
+def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig):
     """Variance Z of the aged MMSE channel estimate for one AP-UE link.
 
     ``copilot_betas`` holds beta from the same AP to every UE sharing the
     pilot (including this one). The aging factor uses the pilot-to-slot lag
-    tau_p + 1 - t. Form "raw" applies the contamination quotient
-    rho^2 * beta^2 * n0 / (p * sum(beta) * n0 + p) as given; form "mmse" is
-    the conventional saturating estimator in channel-gain units,
-    rho^2 * R * (beta*p*tau_p) / (sum(beta)*p*tau_p + 1), bounded by R.
+    tau_p + 1 - t. In channel-gain units, with pilot power p = tx_power_w,
+    Z = rho^2 * R * (beta*p*tau_p) / (sum(beta)*p*tau_p + 1), bounded by R.
     """
-    p = cfg.tx_power_w if p_mk is None else p_mk
+    p = cfg.tx_power_w
     n0 = noise_power_w(cfg)
     rho = aging_coefficient(cfg.pilot_len_slots + 1 - np.asarray(t, dtype=float), v, cfg)
     beta_mk = np.asarray(beta_mk, dtype=float)
     csum = np.sum(np.asarray(copilot_betas, dtype=float))
-    if cfg.estimate_form == "raw":
-        return rho**2 * beta_mk**2 * n0 / (p * csum * n0 + p)
     r_gain = beta_mk * n0 / p
     tp = cfg.pilot_len_slots
     return rho**2 * r_gain * (beta_mk * p * tp) / (csum * p * tp + 1.0)

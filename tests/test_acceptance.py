@@ -79,7 +79,7 @@ def benchmark_reports():
 
 
 def test_criterion_1_sum_rate_ratio(desk_reports):
-    # frozen full-resolution value: 3.92 under the hardening bound
+    # frozen full-resolution value: 2.88 under the hardening bound
     hard = desk_reports["hardening"]
     draw = desk_reports["per-draw"]
     ratio = hard["full-cf"].sum_rate / hard["small-cell"].sum_rate
@@ -89,7 +89,7 @@ def test_criterion_1_sum_rate_ratio(desk_reports):
 
 
 def test_criterion_2_fairness_ordering(desk_reports):
-    # frozen full-resolution values: gap 0.347, Jain(full-CF) 0.951 per-draw
+    # frozen full-resolution values: gap 0.316, Jain(full-CF) 0.920 per-draw
     draw = desk_reports["per-draw"]
     hard = desk_reports["hardening"]
     jain_cf = draw["full-cf"].jain
@@ -104,7 +104,7 @@ def test_criterion_2_fairness_ordering(desk_reports):
 
 
 def test_criterion_3_benchmark_convergence(benchmark_reports):
-    # frozen values: 0.83 / 0.90 / 0.97 of the full-CF median
+    # frozen values: 1.00 / 1.06 / 0.97 of the full-CF median
     med_cf = np.median(benchmark_reports["full-cf"].se_per_block)
     ratios = {
         a: float(np.median(benchmark_reports[a].se_per_block) / med_cf)
@@ -146,7 +146,7 @@ def test_criterion_4_constraint_table():
 
 
 def test_criterion_5_serving_set_economy(tmp_path):
-    # frozen values on the pinned ensemble: G ratio 0.533, rate ratio 1.09
+    # frozen values on the pinned ensemble: G ratio 0.533, rate ratio 1.26
     area = AreaSpec(400.0, 400.0)
     topo = generate_ppp_topology(area, 60, seed=21)
     topo_path = tmp_path / "topo.txt"

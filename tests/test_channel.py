@@ -23,6 +23,7 @@ from cfmimo.channel import (
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, generate_ppp_topology
 
+from conftest import random_snapshot
 from oracles import apply_shadowing, draw_fading, estimate_variance, j0_series, realize_channel
 
 # fixed-offset term checked against an independent hand evaluation of the
@@ -257,11 +258,12 @@ def test_fading_marginal_ks(radio):
 
 
 def test_estimate_variance_hand_value():
-    # rho = 1 (static UE), beta = 10, copilot betas {10, 5}: the quotient is
-    # 100 * n0 / (0.2 * (15 n0 + 1)) with the default budget p = 0.2 W
+    # rho = 1 (static UE), beta = 10, copilot betas {10, 5}, pilot power
+    # p = 0.2 W and tau_p = 10: R = 10 n0 / 0.2 = 50 n0, and the MMSE factor
+    # is (10 * 0.2 * 10) / (15 * 0.2 * 10 + 1) = 20 / 31
     cfg = RadioConfig()
     n0 = noise_power_w(cfg)
-    expected = 100.0 * n0 / (0.2 * 15.0 * n0 + 0.2)
+    expected = 50.0 * n0 * 20.0 / 31.0
     z = estimate_variance(10.0, [10.0, 5.0], t=cfg.pilot_len_slots + 1, v=0.0, cfg=cfg)
     assert z == pytest.approx(expected, rel=1e-12)
 
@@ -298,6 +300,29 @@ def test_estimate_variance_matrix_matches_scalar(radio):
             mates = snap.beta[m, pilots == pilots[k]]
             want = estimate_variance(snap.beta[m, k], mates, t=97, v=2.0, cfg=radio)
             assert z[m, k] == pytest.approx(want, rel=1e-12)
+
+
+def test_estimate_variance_matrix_mmse_bounds():
+    # 0 <= Z <= rho^2 R on every link and Z = 0 where R = 0, over random
+    # snapshots (60 dB of beta spread, outage links), pilot sets, speeds and
+    # slots; rho is the aging factor estimate_variance_matrix applies
+    cfg = RadioConfig()
+    rng = np.random.default_rng(21)
+    for seed in range(40):
+        m, k = (int(n) for n in rng.integers(1, 9, size=2))
+        base = random_snapshot(m, k, seed=seed, spread_db=60.0)
+        pl = np.where(rng.uniform(size=(m, k)) < 0.2, np.inf, base.pathloss_db)
+        beta = np.where(np.isfinite(pl), base.beta, 0.0)
+        snap = ChannelSnapshot(beta=beta, pathloss_db=pl, noise_power=base.noise_power)
+        pilots = rng.integers(0, cfg.pilot_len_slots, size=k)
+        speeds = np.where(rng.uniform(size=k) < 0.3, 0.0, rng.uniform(0.0, 40.0, size=k))
+        t = int(rng.integers(cfg.pilot_len_slots + 1, cfg.block_len_slots + 1))
+        z = estimate_variance_matrix(snap, pilots, t, speeds, cfg)
+        rho = aging_coefficient(cfg.pilot_len_slots + 1 - t, speeds, cfg)
+        r = snap.channel_gain()
+        assert np.all(z >= 0)
+        assert np.all(z <= rho**2 * r * (1 + 1e-12))
+        assert np.all(z[r == 0] == 0)
 
 
 def test_pilots_sequential_singletons():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo.channel import ChannelSnapshot, RadioConfig, noise_power_w
+from cfmimo.channel import ESTIMATE_FORMS, ChannelSnapshot, RadioConfig, estimate_variance_matrix, noise_power_w
 from cfmimo.evaluation import (
     ConstraintReport,
     PrecodingContext,
@@ -380,18 +380,68 @@ def test_draw_estimates_variance_and_correlation():
     rng = np.random.default_rng(4)
     n = 20_000
     r = np.full((1, 1), 2.0e-10)
-    z = np.full((1, 1), 0.5e-10)  # z < r: partial correlation branch
+    z = np.full((1, 1), 0.5e-10)
     h0 = np.sqrt(r / 2) * (rng.standard_normal((n, 1, 1)) + 1j * rng.standard_normal((n, 1, 1)))
     est = draw_estimates(h0, r, z, rng)
     assert est.var() == pytest.approx(z[0, 0], rel=0.05)
     cov = np.mean(est * np.conj(h0))
-    assert abs(cov) == pytest.approx(np.sqrt(z[0, 0] * r[0, 0] * (z[0, 0] / r[0, 0])), rel=0.05)
-    # z > r caps at full correlation while keeping the marginal variance
-    z_big = np.full((1, 1), 8.0e-10)
-    est_big = draw_estimates(h0, r, z_big, rng)
-    assert est_big.var() == pytest.approx(z_big[0, 0], rel=0.05)
-    corr = np.mean(est_big * np.conj(h0)) / np.sqrt(z_big[0, 0] * r[0, 0])
-    assert abs(corr) == pytest.approx(1.0, rel=0.05)
+    assert abs(cov) == pytest.approx(z[0, 0], rel=0.05)
+
+
+def test_draw_block_estimate_moments_at_speed_0():
+    # static UEs (rho = 1, so h_t = h0): E|est|^2 = Z and E{est conj(h_t)} = Z
+    # on every link, copilot links included, within five standard errors
+    snap, cfg = _desk_instance(m=6, k=4, seed=9)
+    pilots, speeds, n = np.array([0, 1, 0, 1]), np.zeros(4), 4000
+    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13)
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
+    assert np.all(draws.rho == 1.0)
+    for sample in (np.abs(draws.est) ** 2, draws.est * np.conj(draws.h_t)):
+        err = np.abs(sample.mean(axis=0) - z)
+        assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
+
+
+def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
+    """evaluate_block's gamma for one AP serving one static UE at mean SNR
+    gamma_bar, and the gain draws it combined."""
+    cfg = RadioConfig()
+    n0 = noise_power_w(cfg)
+    gamma_bar = 10.0 ** (gamma_db / 10.0)
+    r_gain = gamma_bar * n0 / cfg.tx_power_w
+    snap = ChannelSnapshot(
+        beta=np.array([[gamma_bar]]), pathloss_db=np.array([[-10.0 * np.log10(r_gain)]]), noise_power=n0
+    )
+    coop = CooperationMatrix(np.ones((1, 1), dtype=int))
+    seen = []
+
+    def spy(gains, *args, **kwargs):
+        seen.append(gains)
+        return instant_sinr(gains, *args, **kwargs)
+
+    monkeypatch.setattr("cfmimo.evaluation.instant_sinr", spy)
+    gamma, _, _ = evaluate_block(snap, coop, np.zeros(1, dtype=int), 0.0, cfg, n_mc=n_mc, seed=31, estimator=estimator)
+    return gamma[0], seen[0], n0, cfg, gamma_bar
+
+
+@pytest.mark.parametrize("gamma_db", [0.0, 10.0])
+def test_evaluate_block_one_link_hardening_closed_form(monkeypatch, gamma_db):
+    # imperfect-CSI use-and-forget bound, within five standard errors taken
+    # by batch means over the gain draws evaluate_block combined
+    gamma, gains, n0, cfg, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "hardening")
+    batches = [instant_sinr(g, 1.0, n0)[0] for g in np.split(gains, 20)]
+    sem = np.std(batches, ddof=1) / np.sqrt(len(batches))
+    want = oracles.hardening_one_link_sinr(gamma_bar, cfg.tx_power_w, cfg.pilot_len_slots)
+    assert abs(gamma - want) <= 5 * sem
+
+
+@pytest.mark.parametrize("gamma_db", [0.0, 10.0])
+def test_evaluate_block_one_link_per_draw_closed_form(monkeypatch, gamma_db):
+    # mean log2(1 + gamma_n) against e^{1/g} E1(1/g) / ln 2, within five
+    # standard errors of the per-draw log terms
+    gamma, gains, n0, _, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "per-draw")
+    logs = np.log2(1.0 + np.abs(gains[:, 0, 0]) ** 2 / n0)
+    sem = logs.std() / np.sqrt(logs.size)
+    assert abs(np.log2(1.0 + gamma) - oracles.per_draw_one_link_se(gamma_bar)) <= 5 * sem
 
 
 def _desk_instance(m=30, k=8, seed=5):
@@ -481,7 +531,7 @@ def _outage_instance():
     return snap, np.array([0, 1, 0, 2, 1]), np.array([0.0, 0.8, 3.0, 12.0, 30.0])
 
 
-@pytest.mark.parametrize("form", ["raw", "mmse"])
+@pytest.mark.parametrize("form", ESTIMATE_FORMS)
 @pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
 def test_evaluate_block_matches_reference_bytes(form, estimator):
     snap, pilots, speeds = _outage_instance()
@@ -495,7 +545,7 @@ def test_evaluate_block_matches_reference_bytes(form, estimator):
             assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("form", ["raw", "mmse"])
+@pytest.mark.parametrize("form", ESTIMATE_FORMS)
 @pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
 def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
     # a budget of 100 elements takes the 12 x 5 draws two at a time, the
@@ -532,11 +582,11 @@ def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
     n, m, k = 512, 64, 8
     snap, cfg = _desk_instance(m=m, k=k)
     speeds = np.full(k, 0.8)
-    draws = draw_block(snap, speeds, cfg, n, seed=3)
+    draws = draw_block(snap, np.arange(k) % cfg.pilot_len_slots, speeds, cfg, n, seed=3)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        evaluate_draws(snap, select_full_cf(snap), np.arange(k) % cfg.pilot_len_slots, speeds, cfg, draws)
+        evaluate_draws(snap, select_full_cf(snap), cfg, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -218,6 +218,28 @@ def test_report_hash_ignores_out_dir():
     assert config_hash(mini_config(out_dir="a")) == config_hash(mini_config(out_dir="b/c"))
 
 
+def test_cli_compare_equals_lone_run_of_another_algorithm(tmp_path):
+    # config_hash leaves out the algorithm key: full-cf inside a compare of a
+    # config naming small-cell writes the bytes of a lone simulate of that
+    # config edited to name full-cf
+    text = serialize_config(mini_config())
+    assert "algorithm = small-cell" in text
+    cfg_path, lone_path = tmp_path / "cfg.txt", tmp_path / "lone.txt"
+    cfg_path.write_text(text)
+    lone_path.write_text(text + "algorithm = full-cf\n")
+    compare_out, lone_out = tmp_path / "compare", tmp_path / "lone"
+    assert cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,full-cf",
+                     "--out", str(compare_out)]) == 0
+    assert cli.main(["simulate", "--config", str(lone_path), "--out", str(lone_out)]) == 0
+    for name in ("report.txt", "se_blocks.csv"):
+        assert (compare_out / "full-cf" / name).read_bytes() == (lone_out / "full-cf" / name).read_bytes()
+
+
+def test_config_estimate_form_raw_removed():
+    with pytest.raises(ConfigError, match="'raw' was removed"):
+        parse_config("estimate_form = raw\n")
+
+
 def test_cli_simulate_and_export(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(tmp_path / "out"))))
@@ -331,7 +353,7 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     "line",
     [
         "n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo",
-        "estimate_form = xx", "pilot_method = bogus", "tau_p = 300",
+        "estimate_form = xx", "estimate_form = raw", "pilot_method = bogus", "tau_p = 300",
         "tx_power_w = 0", "delta = 1.5", "g_max = 0", "mdp_round_budget = 0",
     ],
 )
