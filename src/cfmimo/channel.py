@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,9 @@ class PathLossMap:
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
+# str.splitlines also ends a line at \v, \f and \x1c-\x1e (and at three
+# non-ASCII characters); a line-at-a-time read ends one only at \n and \r
+_SPLITLINES_ONLY_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -195,12 +199,64 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     belong to the topology and appear at least once; duplicate cells and
     non-positive grid spacing are parse errors. Each error names the file
     line (``path:line``) of the first offending row.
+
+    An ASCII file is streamed: the open file goes to one ``np.loadtxt``
+    call, so the rows (32 B each) are the only copy of the body, and the
+    file is read again only to name an error's line. A file with other
+    bytes, or a row ``loadtxt`` refuses, takes the fallback: the text is
+    split with ``str.splitlines``, which holds the text and its line list in
+    memory, and when ``loadtxt`` refuses that list too the rows are parsed
+    one by one up to the first malformed one.
     """
+    if _lines_break_at_newlines_only(path):
+        with open(path) as f:
+            first = f.readline()
+            header = _parse_map_header(path, first.rstrip("\n") if first else None)
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below as "no map rows"
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    rows = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+            except ValueError:
+                # loadtxt's message gives no file line, and loadtxt refuses
+                # some rows the row rules accept (whitespace-only lines, "1_0")
+                rows = None
+        if rows is not None:
+            if not rows.size:
+                raise MapParseError(f"{path}: no map rows")
+            return _map_from_rows(path, topo, header, rows, None, lambda i: _file_row_line(path, i))
+
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines:
+    header = _parse_map_header(path, lines[0] if lines else None)
+    body = lines[1:]
+    if not any(line.strip() for line in body):
+        raise MapParseError(f"{path}: no map rows")
+    bad = None
+    try:
+        rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+    except ValueError:
+        rows, bad = _scan_map_rows(path, body, topo.n_aps)
+    return _map_from_rows(path, topo, header, rows, bad, lambda i: _map_row_line(body, i))
+
+
+def _lines_break_at_newlines_only(path) -> bool:
+    """True when ``str.splitlines`` splits the file only where a text-mode
+    line read does: at \\n, \\r\\n and \\r. Any non-ASCII byte also gives
+    False, so only ASCII text takes the streamed path."""
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
+                return False
+    return True
+
+
+def _parse_map_header(path, line):
+    """(dx, dy, origin_x, origin_y) from the first line; ``line`` is None
+    for an empty file."""
+    if line is None:
         raise MapParseError(f"{path}: empty map file")
-    head = lines[0].split(",")
+    head = line.split(",")
     if len(head) != 4:
         raise MapParseError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
     try:
@@ -209,39 +265,46 @@ def load_pathloss_map(path, topo) -> PathLossMap:
         raise MapParseError(f"{path}:1: non-numeric header field") from None
     if dx <= 0 or dy <= 0:
         raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
+    return dx, dy, ox, oy
 
-    body = lines[1:]
-    if not any(line.strip() for line in body):
-        raise MapParseError(f"{path}: no map rows")
-    bad = None
-    try:
-        rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
-    except ValueError:
-        # loadtxt's message gives no file line, and loadtxt refuses some rows
-        # the row rules accept (whitespace-only lines, "1_0"): rescan by them.
-        rows, bad = _scan_map_rows(path, body, topo.n_aps)
+
+def _map_from_rows(path, topo, header, rows, bad, row_line) -> PathLossMap:
+    """Check the parsed rows and fill the table.
+
+    ``bad`` is the error of a malformed row after ``rows`` (or None), and
+    ``row_line(i)`` the file line of row ``i``. Of the AP-id, duplicate-cell
+    and malformed-row errors, the first in file order is raised.
+    """
     bad_ap = np.flatnonzero((rows["ap"] < 0) | (rows["ap"] >= topo.n_aps))
     n_ok = int(bad_ap[0]) if bad_ap.size else len(rows)
     ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
     if n_ok:
         ix_min, iy_min = int(ix.min()), int(iy.min())
         nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
-        cell = (ap * nx + ix - ix_min) * ny + iy - iy_min
-        order = np.argsort(cell, kind="stable")
-        repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
-        if repeats.size:
-            i = int(repeats.min())
-            raise MapParseError(
-                f"{path}:{_map_row_line(body, i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})"
-            )
+        # (ap * nx + ix - ix_min) * ny + iy - iy_min, in one array
+        cell = ap * nx
+        cell += ix
+        cell -= ix_min
+        cell *= ny
+        cell += iy
+        cell -= iy_min
+        ordered = np.sort(cell)
+        if (ordered[1:] == ordered[:-1]).any():
+            # the first repeat in file order: a stable sort puts each cell's
+            # first row ahead of its repeats
+            order = np.argsort(cell, kind="stable")
+            i = int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
+            raise MapParseError(f"{path}:{row_line(i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})")
+        del ordered
     if bad_ap.size:
-        raise MapParseError(f"{path}:{_map_row_line(body, n_ok)}: unknown AP id {rows['ap'][n_ok]}")
+        raise MapParseError(f"{path}:{row_line(n_ok)}: unknown AP id {rows['ap'][n_ok]}")
     if bad is not None:
         raise bad
     missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()
     if missing:
         raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
 
+    dx, dy, ox, oy = header
     table = np.full((topo.n_aps, nx, ny), np.inf)
     table.reshape(-1)[cell] = rows["pl"]
     return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
@@ -278,9 +341,17 @@ def _scan_map_rows(path, body, n_aps):
 
 
 def _map_row_line(body, i) -> int:
-    """File line number of data row ``i``, counting past blank lines."""
+    """File line number of data row ``i``, counting past blank lines;
+    ``body`` iterates the lines after the header."""
     rows = (ln for ln, line in enumerate(body, start=2) if line.strip())
     return next(itertools.islice(rows, i, None))
+
+
+def _file_row_line(path, i) -> int:
+    """``_map_row_line`` over the file's lines, read again from disk."""
+    with open(path) as f:
+        f.readline()
+        return _map_row_line(f, i)
 
 
 def save_pathloss_map(path, dx, dy, origin, entries) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import evaluation as ev
 from . import harness as hn
@@ -21,13 +22,16 @@ _CONFIG_ERRORS = (hn.ConfigError, TopologyParseError, TrackParseError, MapParseE
 
 def _load(args) -> hn.ExperimentConfig:
     cfg = hn.load_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        cfg.seed = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
+        overrides["out_dir"] = args.out
     if getattr(args, "mobility", None):
-        cfg.mobility_source = args.mobility
-    return cfg
+        overrides["mobility_source"] = args.mobility
+    # replace() checks the overridden config again: --mobility rwp brings in
+    # the rwp rules
+    return replace(cfg, **overrides)
 
 
 def _cmd_simulate(args) -> int:

@@ -56,7 +56,9 @@ class PrecodingContext:
     @classmethod
     def from_matrix(cls, coop: CooperationMatrix) -> "PrecodingContext":
         d = coop.d
-        share = (d.T.astype(int) @ d.astype(int)) > 0
+        # a float matmul runs in BLAS and counts 0/1 products exactly
+        df = d.astype(float)
+        share = (df.T @ df) > 0
         serving = []
         interferers = []
         for k in range(d.shape[1]):

@@ -12,6 +12,7 @@ regardless of execution order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -81,9 +82,21 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget", "tau_p"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        positive = ["area_width", "area_height"]
+        if self.mobility_source == "rwp":
+            positive += ["speed_mps", "mean_transition_m"]
+        for key in positive:
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.topology_source == "ppp" and self.topology_m < 1:
+            raise ConfigError(f"topology_m must be at least 1, got {self.topology_m}")
         for key, known in (
             ("sinr_estimator", ev.SINR_ESTIMATORS),
             ("pilot_method", ch.PILOT_METHODS),

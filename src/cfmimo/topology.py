@@ -119,8 +119,9 @@ def save_topology(topo: NetworkTopology, path) -> None:
 def load_topology(path) -> NetworkTopology:
     """Parse a topology file, enforcing bounds and id uniqueness.
 
-    Raises TopologyParseError naming the 1-based line number on any malformed
-    row, duplicate AP id, or out-of-area position.
+    The AP ids of M rows must be 0..M-1, in any order. Raises
+    TopologyParseError naming the 1-based line number on any malformed row,
+    duplicate AP id, id outside 0..M-1, or out-of-area position.
     """
     with open(path) as f:
         lines = f.read().splitlines()
@@ -135,6 +136,7 @@ def load_topology(path) -> NetworkTopology:
         raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
 
     by_id: dict[int, tuple[float, float]] = {}
+    line_of: dict[int, int] = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -151,7 +153,16 @@ def load_topology(path) -> NetworkTopology:
         if not bool(area.contains((x, y))):
             raise TopologyParseError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
         by_id[ap_id] = (x, y)
+        line_of[ap_id] = ln
     if not by_id:
         raise TopologyParseError(f"{path}: no AP rows")
-    pos = np.array([by_id[i] for i in sorted(by_id)], dtype=float)
+    m = len(by_id)
+    stray = [ap_id for ap_id in by_id if not 0 <= ap_id < m]
+    if stray:
+        missing = min(set(range(m)) - by_id.keys())
+        raise TopologyParseError(
+            f"{path}:{line_of[stray[0]]}: AP id {stray[0]} is outside 0..{m - 1}; "
+            f"the ids of {m} AP rows must be 0..{m - 1}, and id {missing} is missing"
+        )
+    pos = np.array([by_id[i] for i in range(m)], dtype=float)
     return NetworkTopology(area=area, ap_positions=pos)

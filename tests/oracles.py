@@ -12,16 +12,26 @@ arithmetic bit for bit, so it keeps the package's earlier whole-array form.
 The channel and selection references at the end (fading state and aged
 channel, shadowing, scalar estimate variance, simplified SINR, estimate
 draws) are the per-link forms the package replaced with its matrix and
-block forms; the tests check the statistics and closed forms on them.
+block forms; the tests check the statistics and closed forms on them. The
+line-list map loader is the form the streaming loader replaced; the parser
+fuzz holds the two to the same tables and messages.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from cfmimo.channel import ChannelSnapshot, RadioConfig, aging_coefficient, noise_power_w
+from cfmimo.channel import (
+    ChannelSnapshot,
+    MapParseError,
+    PathLossMap,
+    RadioConfig,
+    aging_coefficient,
+    noise_power_w,
+)
 
 
 def j0_series(x, terms=60):
@@ -546,3 +556,95 @@ def simplified_sinr(d_col: np.ndarray, beta_col: np.ndarray) -> float:
     served = float(np.dot(d_col, beta_col))
     total = float(beta_col.sum())
     return served / (total - served + 1.0)
+
+
+_MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
+
+
+def load_pathloss_map_reference(path, topo) -> PathLossMap:
+    """The line-list map loader the package's streaming loader replaced.
+
+    It holds the file text, its line list and the body copy at once, checks
+    duplicates with a stable argsort, and defines every accepted table and
+    every error message the streaming loader must reproduce.
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise MapParseError(f"{path}: empty map file")
+    head = lines[0].split(",")
+    if len(head) != 4:
+        raise MapParseError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
+    try:
+        dx, dy, ox, oy = (float(v) for v in head)
+    except ValueError:
+        raise MapParseError(f"{path}:1: non-numeric header field") from None
+    if dx <= 0 or dy <= 0:
+        raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
+
+    body = lines[1:]
+    if not any(line.strip() for line in body):
+        raise MapParseError(f"{path}: no map rows")
+    bad = None
+    try:
+        rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+    except ValueError:
+        rows, bad = _scan_map_rows_reference(path, body, topo.n_aps)
+    bad_ap = np.flatnonzero((rows["ap"] < 0) | (rows["ap"] >= topo.n_aps))
+    n_ok = int(bad_ap[0]) if bad_ap.size else len(rows)
+    ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
+    if n_ok:
+        ix_min, iy_min = int(ix.min()), int(iy.min())
+        nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
+        cell = (ap * nx + ix - ix_min) * ny + iy - iy_min
+        order = np.argsort(cell, kind="stable")
+        repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
+        if repeats.size:
+            i = int(repeats.min())
+            raise MapParseError(
+                f"{path}:{_map_row_line_reference(body, i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})"
+            )
+    if bad_ap.size:
+        raise MapParseError(
+            f"{path}:{_map_row_line_reference(body, n_ok)}: unknown AP id {rows['ap'][n_ok]}"
+        )
+    if bad is not None:
+        raise bad
+    missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()
+    if missing:
+        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+
+    table = np.full((topo.n_aps, nx, ny), np.inf)
+    table.reshape(-1)[cell] = rows["pl"]
+    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
+
+
+def _scan_map_rows_reference(path, body, n_aps):
+    """Rows before the first malformed one, and the error naming its line."""
+    parsed, bad = [], None
+    for ln, line in enumerate(body, start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db'")
+            break
+        try:
+            ap, cix, ciy, pl = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            bad = MapParseError(f"{path}:{ln}: non-numeric field in {line!r}")
+            break
+        if not 0 <= ap < n_aps:
+            bad = MapParseError(f"{path}:{ln}: unknown AP id {ap}")
+            break
+        if max(abs(cix), abs(ciy)) >= 2**63:
+            bad = MapParseError(f"{path}:{ln}: cell index out of range in {line!r}")
+            break
+        parsed.append((ap, cix, ciy, pl))
+    return np.array(parsed, dtype=_MAP_ROW), bad
+
+
+def _map_row_line_reference(body, i) -> int:
+    """File line number of data row ``i``, counting past blank lines."""
+    rows = (ln for ln, line in enumerate(body, start=2) if line.strip())
+    return next(itertools.islice(rows, i, None))

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import j0 as scipy_j0
@@ -24,6 +27,7 @@ from cfmimo.channel import (
 from cfmimo.topology import AreaSpec, NetworkTopology, generate_ppp_topology
 
 from conftest import random_snapshot
+import oracles
 from oracles import apply_shadowing, draw_fading, estimate_variance, j0_series, realize_channel
 
 # fixed-offset term checked against an independent hand evaluation of the
@@ -492,11 +496,39 @@ def test_map_blank_lines_skipped(tmp_path):
     assert out[:, 0].tolist() == [90.0, 91.0]
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\n  \n"])
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n", "\r\n\r\n"])
 def test_map_header_without_rows_rejected(tmp_path, body):
+    # and without numpy's "input contained no data" warning
     path = _write_map_text(tmp_path / "map.txt", body)
-    with pytest.raises(MapParseError, match=r"map\.txt: no map rows$"):
-        _load_two_ap_map(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MapParseError, match=r"map\.txt: no map rows$"):
+            _load_two_ap_map(path)
+
+
+def test_map_load_peak_memory_per_row(tmp_path):
+    # the streamed loader holds the rows (32 B each), the cell index and its
+    # sorted copy (8 B each) and then the table; a loader that keeps the
+    # file text and its line list needs ~150 B per row
+    n_aps, side = 4, 160
+    ix, iy = np.divmod(np.arange(side * side), side)
+    pl = np.round(np.random.default_rng(4).uniform(60.0, 140.0, side * side), 4)
+    path = tmp_path / "map.txt"
+    with open(path, "w") as f:
+        f.write("5,5,0,0\n")
+        for ap in range(n_aps):
+            f.writelines(f"{ap},{a},{b},{c}\n" for a, b, c in zip(ix.tolist(), iy.tolist(), pl.tolist()))
+    topo = generate_ppp_topology(AreaSpec(800.0, 800.0), n_aps, seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plmap = load_pathloss_map(path, topo)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n_rows = n_aps * side * side
+    assert plmap._table.shape == (n_aps, side, side)
+    assert peak <= 64 * n_rows + plmap._table.nbytes, peak / n_rows
 
 
 def test_map_round_trip_bit_identical(tmp_path):
@@ -519,3 +551,65 @@ def test_map_round_trip_bit_identical(tmp_path):
         expected[ap, grid.index((ix, iy))] = pl
     got = plmap.pathloss_db(centres)
     assert got.tobytes() == expected.tobytes()
+
+
+_FUZZ_NEWLINES = ["\n"] * 8 + ["\r\n", "\r"]
+# str.splitlines breaks that a text-mode line read does not honour, and a
+# space that joins two rows into one
+_FUZZ_BREAKS = _FUZZ_NEWLINES + ["\v", "\f", "\x1c", "\x85", "\u2028", " "]
+_FUZZ_ODD_ROWS = [
+    "", "", "  ", "\t", "#0,0,0,90", "# AP 0", "0,1", "0,1,0", "0,1,0,90,7", "1.5,0,0,90",
+    "0,1_0,0,90", "0,1,0,9_0.5", "0,9223372036854775808,0,90", "1,0,-9223372036854775809,90",
+    "0,100000000000000000000,1,90", " 1 , 2 ,3, 95.5 ", "0,x,0,90", "0,0,0,nan", "0,0,0,-inf",
+]
+_FUZZ_HEADERS = ["10,10,0,0"] * 8 + ["2.5,4,-3,7", "0,10,0,0", "10,10,0", "a,10,0,0", ""]
+
+
+def _fuzz_map_text(rng, n_aps):
+    """A small map file: mostly well-formed rows over a few cells, so
+    duplicates and unknown AP ids are common, plus odd rows and breaks."""
+    lines = [_FUZZ_HEADERS[rng.integers(len(_FUZZ_HEADERS))]]
+    hi = 1 if rng.uniform() < 0.3 else 6  # 9 or 64 cells per AP
+    for _ in range(rng.integers(0, 12)):
+        if rng.uniform() < 0.1:
+            lines.append(_FUZZ_ODD_ROWS[rng.integers(len(_FUZZ_ODD_ROWS))])
+        else:
+            ap = rng.integers(0, n_aps + 1) if rng.uniform() < 0.1 else rng.integers(0, n_aps)
+            ix, iy = rng.integers(-2, hi, size=2)
+            lines.append(f"{ap},{ix},{iy},{rng.uniform(60.0, 140.0):.6g}")
+    mix = _FUZZ_BREAKS if rng.uniform() < 0.4 else _FUZZ_NEWLINES
+    breaks = [mix[rng.integers(len(mix))] for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    return text[: rng.integers(len(text) - 1, len(text) + 1)]  # sometimes no final break
+
+
+def _load_outcome(loader, path, topo):
+    try:
+        plmap = loader(path, topo)
+    except Exception as e:  # every failure must match too
+        return type(e), str(e)
+    return plmap._table, (plmap._dx, plmap._dy, plmap._origin, plmap._offset)
+
+
+def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
+    # the streamed loader and its fallback against the line-list reference:
+    # the same table for every accepted file, the same error for every other
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for n in range(300):
+        n_aps = int(rng.integers(1, 4))
+        topo = generate_ppp_topology(AreaSpec(100.0, 100.0), n_aps, seed=1)
+        path = tmp_path / f"map{n}.txt"
+        path.write_bytes(_fuzz_map_text(rng, n_aps).encode("utf-8"))
+        got = _load_outcome(load_pathloss_map, path, topo)
+        want = _load_outcome(oracles.load_pathloss_map_reference, path, topo)
+        if isinstance(want[0], type):
+            assert got == want, path.read_bytes()
+            kinds.add(want[1].split(": ", 1)[-1].split(" ")[0])
+        else:
+            # bytes, not array_equal, so nan cells compare too
+            same = got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+            assert same and got[1] == want[1], path.read_bytes()
+            kinds.add("accepted")
+    # the fuzz reaches acceptance and the main error kinds
+    assert {"accepted", "duplicate", "unknown", "non-numeric", "expected"} <= kinds, kinds

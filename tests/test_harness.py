@@ -355,6 +355,9 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
         "n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo",
         "estimate_form = xx", "estimate_form = raw", "pilot_method = bogus", "tau_p = 300",
         "tx_power_w = 0", "delta = 1.5", "g_max = 0", "mdp_round_budget = 0",
+        "area_width = 0", "topology_m = 0", "speed_mps = 0", "mean_transition_m = 0", "tau_p = 0",
+        "tx_power_w = nan", "area_height = nan", "shadowing_sigma_db = nan", "beta0_db = nan",
+        "beta0_db = inf",
     ],
 )
 def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
@@ -367,6 +370,16 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
 
     monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not out.exists()
+
+
+def test_cli_mobility_override_is_checked(tmp_path, monkeypatch):
+    # speed 0 is fine for a track file; --mobility rwp makes it a config error
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out), mobility_source="file", speed_mps=0.0)))
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", None)  # a block would exit 3
+    assert cli.main(["simulate", "--config", str(cfg_path), "--mobility", "rwp"]) == 2
     assert not out.exists()
 
 

@@ -80,6 +80,25 @@ def test_load_duplicate_id(tmp_path):
         load_topology(path)
 
 
+@pytest.mark.parametrize(
+    "rows, line, stray, missing",
+    [("0,1,1\n2,2,2\n", 3, 2, 1), ("-1,1,1\n0,2,2\n", 2, -1, 1), ("1,1,1\n2,2,2\n", 3, 2, 0)],
+)
+def test_load_ids_must_be_0_to_m_minus_1(tmp_path, rows, line, stray, missing):
+    # a map or track row names an AP by its file id, so ids are never renumbered
+    path = tmp_path / "t.txt"
+    path.write_text("100,100\n" + rows)
+    message = rf"t\.txt:{line}: AP id {stray} is outside 0\.\.1; .* id {missing} is missing$"
+    with pytest.raises(TopologyParseError, match=message):
+        load_topology(path)
+
+
+def test_load_ids_in_any_order(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("100,100\n1,30,40\n0,10,20\n")
+    assert load_topology(path).ap_positions.tolist() == [[10.0, 20.0], [30.0, 40.0]]
+
+
 def test_load_malformed_row_names_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100,100\n0,1,1\nnot-a-row\n")
