@@ -6,7 +6,7 @@ Carlo link evaluation with partial MMSE precoding, and a config-driven
 experiment harness.
 """
 
-from .topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology, load_topology, save_topology
+from .topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology, load_topology
 from .mobility import MobilityTrace, generate_rwp, load_tracks
 from .channel import (
     ChannelSnapshot,
@@ -25,7 +25,6 @@ from .selection import (
     MdpState,
     RewardWeights,
     SelectionConstraints,
-    brute_force_selection,
     greedy_policy,
     jain_index,
     run_algorithm,
@@ -39,14 +38,11 @@ from .selection import (
     select_unifsrv_heu,
 )
 from .evaluation import (
-    ConstraintReport,
     MetricsReport,
     PrecodingContext,
-    check_constraints,
     evaluate_block,
     export_cdf,
     instant_sinr,
-    objective_values,
     precode_pmmse,
     received_gains,
     spectral_efficiency,

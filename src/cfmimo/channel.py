@@ -133,7 +133,12 @@ class ChannelSnapshot:
 
     def channel_gain(self) -> np.ndarray:
         """Large-scale fading variance R = 1/L per link (0 where in outage)."""
-        return np.where(np.isfinite(self.pathloss_db), 10.0 ** (-self.pathloss_db / 10.0), 0.0)
+        return _gain(self.pathloss_db)
+
+
+def _gain(pl_db: np.ndarray) -> np.ndarray:
+    """1/L from path loss in dB; 0 where the loss is infinite (outage)."""
+    return np.where(np.isfinite(pl_db), 10.0 ** (-pl_db / 10.0), 0.0)
 
 
 class LogDistanceProvider:
@@ -354,20 +359,11 @@ def _file_row_line(path, i) -> int:
         return _map_row_line(f, i)
 
 
-def save_pathloss_map(path, dx, dy, origin, entries) -> None:
-    """Write a map file; ``entries`` iterates (ap_id, ix, iy, pathloss_db)."""
-    with open(path, "w") as f:
-        f.write(f"{dx:.10g},{dy:.10g},{origin[0]:.10g},{origin[1]:.10g}\n")
-        for ap, ix, iy, pl in entries:
-            f.write(f"{ap},{ix},{iy},{pl:.10g}\n")
-
-
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:
     """Evaluate the provider at the UE positions and form beta = p/(L*n0)."""
     pl_db = provider.pathloss_db(np.asarray(positions, dtype=float))
     n0 = noise_power_w(cfg)
-    gain = np.where(np.isfinite(pl_db), 10.0 ** (-pl_db / 10.0), 0.0)
-    beta = cfg.tx_power_w * gain / n0
+    beta = cfg.tx_power_w * _gain(pl_db) / n0
     return ChannelSnapshot(beta=beta, pathloss_db=pl_db, noise_power=n0)
 
 
@@ -471,12 +467,6 @@ def assign_pilots(k: int, tau_p: int, seed, method: str = "random") -> np.ndarra
     if method == "sequential":
         return np.arange(k) % tau_p
     raise ValueError(f"unknown pilot assignment method {method!r}")
-
-
-def copilot_mask(pilots: np.ndarray) -> np.ndarray:
-    """(K, K) boolean matrix; entry [i, j] true iff i and j share a pilot."""
-    p = np.asarray(pilots)
-    return p[:, None] == p[None, :]
 
 
 def estimate_variance_matrix(

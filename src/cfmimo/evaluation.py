@@ -287,10 +287,7 @@ def instant_sinr(gains: np.ndarray, rho, noise: float, estimator: str = "hardeni
     the mean per-draw log2(1 + gamma_n); single-AP links are then not
     penalized by the missing channel hardening.
     """
-    k_ues = gains.shape[2]
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if rho.size == 1:
-        rho = np.full(k_ues, rho[0])
+    rho = np.asarray(rho, dtype=float)
     if estimator == "hardening":
         mu = gains.mean(axis=0)
         m2 = (np.abs(gains) ** 2).mean(axis=0)
@@ -299,10 +296,9 @@ def instant_sinr(gains: np.ndarray, rho, noise: float, estimator: str = "hardeni
         return rho**2 * desired / (interference + noise)
     if estimator == "per-draw":
         p2 = np.abs(gains) ** 2  # (N, i, k)
-        k_idx = np.arange(k_ues)
-        desired = p2[:, k_idx, k_idx]
+        desired = np.diagonal(p2, axis1=1, axis2=2)
         interference = p2.sum(axis=1) - desired
-        gamma_n = rho[None, :] ** 2 * desired / (interference + noise)
+        gamma_n = rho**2 * desired / (interference + noise)
         return np.expm1(np.log1p(gamma_n).mean(axis=0))
     raise ValueError(f"unknown SINR estimator {estimator!r}")
 
@@ -374,45 +370,6 @@ def evaluate_block(
     return evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
 
 
-def objective_values(coop: CooperationMatrix, rates) -> tuple[float, float, int, float]:
-    """(sum rate, Jain index over rates, total connections, PF objective).
-
-    The proportional-fairness objective floors rates at 1 bit/s before the
-    log to keep zero-rate UEs finite.
-    """
-    sum_rate, phi, pf = _rate_objectives(rates)
-    return sum_rate, phi, coop.total_connections, pf
-
-
-def _rate_objectives(rates) -> tuple[float, float, float]:
-    """(sum rate, Jain index, PF objective) of per-UE rates."""
-    rates = np.asarray(rates, dtype=float)
-    return float(rates.sum()), jain_index(rates), float(np.log(np.maximum(rates, 1.0)).sum())
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Counts of cap violations for one cooperation matrix."""
-
-    w_violations: int
-    g_violations: int
-    nonbinary: int
-
-    @property
-    def ok(self) -> bool:
-        return self.w_violations == 0 and self.g_violations == 0 and self.nonbinary == 0
-
-
-def check_constraints(coop: CooperationMatrix, constraints: SelectionConstraints) -> ConstraintReport:
-    """Count APs over the load cap and UEs over the serving-set cap."""
-    d = np.asarray(coop.d)
-    return ConstraintReport(
-        w_violations=int(np.count_nonzero(d.sum(axis=1) > constraints.tau_p)),
-        g_violations=int(np.count_nonzero(d.sum(axis=0) > constraints.g_max)),
-        nonbinary=int(np.count_nonzero((d != 0) & (d != 1))),
-    )
-
-
 @dataclass
 class MetricsReport:
     """Per-run metrics: per-block SE plus the aggregate objective values."""
@@ -458,7 +415,6 @@ def build_report(
 ) -> MetricsReport:
     """Aggregate per-block results into a MetricsReport."""
     rate_per_ue = rate_blocks.mean(axis=1)
-    sum_rate, jain, pf = _rate_objectives(rate_per_ue)
     w_bad = int(np.count_nonzero((w_blocks > constraints.tau_p).any(axis=0)))
     g_bad = int(np.count_nonzero((g_blocks > constraints.g_max).any(axis=0)))
     return MetricsReport(
@@ -470,9 +426,10 @@ def build_report(
         g_per_block=g_blocks,
         w_per_block=w_blocks,
         rate_per_ue=rate_per_ue,
-        sum_rate=sum_rate,
-        jain=jain,
-        pf_objective=pf,
+        sum_rate=float(rate_per_ue.sum()),
+        jain=jain_index(rate_per_ue),
+        # rates floored at 1 bit/s keep a zero-rate UE's log finite
+        pf_objective=float(np.log(np.maximum(rate_per_ue, 1.0)).sum()),
         mean_connections=float(g_blocks.sum(axis=0).mean()),
         w_violation_blocks=w_bad,
         g_violation_blocks=g_bad,

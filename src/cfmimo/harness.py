@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -252,46 +251,22 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
     raise ConfigError(f"unknown channel_provider {cfg.channel_provider!r}")
 
 
-class Scenario(NamedTuple):
-    """What every algorithm of one (config, seed) shares: the topology, the
-    mobility trace, the path-loss provider and the pilot assignment."""
-
-    topo: tp.NetworkTopology
-    trace: mb.MobilityTrace
-    provider: object
-    pilots: np.ndarray
-
-
-def _build_scenario(cfg: ExperimentConfig) -> Scenario:
-    topo = _build_topology(cfg)
-    trace = _build_trace(cfg, topo.area)
-    cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
-    provider = _build_provider(cfg, topo, cfg.radio(), cfg_k)
-    pilots = ch.assign_pilots(
-        cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method
-    )
-    return Scenario(topo, trace, provider, pilots)
-
-
-def _check_algorithm(name: str) -> None:
-    if name not in sel.ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
-
-
-def _run_blocks(
-    cfg: ExperimentConfig, algorithms: list, scenario: Scenario
-) -> dict[str, ev.MetricsReport]:
+def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.MetricsReport]:
     """The block-major loop: one report per algorithm on shared draws.
 
-    Per block: advance UE positions, take one channel snapshot and one set of
+    The topology, trace, path-loss provider and pilots are built once. Per
+    block: advance UE positions, take one channel snapshot and one set of
     Monte-Carlo draws, then select and evaluate each algorithm on them. A
     block's two (n_mc, M, K) draw arrays are freed before the next block's.
     Module errors, and a non-finite SE, raise RuntimeError naming the block.
     """
     radio = cfg.radio()
     constraints = cfg.constraints()
-    topo, trace, provider, pilots = scenario
-    cfg_k = trace.ue_count
+    topo = _build_topology(cfg)
+    trace = _build_trace(cfg, topo.area)
+    cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
+    provider = _build_provider(cfg, topo, radio, cfg_k)
+    pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
     se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     rate_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     g_blocks = {a: np.zeros((cfg_k, cfg.blocks), dtype=int) for a in algorithms}
@@ -336,36 +311,30 @@ def _run_blocks(
     }
 
 
-def run_experiment(
-    cfg: ExperimentConfig, algorithm: str | None = None, scenario: Scenario | None = None
-) -> ev.MetricsReport:
+def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.MetricsReport:
     """Run one experiment end to end; fully deterministic per (config, seed).
 
     The block loop of compare_algorithms with one algorithm, so a lone run
     and the same algorithm inside a comparison write the same report.
-    ``scenario`` must have been built from ``cfg``; it is built here when not
-    given.
     """
     algo = algorithm or cfg.algorithm
-    _check_algorithm(algo)
-    if scenario is None:
-        scenario = _build_scenario(cfg)
-    return _run_blocks(cfg, [algo], scenario)[algo]
+    return compare_algorithms(cfg, [algo])[algo]
 
 
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
     Every algorithm name is checked before any work. The run is block-major:
-    the scenario (topology, trace, path-loss provider, pilots) is built once,
-    and each block takes one channel snapshot and one set of Monte-Carlo
-    draws that every algorithm is evaluated on. Two (n_mc, M, K) complex
-    draw arrays stay live per block, whatever the number of algorithms.
+    the topology, trace, path-loss provider and pilots are built once, and
+    each block takes one channel snapshot and one set of Monte-Carlo draws
+    that every algorithm is evaluated on. Two (n_mc, M, K) complex draw
+    arrays stay live per block, whatever the number of algorithms.
     """
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:
-        _check_algorithm(name)
-    return _run_blocks(cfg, algorithms, _build_scenario(cfg))
+        if name not in sel.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+    return _run_blocks(cfg, algorithms)
 
 
 def comparison_table(reports: dict[str, ev.MetricsReport]) -> str:

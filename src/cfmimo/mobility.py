@@ -129,12 +129,16 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
     Positions are linearly interpolated at block starts and never extrapolated
     beyond any UE's last waypoint: T = floor(min last timestamp / bd) + 1.
     Per-UE speed is estimated as the median displacement rate between
-    consecutive waypoints. Sample gaps larger than 10x block_duration and
-    (when ``area`` is given) out-of-area points are parse errors.
+    consecutive waypoints. The UE ids of a file with K tracks must be
+    0..K-1, in any order; row i of the trace is UE i. Sample gaps larger than
+    10x block_duration, (when ``area`` is given) out-of-area points and an
+    id outside 0..K-1 are parse errors; the last names the first row of the
+    first such id and the smallest missing id.
     """
     if block_duration <= 0:
         raise ValueError("block_duration must be positive")
     tracks: dict[int, list[tuple[float, float, float]]] = {}
+    line_of: dict[int, int] = {}
     with open(path) as f:
         for ln, line in enumerate(f, start=1):
             if not line.strip():
@@ -150,6 +154,7 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
             if area is not None and not bool(area.contains((x, y))):
                 raise TrackParseError(f"{path}:{ln}: point ({x}, {y}) outside area")
             rows = tracks.setdefault(ue, [])
+            line_of.setdefault(ue, ln)
             if rows and t <= rows[-1][0]:
                 raise TrackParseError(f"{path}:{ln}: timestamps not strictly increasing for UE {ue}")
             if rows and t - rows[-1][0] > 10.0 * block_duration + 1e-9:
@@ -159,19 +164,26 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
             rows.append((t, x, y))
     if not tracks:
         raise TrackParseError(f"{path}: no track rows")
-    ue_ids = sorted(tracks)
-    for ue in ue_ids:
+    k = len(tracks)
+    stray = [ue for ue in tracks if not 0 <= ue < k]
+    if stray:
+        missing = min(set(range(k)) - tracks.keys())
+        raise TrackParseError(
+            f"{path}:{line_of[stray[0]]}: UE id {stray[0]} is outside 0..{k - 1}; "
+            f"the ids of {k} UE tracks must be 0..{k - 1}, and id {missing} is missing"
+        )
+    for ue in range(k):
         if tracks[ue][0][0] > 1e-9:
             raise TrackParseError(f"{path}: UE {ue} track must start at t=0")
 
-    last_t = min(tracks[ue][-1][0] for ue in ue_ids)
+    last_t = min(tracks[ue][-1][0] for ue in range(k))
     n_blocks = int(np.floor(last_t / block_duration + 1e-9)) + 1
     grid = np.arange(n_blocks) * block_duration
 
-    positions = np.empty((len(ue_ids), n_blocks, 2))
-    speeds = np.empty(len(ue_ids))
-    for i, ue in enumerate(ue_ids):
-        arr = np.array(tracks[ue])
+    positions = np.empty((k, n_blocks, 2))
+    speeds = np.empty(k)
+    for i in range(k):
+        arr = np.array(tracks[i])
         t, x, y = arr[:, 0], arr[:, 1], arr[:, 2]
         positions[i, :, 0] = np.interp(grid, t, x)
         positions[i, :, 1] = np.interp(grid, t, y)
@@ -181,7 +193,7 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
         else:
             speeds[i] = 0.0
     return MobilityTrace(
-        ue_count=len(ue_ids),
+        ue_count=k,
         block_duration=block_duration,
         positions=positions,
         speed=speeds,

@@ -10,7 +10,6 @@ algorithms (documented order dependence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class CooperationMatrix:
     def w_m(self) -> np.ndarray:
         """Served-UE count per AP."""
         return self.d.sum(axis=1)
-
-    @property
-    def total_connections(self) -> int:
-        return int(self.d.sum())
 
 
 @dataclass(frozen=True)
@@ -95,11 +90,6 @@ def jain_index(values) -> float:
     if ssq == 0.0:
         return 1.0
     return float(v.sum()) ** 2 / (v.size * ssq)
-
-
-def _descending_order(beta_col: np.ndarray) -> np.ndarray:
-    # stable sort on -beta keeps the lowest AP index first among ties
-    return np.argsort(-beta_col, kind="stable")
 
 
 def _rank_order(beta: np.ndarray) -> np.ndarray:
@@ -195,12 +185,12 @@ def select_puc(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> 
     beta = candidate_beta(snapshot, constraints)
     m_aps, k_ues = beta.shape
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    order = _rank_order(beta)
     for k in range(k_ues):
         col = beta[:, k]
         total = col.sum()
-        order = _descending_order(col)
         served = 0.0
-        for ap in order:
+        for ap in order[:, k]:
             if col[ap] <= 0.0:
                 break
             if served < constraints.delta * total:
@@ -223,10 +213,10 @@ def select_puc_const(
     beta = candidate_beta(snapshot, constraints)
     m_aps, k_ues = beta.shape
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    order = _rank_order(beta)
     for k in range(k_ues):
         col = beta[:, k]
-        order = _descending_order(col)
-        for ap in order:
+        for ap in order[:, k]:
             if col[ap] <= 0.0:
                 break
             served = np.flatnonzero(d[ap, :])
@@ -249,10 +239,10 @@ def select_cuc(
     beta = candidate_beta(snapshot, constraints)
     m_aps, k_ues = beta.shape
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    order = _rank_order(beta)
     for k in range(k_ues):
         col = beta[:, k]
-        order = _descending_order(col)
-        for ap in order[: constraints.e_best]:
+        for ap in order[: constraints.e_best, k]:
             if col[ap] <= 0.0:
                 break
             members = topo.cluster_of_ap == topo.cluster_of_ap[ap]
@@ -461,43 +451,6 @@ def select_mdp_greedy(
         d[chosen, k] = 1
         w[chosen] += 1
     return CooperationMatrix(d=d)
-
-
-def brute_force_selection(
-    snapshot: ChannelSnapshot,
-    constraints: SelectionConstraints,
-    objective_weights: tuple[float, float, float],
-) -> CooperationMatrix:
-    """Exhaustive search over feasible cooperation matrices (tiny instances).
-
-    Maximizes w_rate * sum(S) + w_fair * Phi'(S) - w_conn * connections over
-    all 0/1 matrices satisfying the load and serving-set caps, with outage
-    links forced off. Refuses instances with M*K > 20. Ties keep the first
-    maximizer in lexicographic enumeration order of the flattened matrix.
-    """
-    beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    if m_aps * k_ues > 20:
-        raise ValueError(f"instance too large for enumeration: M*K = {m_aps * k_ues}")
-    w_rate, w_fair, w_conn = objective_weights
-    allowed = beta.reshape(-1) > 0.0
-    best_obj = -np.inf
-    best_d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    for bits in product((0, 1), repeat=m_aps * k_ues):
-        flat = np.array(bits, dtype=np.int8)
-        if np.any(flat & ~allowed):
-            continue
-        d = flat.reshape(m_aps, k_ues)
-        if d.sum(axis=1).max(initial=0) > constraints.tau_p:
-            continue
-        if d.sum(axis=0).max(initial=0) > constraints.g_max:
-            continue
-        s = simplified_sinr_all(d, beta)
-        obj = w_rate * float(s.sum()) + w_fair * jain_index(s) - w_conn * float(d.sum())
-        if obj > best_obj:
-            best_obj = obj
-            best_d = d.copy()
-    return CooperationMatrix(d=best_d)
 
 
 ALGORITHMS = {

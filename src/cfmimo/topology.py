@@ -107,15 +107,6 @@ def build_square_clusters(topo: NetworkTopology, n_per_side: int) -> NetworkTopo
     )
 
 
-def save_topology(topo: NetworkTopology, path) -> None:
-    """Write the topology file: ``area_width,area_height`` header then one
-    ``ap_id,x,y`` row per AP, sorted by id."""
-    with open(path, "w") as f:
-        f.write(f"{topo.area.width:.10g},{topo.area.height:.10g}\n")
-        for i, (x, y) in enumerate(topo.ap_positions):
-            f.write(f"{i},{x:.10g},{y:.10g}\n")
-
-
 def load_topology(path) -> NetworkTopology:
     """Parse a topology file, enforcing bounds and id uniqueness.
 

@@ -1,15 +1,33 @@
-"""Synthetic non-uniform path-loss map for serving-set economy checks.
+"""Input files for tests: topology and path-loss map writers, and a
+synthetic non-uniform path-loss map for serving-set economy checks.
 
-Per AP, three random angular wedges (about half of all directions) carry a
-deep shadow on top of the three-slope baseline, plus light clutter; a diffuse
-leakage ceiling keeps every link just above the outage floor so the weak tail
-inflates the total SNR that growth-until-95% selection chases, while adding
-almost no usable power.
+In the shadow map, per AP, three random angular wedges (about half of all
+directions) carry a deep shadow on top of the three-slope baseline, plus
+light clutter; a diffuse leakage ceiling keeps every link just above the
+outage floor so the weak tail inflates the total SNR that growth-until-95%
+selection chases, while adding almost no usable power.
 """
 
 import numpy as np
 
-from cfmimo.channel import pathloss_three_slope, save_pathloss_map
+from cfmimo.channel import pathloss_three_slope
+
+
+def save_topology(topo, path) -> None:
+    """Write the topology file: ``area_width,area_height`` header then one
+    ``ap_id,x,y`` row per AP, sorted by id."""
+    with open(path, "w") as f:
+        f.write(f"{topo.area.width:.10g},{topo.area.height:.10g}\n")
+        for i, (x, y) in enumerate(topo.ap_positions):
+            f.write(f"{i},{x:.10g},{y:.10g}\n")
+
+
+def save_pathloss_map(path, dx, dy, origin, entries) -> None:
+    """Write a map file; ``entries`` iterates (ap_id, ix, iy, pathloss_db)."""
+    with open(path, "w") as f:
+        f.write(f"{dx:.10g},{dy:.10g},{origin[0]:.10g},{origin[1]:.10g}\n")
+        for ap, ix, iy, pl in entries:
+            f.write(f"{ap},{ix},{iy},{pl:.10g}\n")
 
 
 def build_shadow_map(

@@ -206,6 +206,39 @@ def mdp_greedy_oracle(beta, tau_p, g_max, u_m, beta0=0.0):
     return d
 
 
+def brute_force_selection(beta, tau_p, g_max, weights, beta0=0.0):
+    """Exhaustive search over feasible cooperation matrices (tiny instances).
+
+    Maximizes w_rate * sum(S) + w_fair * Jain(S) - w_conn * connections over
+    all 0/1 matrices within the load cap tau_p and the serving-set cap g_max,
+    outage links (beta below beta0) held off. Refuses instances with
+    M*K > 20. Ties keep the first maximizer in lexicographic enumeration
+    order of the flattened matrix.
+    """
+    beta = masked(beta, beta0)
+    m = len(beta)
+    k_ues = len(beta[0])
+    if m * k_ues > 20:
+        raise ValueError(f"instance too large for enumeration: M*K = {m * k_ues}")
+    w_rate, w_fair, w_conn = weights
+    best_obj = -math.inf
+    best_d = [[0] * k_ues for _ in range(m)]
+    for bits in itertools.product((0, 1), repeat=m * k_ues):
+        d = [list(bits[ap * k_ues:(ap + 1) * k_ues]) for ap in range(m)]
+        if any(d[ap][k] and beta[ap][k] <= 0.0 for ap in range(m) for k in range(k_ues)):
+            continue
+        if any(sum(row) > tau_p for row in d):
+            continue
+        if any(sum(d[ap][k] for ap in range(m)) > g_max for k in range(k_ues)):
+            continue
+        s = [sinr_simple(beta, d, k) for k in range(k_ues)]
+        obj = w_rate * sum(s) + w_fair * jain(s) - w_conn * sum(bits)
+        if obj > best_obj:
+            best_obj = obj
+            best_d = d
+    return best_d
+
+
 def replay_episode(beta, tau_p, g_max, u_m, weights, actions_per_ue, beta0=0.0):
     """Recompute every reward of a scripted episode from the definitions.
 

@@ -27,13 +27,8 @@ from cfmimo.channel import (
 )
 from cfmimo.evaluation import evaluate_block, write_report
 from cfmimo.harness import ExperimentConfig, compare_algorithms, run_experiment
-from cfmimo.selection import (
-    SelectionConstraints,
-    brute_force_selection,
-    jain_index,
-    run_algorithm,
-)
-from cfmimo.topology import AreaSpec, build_square_clusters, generate_ppp_topology, save_topology
+from cfmimo.selection import SelectionConstraints, jain_index, run_algorithm
+from cfmimo.topology import AreaSpec, build_square_clusters, generate_ppp_topology
 
 from conftest import make_snapshot, random_snapshot
 import mapgen
@@ -151,7 +146,7 @@ def test_criterion_5_serving_set_economy(tmp_path):
     topo = generate_ppp_topology(area, 60, seed=21)
     topo_path = tmp_path / "topo.txt"
     map_path = tmp_path / "map.txt"
-    save_topology(topo, topo_path)
+    mapgen.save_topology(topo, topo_path)
     mapgen.build_shadow_map(map_path, topo, RadioConfig(), seed=9)
     cfg = ExperimentConfig(
         area_width=400.0, area_height=400.0,
@@ -207,11 +202,8 @@ def test_criterion_6_oracle_equivalence():
                     if not np.array_equal(got[name].d, want[name]):
                         mismatches.append((m, k, seed, name))
     # brute force against the frozen hand enumeration on the 2x2 instance
-    snap = make_snapshot(np.array([[3.0, 1.0], [1.0, 2.0]]))
-    bf = brute_force_selection(
-        snap, SelectionConstraints(g_max=2, tau_p=1, beta0=0.0), (1.0, 0.5, 0.1)
-    )
-    if not np.array_equal(bf.d, [[1, 0], [1, 0]]):
+    bf = oracles.brute_force_selection([[3.0, 1.0], [1.0, 2.0]], 1, 2, (1.0, 0.5, 0.1))
+    if not np.array_equal(bf, [[1, 0], [1, 0]]):
         mismatches.append(("bf", 2, 2, "brute-force"))
     _report(6, f"pseudocode-oracle equivalence on all M*K <= 12 instances ({len(mismatches)} mismatches)", not mismatches)
 

@@ -15,19 +15,18 @@ from cfmimo.channel import (
     _j0,
     aging_coefficient,
     assign_pilots,
-    copilot_mask,
     estimate_variance_matrix,
     hata_offset_db,
     load_pathloss_map,
     noise_power_w,
     pathloss_three_slope,
-    save_pathloss_map,
     snapshot,
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, generate_ppp_topology
 
 from conftest import random_snapshot
 import oracles
+from mapgen import save_pathloss_map
 from oracles import apply_shadowing, draw_fading, estimate_variance, j0_series, realize_channel
 
 # fixed-offset term checked against an independent hand evaluation of the
@@ -331,8 +330,7 @@ def test_estimate_variance_matrix_mmse_bounds():
 
 def test_pilots_sequential_singletons():
     pilots = assign_pilots(8, 10, seed=0, method="sequential")
-    mask = copilot_mask(pilots)
-    assert np.array_equal(mask, np.eye(8, dtype=bool))
+    assert np.array_equal(pilots, np.arange(8))
 
 
 def test_pilots_reuse_at_scale():

@@ -5,15 +5,13 @@ import pytest
 
 from cfmimo.channel import ESTIMATE_FORMS, ChannelSnapshot, RadioConfig, estimate_variance_matrix, noise_power_w
 from cfmimo.evaluation import (
-    ConstraintReport,
     PrecodingContext,
     _percentile_rows,
-    check_constraints,
+    build_report,
     draw_block,
     evaluate_block,
     evaluate_draws,
     instant_sinr,
-    objective_values,
     precode_pmmse,
     radiated_powers,
     received_gains,
@@ -328,52 +326,32 @@ def test_spectral_efficiency_values(radio):
     assert rate_wide[0] == pytest.approx(2 * rate[1])
 
 
+def _block_report(coop, rates):
+    """build_report of one block in which ``coop`` serves UEs at ``rates``."""
+    rates = np.asarray(rates, dtype=float)[:, None]
+    cons = SelectionConstraints(g_max=30)
+    return build_report("small-cell", 0, "0" * 16, 1, rates, rates, coop.g_k[:, None], coop.w_m[:, None], cons)
+
+
 def test_objective_values_basics():
-    d = CooperationMatrix(np.ones((3, 2), dtype=int))
-    sum_rate, phi, conns, pf = objective_values(d, np.array([5e6, 5e6]))
-    assert sum_rate == pytest.approx(1e7)
-    assert phi == pytest.approx(1.0)
-    assert conns == 6
-    assert pf == pytest.approx(2 * np.log(5e6))
+    rep = _block_report(CooperationMatrix(np.ones((3, 2), dtype=int)), [5e6, 5e6])
+    assert rep.sum_rate == pytest.approx(1e7)
+    assert rep.jain == pytest.approx(1.0)
+    assert rep.mean_connections == 6
+    assert rep.pf_objective == pytest.approx(2 * np.log(5e6))
 
 
 def test_objective_values_hand_triple():
-    d = CooperationMatrix(np.array([[1, 0], [0, 1]]))
-    rates = np.array([3e6, 1e6])
-    sum_rate, phi, conns, pf = objective_values(d, rates)
-    assert sum_rate == pytest.approx(4e6)
-    assert phi == pytest.approx(16.0 / 20.0)  # (4e6)^2 / (2 * 1e13)
-    assert conns == 2
-    assert pf == pytest.approx(np.log(3e6) + np.log(1e6))
+    rep = _block_report(CooperationMatrix(np.array([[1, 0], [0, 1]])), [3e6, 1e6])
+    assert rep.sum_rate == pytest.approx(4e6)
+    assert rep.jain == pytest.approx(16.0 / 20.0)  # (4e6)^2 / (2 * 1e13)
+    assert rep.mean_connections == 2
+    assert rep.pf_objective == pytest.approx(np.log(3e6) + np.log(1e6))
 
 
 def test_objective_pf_floors_zero_rates():
-    d = CooperationMatrix(np.array([[1, 0]]))
-    _, _, _, pf = objective_values(d, np.array([2e6, 0.0]))
-    assert pf == pytest.approx(np.log(2e6))
-
-
-def test_check_constraints_hand_cases():
-    cons = SelectionConstraints(g_max=2, tau_p=1, beta0=0.0)
-    ok = CooperationMatrix(np.array([[1, 0], [0, 1]]))
-    assert check_constraints(ok, cons) == ConstraintReport(0, 0, 0)
-    bad = CooperationMatrix(np.array([[1, 1], [1, 1], [1, 0]]))
-    rep = check_constraints(bad, cons)
-    assert rep.w_violations == 2  # two APs serve 2 > tau_p
-    assert rep.g_violations == 1  # UE0 served by 3 > g_max
-    assert not rep.ok
-
-
-def test_check_constraints_recount_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        d = (rng.uniform(size=(6, 5)) < 0.5).astype(int)
-        cons = SelectionConstraints(g_max=3, tau_p=2, beta0=0.0)
-        rep = check_constraints(CooperationMatrix(d), cons)
-        w_count = sum(1 for m in range(6) if sum(d[m]) > 2)
-        g_count = sum(1 for k in range(5) if sum(d[m][k] for m in range(6)) > 3)
-        assert rep.w_violations == w_count
-        assert rep.g_violations == g_count
+    rep = _block_report(CooperationMatrix(np.array([[1, 0]])), [2e6, 0.0])
+    assert rep.pf_objective == pytest.approx(np.log(2e6))
 
 
 def test_draw_estimates_variance_and_correlation():

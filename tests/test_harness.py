@@ -23,7 +23,7 @@ from cfmimo.harness import (
     run_experiment,
     serialize_config,
 )
-from cfmimo.topology import AreaSpec, generate_ppp_topology, save_topology
+from cfmimo.topology import AreaSpec, generate_ppp_topology
 
 import mapgen
 
@@ -104,7 +104,7 @@ def map_config(tmp_path) -> ExperimentConfig:
     """mini_config on a file topology with a mapgen shadow map."""
     topo = generate_ppp_topology(AreaSpec(200.0, 200.0), 12, seed=4)
     topo_path, map_path = tmp_path / "topo.txt", tmp_path / "map.txt"
-    save_topology(topo, topo_path)
+    mapgen.save_topology(topo, topo_path)
     mapgen.build_shadow_map(map_path, topo, RadioConfig(), grid=20.0, seed=9)
     return mini_config(
         topology_source="file", topology_file=str(topo_path),

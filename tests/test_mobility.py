@@ -125,3 +125,23 @@ def test_tracks_nonincreasing_time_rejected(tmp_path):
     _write_track(path, [(0, 0.0, 0.0, 0.0), (0, 0.1, 1.0, 0.0), (0, 0.1, 2.0, 0.0)])
     with pytest.raises(TrackParseError, match="increasing"):
         load_tracks(path, block_duration=0.02)
+
+
+@pytest.mark.parametrize(
+    "ids, line, stray, missing",
+    [((3, 7), 1, 3, 0), ((0, 2), 2, 2, 1), ((1, -1), 2, -1, 0)],
+)
+def test_tracks_ids_must_be_0_to_k_minus_1(tmp_path, ids, line, stray, missing):
+    # the report labels UE i by row i, so ids are never renumbered
+    path = tmp_path / "tracks.txt"
+    _write_track(path, [(u, t, 1.0, 1.0) for t in (0.0, 0.02) for u in ids])
+    message = rf"tracks\.txt:{line}: UE id {stray} is outside 0\.\.1; .* id {missing} is missing$"
+    with pytest.raises(TrackParseError, match=message):
+        load_tracks(path, block_duration=0.02)
+
+
+def test_tracks_ids_in_any_order(tmp_path):
+    path = tmp_path / "tracks.txt"
+    _write_track(path, [(1, 0.0, 5.0, 6.0), (0, 0.0, 1.0, 2.0), (1, 0.02, 5.0, 6.0), (0, 0.02, 1.0, 2.0)])
+    trace = load_tracks(path, block_duration=0.02)
+    assert trace.positions[:, 0].tolist() == [[1.0, 2.0], [5.0, 6.0]]

@@ -8,8 +8,9 @@ from cfmimo.topology import (
     build_square_clusters,
     generate_ppp_topology,
     load_topology,
-    save_topology,
 )
+
+import mapgen
 
 
 def test_zero_area_rejected():
@@ -52,7 +53,7 @@ def test_out_of_area_positions_rejected():
 def test_save_load_round_trip(tmp_path):
     topo = generate_ppp_topology(AreaSpec(200.0, 300.0), 25, seed=3)
     path = tmp_path / "topo.txt"
-    save_topology(topo, path)
+    mapgen.save_topology(topo, path)
     loaded = load_topology(path)
     assert loaded.area == topo.area
     assert np.allclose(loaded.ap_positions, topo.ap_positions, atol=1e-7)
