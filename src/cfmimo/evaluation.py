@@ -20,15 +20,20 @@ evaluate_draws then runs what the cooperation matrix shapes: the precoders
 and the received gains. So several algorithms evaluated on one block share
 one set of draws; evaluate_block is the two in one call.
 
-evaluate_draws streams the draw axis in chunks of about _CHUNK_ELEMS (M, K)
-elements: each chunk's precoders and power-scaled conjugate precoders live
-only while its gains are formed. So the live arrays of an evaluation are the
-two draw arrays, one chunk of the precoders and of their conjugate, and the
-(n_mc, K, K) gains that instant_sinr combines once every chunk is in.
+evaluate_draws builds the precoding layout (PrecodingContext.groups) once,
+then streams the draw axis in chunks of at most _CHUNK_ELEMS (M, K) elements
+and at most _GATHER_ELEMS gathered estimates of the widest interferer group,
+so that precode_pmmse works in cache. Each chunk's precoders and
+power-scaled conjugate precoders live only while its gains are formed. So
+the live arrays of an evaluation are the two draw arrays, one chunk of the
+precoders and of their conjugate, and the (n_mc, K, K) gains that
+instant_sinr combines once every chunk is in. Any chunk size, one draw
+included, gives the same result to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -52,6 +57,12 @@ class PrecodingContext:
 
     serving_sets: tuple
     interferer_sets: tuple
+
+    @functools.cached_property
+    def groups(self) -> tuple:
+        """precode_pmmse's layout, one _Group per interferer set of a served
+        UE; built on first use and shared by every draw chunk after it."""
+        return _plan_groups(self.serving_sets, self.interferer_sets)
 
     @classmethod
     def from_matrix(cls, coop: CooperationMatrix) -> "PrecodingContext":
@@ -149,45 +160,119 @@ def draw_block(snap: ChannelSnapshot, pilots: np.ndarray, speeds, cfg: RadioConf
     return BlockDraws(est=est, h_t=h0, rho=rho)
 
 
-#: Complex (M, K) elements of one draw chunk in evaluate_draws (which takes
-#: at least two draws a chunk); bounds each chunk's estimates, precoders and
-#: precoding temporaries at ~4 MB whatever n_mc is.
+#: Complex (M, K) elements of one draw chunk in evaluate_draws: bounds each
+#: chunk's estimates, precoders and power-scaled conjugate precoders at ~4 MB
+#: whatever n_mc is.
 _CHUNK_ELEMS = 1 << 18
 
+#: Gathered (R, S) elements of one draw chunk in evaluate_draws, over the
+#: widest interferer group: keeps precode_pmmse's gathered estimates and their
+#: conjugate near 0.5 MB each, so a chunk's precoding works in a 2 MB L2
+#: cache (16 draws for one group of R = 100 APs and S = 20 UEs).
+_GATHER_ELEMS = 1 << 15
 
-def _interferer_groups(ctx: PrecodingContext):
-    """Served UEs grouped by identical interferer set, in first-UE order."""
-    groups = {}
-    for k, (idx, s_set) in enumerate(zip(ctx.serving_sets, ctx.interferer_sets)):
+
+class _Group(NamedTuple):
+    """Precoding layout of the served UEs that share one interferer set.
+
+    s_set is the interferer set S and rows the union R of the members'
+    serving rows (AP indices, ascending). Each member with G <= |S| is a
+    (k, positions of its serving rows in R, its column in S) triple of
+    ``direct``. The W members with G > |S| are ``wide`` (UE indices, in
+    order); ``wide_mask`` is the (R, W) mask of the rows each one serves,
+    ``wide_rhs`` the (W, S, 1) unit vectors of their own columns in S,
+    ``core`` the positions in R every one of them serves and ``tree`` the
+    Gram tree below the core (see _gram_tree).
+    """
+
+    s_set: np.ndarray
+    rows: np.ndarray
+    direct: tuple
+    wide: np.ndarray
+    wide_mask: np.ndarray
+    wide_rhs: np.ndarray
+    core: np.ndarray
+    tree: object
+
+
+def _gram_tree(mask: np.ndarray, members: list, core: np.ndarray):
+    """Gram tree of the wide members ``members`` (columns of ``mask``).
+
+    ``core`` is the (R,) mask of the rows whose Gram is summed above this
+    tree. A lone member is its leaf, its column. Otherwise the members are
+    split in halves, and each half is an (extra, subtree) pair: the positions
+    of the rows all its members serve beyond ``core``, then its own tree. So
+    a row shared by a subtree enters one Gram for all of it.
+    """
+    if len(members) == 1:
+        return members[0]
+    half = len(members) // 2
+    nodes = []
+    for part in (members[:half], members[half:]):
+        sub = mask[:, part].all(axis=1)
+        nodes.append((np.flatnonzero(sub & ~core), _gram_tree(mask, part, sub)))
+    return tuple(nodes)
+
+
+def _plan_groups(serving_sets, interferer_sets) -> tuple:
+    """The _Group of each distinct interferer set of a served UE, in first-UE order."""
+    members_of = {}
+    for k, (idx, s_set) in enumerate(zip(serving_sets, interferer_sets)):
         if k not in s_set:
             raise ValueError(f"interferer set of UE {k} does not contain it")
         if idx.size:
-            groups.setdefault(s_set.tobytes(), (s_set, []))[1].append(k)
-    return groups.values()
+            members_of.setdefault(s_set.tobytes(), (s_set, []))[1].append(k)
+    groups = []
+    for s_set, members in members_of.values():
+        # bincount, not np.unique, whose first call imports numpy.ma
+        rows = np.flatnonzero(np.bincount(np.concatenate([serving_sets[k] for k in members])))
+        pos = {k: np.searchsorted(rows, serving_sets[k]) for k in members}
+        col = {k: int(np.flatnonzero(s_set == k)[0]) for k in members}
+        wide = [k for k in members if pos[k].size > s_set.size]
+        mask = np.zeros((rows.size, len(wide)), dtype=bool)
+        rhs = np.zeros((len(wide), s_set.size, 1))
+        for c, k in enumerate(wide):
+            mask[pos[k], c] = True
+            rhs[c, col[k]] = 1.0
+        core = mask.all(axis=1) if wide else np.zeros(rows.size, dtype=bool)
+        groups.append(
+            _Group(
+                s_set=s_set,
+                rows=rows,
+                direct=tuple((k, pos[k], col[k]) for k in members if k not in wide),
+                wide=np.array(wide, dtype=np.intp),
+                wide_mask=mask,
+                wide_rhs=rhs,
+                core=np.flatnonzero(core),
+                tree=_gram_tree(mask, list(range(len(wide))), core) if wide else None,
+            )
+        )
+    return tuple(groups)
 
 
-def _gram(u: np.ndarray) -> np.ndarray:
-    """Batched U^H U of (n, rows, S) draws."""
-    return u.conj().transpose(0, 2, 1) @ u
+def _gram(u: np.ndarray, uh: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Batched U^H U of rows ``pos`` of the (n, R, S) draws u; uh is conj(u)."""
+    return uh[:, pos].transpose(0, 2, 1) @ u[:, pos]
 
 
-def _member_grams(served, u, where, members, core, gram):
-    """Yield (k, U_k^H U_k) for each member in order, U_k being its rows of u.
+def _write_leaf_grams(tree, gram, u, uh, out) -> None:
+    """Write each wide member's Gram U_k^H U_k into out[:, c], c its column.
 
-    ``served`` is the (M, K) boolean serving matrix and ``gram`` the Gram over
-    ``core``, the rows every member serves (a boolean mask over M). The
-    members are split in halves; each half adds the Gram of the rows all its
-    members serve beyond ``core`` and recurses, so a row shared by a subtree
-    enters one sum for all of it. Only row Grams are added, never subtracted.
+    ``gram`` is the Gram over the rows summed above ``tree``. Each node adds
+    the Gram of its extra rows, and passes its parent's on where it has none;
+    only row Grams are added, never subtracted.
     """
-    if len(members) == 1:
-        yield members[0], gram
+    if not isinstance(tree, tuple):
+        out[:, tree] = gram
         return
-    half = len(members) // 2
-    for part in (members[:half], members[half:]):
-        sub = served[:, part].all(axis=1)
-        extra = where[np.flatnonzero(sub & ~core)]
-        yield from _member_grams(served, u, where, part, sub, gram + _gram(u[:, extra]))
+    for extra, sub in tree:
+        _write_leaf_grams(sub, gram + _gram(u, uh, extra) if extra.size else gram, u, uh, out)
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """x scaled in place to unit norm along axis 1; a zero vector stays zero."""
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, norm, out=x, where=norm > 0)
 
 
 def precode_pmmse(
@@ -196,12 +281,13 @@ def precode_pmmse(
     """Unit-norm partial MMSE precoders over each UE's serving set.
 
     w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k and
-    is normalized per draw. ``estimates`` is (M, K) or (N, M, K); the return
-    matches, with zeros outside the serving sets. Every interferer set must
-    contain its own UE, as PrecodingContext.from_matrix guarantees.
+    is normalized per draw. ``estimates`` is (N, M, K) and so is the return,
+    with zeros outside the serving sets. Every interferer set must contain
+    its own UE, as PrecodingContext.from_matrix guarantees.
 
-    Served UEs are grouped by interferer set S, and each group gathers its
-    estimates est[:, R, S] once, over the union R of its members' serving
+    The work follows ctx.groups, the layout built once per context: served
+    UEs grouped by interferer set S, each group gathering its estimates
+    est[:, R, S] once, C-contiguous, over the union R of its members' serving
     sets. A member with G <= |S| solves the G x G system directly. A member
     with G > |S| solves an S x S system instead: its estimate is column j of
     its serving rows U, so (n0 I + U P U^H)^-1 U e_j = U (U^H U + n0 P^-1)^-1
@@ -210,53 +296,38 @@ def precode_pmmse(
     U^H U is additive over serving rows: the Gram over the core (the APs every
     such member of the group serves) is formed once, and each member adds the
     Gram of its own extra rows, shared down a balanced split of the members
-    (see _member_grams). One matmul maps every member's S-vector back onto R.
-    Every draw is solved on its own; evaluate_draws passes chunks of about
-    _CHUNK_ELEMS (M, K) elements, which bounds every gathered temporary.
+    (see _gram_tree). The group's S x S systems are solved in one stacked
+    call, one matmul maps every member's S-vector back onto R, and one masked
+    scaling and one scatter store them all. Every draw is solved on its own
+    in BLAS and LAPACK calls of the same shapes, so a draw's precoders do not
+    depend on how many draws share the call.
     """
     est = np.asarray(estimates)
-    squeeze = est.ndim == 2
-    if squeeze:
-        est = est[None]
-    m_aps, k_ues = est.shape[1:]
+    n, _, k_ues = est.shape
     if len(ctx.serving_sets) != k_ues:
         raise ValueError("context and estimate dimensions disagree")
     w = np.zeros_like(est)
-    served = np.zeros((m_aps, k_ues), dtype=bool)
-    for k, idx in enumerate(ctx.serving_sets):
-        served[idx, k] = True
-
-    def store(k, sol):
-        norm = np.linalg.norm(sol, axis=1, keepdims=True)
-        w[:, ctx.serving_sets[k], k] = np.where(norm > 0, sol / np.where(norm > 0, norm, 1.0), 0.0)
-
-    for s_set, members in _interferer_groups(ctx):
-        p = powers_ue[s_set]
-        col = {k: int(np.flatnonzero(s_set == k)[0]) for k in members}
-        wide = [k for k in members if ctx.serving_sets[k].size > s_set.size]
-        rows = np.flatnonzero(served[:, members].any(axis=1))
-        where = np.empty(m_aps, dtype=np.intp)
-        where[rows] = np.arange(rows.size)
-        u = est[:, rows[:, None], s_set[None, :]]  # (n, R, S)
-        for k in members:
-            if k not in wide:
-                uk = u[:, where[ctx.serving_sets[k]]]  # (n, G, S)
-                a = (uk * p) @ uk.conj().transpose(0, 2, 1)
-                a[:, np.arange(a.shape[1]), np.arange(a.shape[1])] += noise
-                store(k, np.linalg.solve(a, uk[:, :, col[k], None])[..., 0])
-        if not wide:
+    flat = est.reshape(n, -1)
+    for g in ctx.groups:
+        p = powers_ue[g.s_set]
+        u = flat.take(g.rows[:, None] * k_ues + g.s_set, axis=1)  # (n, R, S)
+        for k, pos, col in g.direct:
+            uk = u[:, pos]  # (n, G, S)
+            a = (uk * p) @ uk.conj().transpose(0, 2, 1)
+            a[:, np.arange(pos.size), np.arange(pos.size)] += noise
+            w[:, ctx.serving_sets[k], k] = _normalize(np.linalg.solve(a, uk[:, :, col, None])[..., 0])
+        if not g.wide.size:
             continue
-        core = served[:, wide].all(axis=1)
-        coef = np.empty((u.shape[0], s_set.size, len(wide)), dtype=u.dtype)
-        grams = _member_grams(served, u, where, wide, core, _gram(u[:, where[np.flatnonzero(core)]]))
-        for c, (k, inner) in enumerate(grams):
-            unit = np.zeros((s_set.size, 1))
-            unit[col[k]] = 1.0
-            coef[:, :, c] = np.linalg.solve(inner + np.diag(noise / p), unit)[..., 0]
-        proj = u @ coef  # (n, R, members)
-        for c, k in enumerate(wide):
-            store(k, proj[:, where[ctx.serving_sets[k]], c])
-    return w[0] if squeeze else w
+        s = g.s_set.size
+        uh = u.conj()
+        a = np.empty((n, g.wide.size, s, s), dtype=u.dtype)
+        _write_leaf_grams(g.tree, _gram(u, uh, g.core), u, uh, a)
+        a.reshape(n, g.wide.size, s * s)[:, :, :: s + 1] += noise / p
+        coef = np.linalg.solve(a, g.wide_rhs)[..., 0]  # (n, W, S)
+        proj = u @ coef.transpose(0, 2, 1)  # (n, R, W)
+        proj *= g.wide_mask
+        w[:, g.rows[:, None], g.wide] = _normalize(proj)
+    return w
 
 
 def received_gains(h: np.ndarray, precoders: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -321,27 +392,24 @@ def evaluate_draws(
     """Monte-Carlo SE of one cooperation matrix on a block's shared draws.
 
     Returns (gamma, se, rate) per UE; ``draws`` is read, never written. The
-    draws are taken in chunks of about _CHUNK_ELEMS (M, K) elements: each
-    chunk's estimates are precoded and its received gains stored, and
-    instant_sinr combines the gains of every draw with ``estimator`` at the
-    end, so every sum over draws runs in draw order whatever the chunk size.
+    draws are taken in chunks: each chunk's estimates are precoded and its
+    received gains stored, and instant_sinr combines the gains of every draw
+    with ``estimator`` at the end, so every sum over draws runs in draw order
+    and the result is the same for any chunk size.
 
-    No chunk holds a single draw unless the block does. precode_pmmse's
-    gathers lay two or more draws out draw-innermost, and numpy then runs
-    its matmuls and norms in its own loops; one draw comes out row-major and
-    takes BLAS and pairwise sums, which round differently.
+    A chunk holds at most _CHUNK_ELEMS (M, K) elements, and at most
+    _GATHER_ELEMS gathered (R, S) estimates of the widest interferer group of
+    the precoding layout, which is built once here and read by every chunk.
     """
     ctx = PrecodingContext.from_matrix(coop)
     powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
     powers = radiated_powers(coop, cfg)
     n_mc = draws.est.shape[0]
     gains = np.empty((n_mc, snap.n_ues, snap.n_ues), dtype=complex)
-    step = max(2, _CHUNK_ELEMS // (snap.n_aps * snap.n_ues))
-    starts = list(range(0, n_mc, step))
-    if len(starts) > 1 and n_mc - starts[-1] == 1:
-        starts.pop()  # a one-draw tail joins the chunk before it
-    for n0, n1 in zip(starts, starts[1:] + [n_mc]):
-        c = slice(n0, n1)
+    widest = max((g.rows.size * g.s_set.size for g in ctx.groups), default=1)
+    step = max(1, min(_CHUNK_ELEMS // (snap.n_aps * snap.n_ues), _GATHER_ELEMS // widest))
+    for n0 in range(0, n_mc, step):
+        c = slice(n0, n0 + step)
         w = precode_pmmse(ctx, draws.est[c], snap.noise_power, powers_ue)
         gains[c] = received_gains(draws.h_t[c], w, powers)
         del w

@@ -250,11 +250,9 @@ def select_cuc(
     return CooperationMatrix(d=d)
 
 
-def select_small_cell(
-    snapshot: ChannelSnapshot, constraints: SelectionConstraints | None = None
-) -> CooperationMatrix:
+def select_small_cell(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> CooperationMatrix:
     """One AP per UE: the best-SNR candidate (lowest index on ties)."""
-    beta = snapshot.beta if constraints is None else candidate_beta(snapshot, constraints)
+    beta = candidate_beta(snapshot, constraints)
     m_aps, k_ues = beta.shape
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
     for k in range(k_ues):
@@ -264,12 +262,9 @@ def select_small_cell(
     return CooperationMatrix(d=d)
 
 
-def select_full_cf(
-    snapshot: ChannelSnapshot, constraints: SelectionConstraints | None = None
-) -> CooperationMatrix:
+def select_full_cf(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> CooperationMatrix:
     """Every candidate AP serves every UE (the unscaled upper bound)."""
-    beta = snapshot.beta if constraints is None else candidate_beta(snapshot, constraints)
-    return CooperationMatrix(d=(beta > 0.0).astype(np.int8))
+    return CooperationMatrix(d=(candidate_beta(snapshot, constraints) > 0.0).astype(np.int8))
 
 
 @dataclass(frozen=True)

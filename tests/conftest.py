@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmimo import AreaSpec, ChannelSnapshot, RadioConfig, generate_ppp_topology
+from cfmimo import AreaSpec, ChannelSnapshot, RadioConfig, SelectionConstraints, generate_ppp_topology
 
 
 @pytest.fixture
@@ -21,6 +21,12 @@ def make_snapshot(beta) -> ChannelSnapshot:
     with np.errstate(divide="ignore"):
         pl = np.where(beta > 0, -10.0 * np.log10(beta * n0 / 0.2), np.inf)
     return ChannelSnapshot(beta=beta, pathloss_db=pl, noise_power=n0)
+
+
+def no_outage(snap: ChannelSnapshot) -> SelectionConstraints:
+    """Constraints with no cap in reach and no outage threshold, so a
+    selection sees the snapshot's beta as it is."""
+    return SelectionConstraints(g_max=snap.n_aps, beta0=0.0)
 
 
 def random_snapshot(m, k, seed, spread_db=25.0) -> ChannelSnapshot:

@@ -373,14 +373,11 @@ def pmmse_oracle(serving_sets, interferer_sets, estimates, noise, powers_ue, exa
 
     w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k|_{M_k}
     and is normalized; entries outside M_k stay zero. ``estimates`` is
-    (N, M, K) or (M, K). With ``exact`` the system is formed and solved in
-    rational arithmetic (tiny sizes only), which stays accurate however badly
-    n0 conditions it.
+    (N, M, K). With ``exact`` the system is formed and solved in rational
+    arithmetic (tiny sizes only), which stays accurate however badly n0
+    conditions it.
     """
     est = np.asarray(estimates, dtype=complex)
-    squeeze = est.ndim == 2
-    if squeeze:
-        est = est[None]
     w = np.zeros_like(est)
     for n in range(est.shape[0]):
         for k in range(est.shape[2]):
@@ -400,7 +397,7 @@ def pmmse_oracle(serving_sets, interferer_sets, estimates, noise, powers_ue, exa
             if norm > 0:
                 for r, x in zip(rows, sol):
                     w[n, r, k] = x / norm
-    return w[0] if squeeze else w
+    return w
 
 
 def gains_oracle(h, precoders, powers):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cfmimo import evaluation
 from cfmimo.channel import ESTIMATE_FORMS, ChannelSnapshot, RadioConfig, estimate_variance_matrix, noise_power_w
 from cfmimo.evaluation import (
     PrecodingContext,
@@ -27,7 +28,7 @@ from cfmimo.selection import (
 from cfmimo.topology import AreaSpec, generate_ppp_topology
 from cfmimo.channel import LogDistanceProvider, snapshot as make_channel_snapshot
 
-from conftest import make_snapshot, random_snapshot
+from conftest import make_snapshot, no_outage, random_snapshot
 import oracles
 from oracles import draw_estimates
 
@@ -103,7 +104,7 @@ def test_instant_sinr_unknown_estimator_rejected():
 def test_precoder_single_link_matched_filter():
     ctx = PrecodingContext.from_matrix(CooperationMatrix(np.array([[1]])))
     est = np.array([[0.3 - 0.4j]])
-    w = precode_pmmse(ctx, est, noise=1e-6, powers_ue=np.array([0.2]))
+    w = precode_pmmse(ctx, est[None], noise=1e-6, powers_ue=np.array([0.2]))[0]
     assert abs(w[0, 0]) == pytest.approx(1.0)
     # conjugate-matched received gain is real positive
     gain = np.conj(est[0, 0]) * w[0, 0]
@@ -115,7 +116,7 @@ def test_precoder_orthogonal_channels_align():
     d = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx = PrecodingContext.from_matrix(d)
     est = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])
-    w = precode_pmmse(ctx, est, noise=1e-12, powers_ue=np.array([0.2, 0.2]))
+    w = precode_pmmse(ctx, est[None], noise=1e-12, powers_ue=np.array([0.2, 0.2]))[0]
     assert abs(np.vdot(est[:, 0], w[:, 0])) == pytest.approx(1.0, abs=1e-9)
     assert abs(np.vdot(est[:, 1], w[:, 0])) < 1e-6
     assert abs(np.vdot(est[:, 0], w[:, 1])) < 1e-6
@@ -180,13 +181,61 @@ def test_precoder_group_mixes_direct_and_woodbury():
     assert [idx.size for idx in ctx.serving_sets] == [2, 10, 7, 3]
 
 
+def _tree_extras(tree):
+    """The extra-row positions of every node of a layout's Gram tree."""
+    if not isinstance(tree, tuple):
+        return []
+    return [e for extra, sub in tree for e in [extra] + _tree_extras(sub)]
+
+
+def test_precoder_layout_built_once_serves_any_chunk(monkeypatch):
+    # one interferer group of 8 UEs, all wide (G >= 12 > |S| = 8), over
+    # distinct serving sets: rows 0-5 are the core, UEs 0-3 share no row
+    # beyond it (so tree nodes {0, 1, 2, 3} and {0, 1} add none), UEs 4-7
+    # share rows 8-17. One layout serves chunks of 1, 3 and all 7 draws, and
+    # each gives the same precoders, within the oracle's tolerance.
+    m, k, n = 20, 8, 7
+    d = np.zeros((m, k), dtype=int)
+    d[:6] = 1
+    d[6:12, 0] = 1
+    d[12:18, 1] = 1
+    d[6:17, 2] = 1
+    d[7:18, 3] = 1
+    d[6:, 4:] = 1
+    d[[18, 19, 6, 7], [4, 5, 6, 7]] = 0
+    plans = []
+    plan_groups = evaluation._plan_groups
+
+    def spy(*args):
+        plans.append(args)
+        return plan_groups(*args)
+
+    monkeypatch.setattr("cfmimo.evaluation._plan_groups", spy)
+    ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
+    est = _cn(np.random.default_rng(27), (n, m, k))
+    powers = np.linspace(0.2, 0.5, k)
+    ref = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, 0.05, powers)
+    runs = []
+    for step in (1, 3, n):
+        w = np.concatenate([precode_pmmse(ctx, est[i : i + step], 0.05, powers) for i in range(0, n, step)])
+        assert np.abs(w - ref).max() < 1e-9
+        runs.append(w)
+    assert all(np.array_equal(w, runs[-1]) for w in runs)
+    assert len(plans) == 1
+    (group,) = ctx.groups
+    assert group.wide.tolist() == list(range(k)) and not group.direct
+    assert len({idx.tobytes() for idx in ctx.serving_sets}) == k
+    assert group.core.tolist() == list(range(6))
+    assert any(extra.size == 0 for extra in _tree_extras(group.tree))
+
+
 def test_precoder_rejects_interferer_set_without_own_ue():
     ctx = PrecodingContext(
         serving_sets=(np.array([0]), np.array([0])),
         interferer_sets=(np.array([0, 1]), np.array([0])),
     )
     with pytest.raises(ValueError, match="UE 1"):
-        precode_pmmse(ctx, np.ones((1, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
+        precode_pmmse(ctx, np.ones((1, 1, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
 
 
 def test_precoder_unserved_ues_zero():
@@ -194,14 +243,6 @@ def test_precoder_unserved_ues_zero():
     rng = np.random.default_rng(23)
     _, w = _assert_matches_oracle(d, _cn(rng, (3, 4, 4)))
     assert not w[..., [1, 3]].any()
-
-
-def test_precoder_two_dimensional_input():
-    rng = np.random.default_rng(24)
-    d = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1], [1, 1, 1]])
-    est = _cn(rng, (5, 3))
-    _, w = _assert_matches_oracle(d, est)
-    assert w.shape == (5, 3)
 
 
 def test_precoder_strong_rows_outside_serving_set():
@@ -267,14 +308,14 @@ def test_precoder_duplicate_channels_split_interference():
     # single UE baseline
     d1 = CooperationMatrix(np.ones((2, 1), dtype=int))
     ctx1 = PrecodingContext.from_matrix(d1)
-    w1 = precode_pmmse(ctx1, h, noise=n0, powers_ue=np.array([0.2]))
+    w1 = precode_pmmse(ctx1, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
     p1 = np.full((2, 1), 0.1)
     g1 = instant_sinr(received_gains(h[None], w1[None], p1), rho=1.0, noise=n0)
     # duplicated UE with the same channel
     h2 = np.concatenate([h, h], axis=1)
     d2 = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx2 = PrecodingContext.from_matrix(d2)
-    w2 = precode_pmmse(ctx2, h2, noise=n0, powers_ue=np.array([0.2, 0.2]))
+    w2 = precode_pmmse(ctx2, h2[None], noise=n0, powers_ue=np.array([0.2, 0.2]))[0]
     p2 = np.full((2, 2), 0.1)
     g2 = instant_sinr(received_gains(h2[None], w2[None], p2), rho=1.0, noise=n0)
     assert g2[0] <= g1[0] + 1e-9
@@ -290,7 +331,7 @@ def test_instant_sinr_single_link_oracle():
     d = CooperationMatrix(np.ones((m, 1), dtype=int))
     ctx = PrecodingContext.from_matrix(d)
     n0 = 1e-13
-    w = precode_pmmse(ctx, h, noise=n0, powers_ue=np.array([0.2]))
+    w = precode_pmmse(ctx, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
     p = np.full((m, 1), 0.2)
     gamma = instant_sinr(received_gains(h[None], w[None], p), rho=1.0, noise=n0)
     direct = abs(np.sum(np.sqrt(0.2) * np.conj(h[:, 0]) * w[:, 0])) ** 2 / n0
@@ -437,17 +478,17 @@ def test_full_cf_beats_small_cell_median():
     pilots = np.arange(8) % cfg.pilot_len_slots
     speeds = np.full(8, 0.8)
     _, se_cf, _ = evaluate_block(
-        snap, select_full_cf(snap), pilots, speeds, cfg, n_mc=300, seed=7
+        snap, select_full_cf(snap, no_outage(snap)), pilots, speeds, cfg, n_mc=300, seed=7
     )
     _, se_sc, _ = evaluate_block(
-        snap, select_small_cell(snap), pilots, speeds, cfg, n_mc=300, seed=7
+        snap, select_small_cell(snap, no_outage(snap)), pilots, speeds, cfg, n_mc=300, seed=7
     )
     assert np.median(se_cf) > np.median(se_sc)
 
 
 def test_se_invariant_under_joint_ap_relabeling():
     snap, cfg = _desk_instance(m=10, k=4)
-    coop = select_full_cf(snap)
+    coop = select_full_cf(snap, no_outage(snap))
     ctx = PrecodingContext.from_matrix(coop)
     rng = np.random.default_rng(8)
     r = snap.channel_gain()
@@ -490,7 +531,7 @@ def test_added_interferer_median_nonincrease():
 
 def test_evaluate_block_deterministic():
     snap, cfg = _desk_instance(m=12, k=4)
-    coop = select_full_cf(snap)
+    coop = select_full_cf(snap, no_outage(snap))
     pilots = np.array([0, 1, 2, 3])
     speeds = np.full(4, 0.8)
     a = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=100, seed=11)
@@ -514,7 +555,7 @@ def _outage_instance():
 def test_evaluate_block_matches_reference_bytes(form, estimator):
     snap, pilots, speeds = _outage_instance()
     cfg = RadioConfig(estimate_form=form)
-    for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap)):
+    for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap, no_outage(snap))):
         got = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator)
         want = oracles.evaluate_block_reference(
             snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator
@@ -526,9 +567,9 @@ def test_evaluate_block_matches_reference_bytes(form, estimator):
 @pytest.mark.parametrize("form", ESTIMATE_FORMS)
 @pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
 def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
-    # a budget of 100 elements takes the 12 x 5 draws two at a time, the
-    # last three together (no one-draw chunk), 1 << 40 all 63 in one chunk;
-    # every sum over draws runs in draw order either way
+    # (M, K) budgets of 60, 120 and 1 << 40 elements take the 12 x 5 draws
+    # one at a time, two at a time with a one-draw tail, and all 63 in one
+    # chunk; every sum over draws runs in draw order either way
     snap, pilots, speeds = _outage_instance()
     cfg = RadioConfig(estimate_form=form)
     cuts = np.ones((12, 5), dtype=int)
@@ -537,7 +578,7 @@ def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
     cuts[11, 2] = 0
     cuts[9, 3] = 0
     cuts[[0, 3, 5, 6, 7, 8, 9, 10, 11], 4] = 0
-    coops = [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap)]
+    coops = [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap, no_outage(snap))]
     # one interferer group over distinct serving sets, as under full-CF with
     # beta0 cuts: UEs 0-3 solve the S x S form, UE 4 (G = 3) solves directly
     ctx = PrecodingContext.from_matrix(coops[1])
@@ -545,11 +586,12 @@ def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
     assert len({idx.tobytes() for idx in ctx.serving_sets}) == 5
     for coop in coops:
         runs = []
-        for chunk_elems in (100, 1 << 40):
+        for chunk_elems in (60, 120, 1 << 40):
             monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
             runs.append(evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=63, seed=17, estimator=estimator))
-        for x, y in zip(*runs):
-            assert np.array_equal(x, y)
+        for run in runs[:-1]:
+            for x, y in zip(run, runs[-1]):
+                assert np.array_equal(x, y)
 
 
 def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
@@ -564,7 +606,7 @@ def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        evaluate_draws(snap, select_full_cf(snap), cfg, draws)
+        evaluate_draws(snap, select_full_cf(snap, no_outage(snap)), cfg, draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from cfmimo.selection import (
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology
 
-from conftest import make_snapshot, random_snapshot
+from conftest import make_snapshot, no_outage, random_snapshot
 import oracles
 from oracles import simplified_sinr
 
@@ -365,27 +365,27 @@ def test_cuc_matches_pseudocode_oracle():
 
 def test_small_cell_one_ap_each():
     snap = random_snapshot(10, 6, seed=11)
-    coop = select_small_cell(snap)
+    coop = select_small_cell(snap, no_outage(snap))
     assert np.array_equal(coop.g_k, np.ones(6))
 
 
 def test_small_cell_tie_breaks_low_index():
     snap = make_snapshot(np.array([[3.0], [3.0], [1.0]]))
-    coop = select_small_cell(snap)
+    coop = select_small_cell(snap, no_outage(snap))
     assert np.array_equal(coop.d, [[1], [0], [0]])
 
 
 def test_small_cell_ap_permutation_oracle():
     snap = random_snapshot(7, 5, seed=12)
     perm = np.random.default_rng(13).permutation(7)
-    base = select_small_cell(snap).d
-    permuted = select_small_cell(make_snapshot(snap.beta[perm])).d
+    base = select_small_cell(snap, no_outage(snap)).d
+    permuted = select_small_cell(make_snapshot(snap.beta[perm]), no_outage(snap)).d
     assert np.array_equal(permuted, base[perm])
 
 
 def test_full_cf_all_ones():
     snap = random_snapshot(5, 4, seed=14)
-    coop = select_full_cf(snap)
+    coop = select_full_cf(snap, no_outage(snap))
     assert coop.d.sum() == 20
 
 
@@ -398,17 +398,17 @@ def test_full_cf_outage_masked():
 
 def test_full_cf_deterministic():
     snap = random_snapshot(5, 4, seed=15)
-    assert np.array_equal(select_full_cf(snap).d, select_full_cf(snap).d)
+    assert np.array_equal(select_full_cf(snap, no_outage(snap)).d, select_full_cf(snap, no_outage(snap)).d)
 
 
 def test_small_cell_full_cf_oracles():
     for seed in range(10):
         snap = random_snapshot(4, 3, seed)
         assert np.array_equal(
-            select_small_cell(snap).d, oracles.small_cell_oracle(snap.beta.tolist())
+            select_small_cell(snap, no_outage(snap)).d, oracles.small_cell_oracle(snap.beta.tolist())
         )
         assert np.array_equal(
-            select_full_cf(snap).d, oracles.full_cf_oracle(snap.beta.tolist())
+            select_full_cf(snap, no_outage(snap)).d, oracles.full_cf_oracle(snap.beta.tolist())
         )
 
 
