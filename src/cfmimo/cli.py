@@ -7,20 +7,49 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import replace
 
-from . import evaluation as ev
-from . import harness as hn
-from .channel import MapParseError
-from .mobility import TrackParseError
-from .topology import TopologyParseError
+SE_BLOCKS_HEADER = "block,ue_id,se,g"
 
-_CONFIG_ERRORS = (hn.ConfigError, TopologyParseError, TrackParseError, MapParseError, FileNotFoundError)
+#: input-error classes (exit 2) of the simulator modules, by module name
+_MODULE_INPUT_ERRORS = (
+    ("harness", "ConfigError"),
+    ("topology", "TopologyParseError"),
+    ("mobility", "TrackParseError"),
+    ("channel", "MapParseError"),
+)
 
 
-def _load(args) -> hn.ExperimentConfig:
+class RunFileError(ValueError):
+    """Malformed file of a finished run; the message names the file and line."""
+
+
+def _is_input_error(e: Exception) -> bool:
+    """Whether e is a configuration/input error (exit 2).
+
+    The simulator's error classes are looked up among the modules already
+    loaded: a module the command never imported raised nothing, and looking
+    there imports nothing on the error path.
+    """
+    if isinstance(e, (RunFileError, FileNotFoundError)):
+        return True
+    for module, name in _MODULE_INPUT_ERRORS:
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None and isinstance(e, getattr(mod, name)):
+            return True
+    return False
+
+
+# simulate and compare import the simulator modules when they run, so that
+# export-cdf, which only reads and writes text, starts no numpy
+def _load(args):
+    """The run's ExperimentConfig: the config file with the command line's overrides."""
+    from dataclasses import replace
+
+    from . import harness as hn
+
     cfg = hn.load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -35,6 +64,9 @@ def _load(args) -> hn.ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from . import evaluation as ev
+    from . import harness as hn
+
     cfg = _load(args)
     report = hn.run_experiment(cfg)
     out = os.path.join(cfg.out_dir, report.algorithm)
@@ -44,6 +76,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import evaluation as ev
+    from . import harness as hn
+
     cfg = _load(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
@@ -61,9 +96,49 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def export_cdf(run_dir) -> list[float]:
+    """Write ``cdf.csv``, the empirical CDF of a finished run's per-UE-per-block SE.
+
+    Reads the SE column of the run's ``se_blocks.csv`` and writes rows
+    ``se,cdf`` in ascending SE, the i-th of n at ordinate i/n. Returns the
+    sorted SE values. A file with a header other than ``block,ue_id,se,g``,
+    no rows, or a row that is not four fields with a finite SE raises
+    RunFileError, and nothing is written.
+    """
+    raw = os.path.join(run_dir, "se_blocks.csv")
+    if not os.path.exists(raw):
+        raise FileNotFoundError(f"no raw SE file at {raw}")
+    values = []
+    with open(raw) as f:
+        if f.readline().strip() != SE_BLOCKS_HEADER:
+            raise RunFileError(f"{raw}:1: expected header '{SE_BLOCKS_HEADER}'")
+        for ln, line in enumerate(f, start=2):
+            row = line.strip()
+            if not row:
+                continue
+            fields = row.split(",")
+            if len(fields) != 4:
+                raise RunFileError(f"{raw}:{ln}: expected '{SE_BLOCKS_HEADER}', got {row!r}")
+            try:
+                se = float(fields[2])
+            except ValueError:
+                raise RunFileError(f"{raw}:{ln}: non-numeric SE in {row!r}") from None
+            if not math.isfinite(se):
+                raise RunFileError(f"{raw}:{ln}: non-finite SE in {row!r}")
+            values.append(se)
+    if not values:
+        raise RunFileError(f"{raw}: no SE rows")
+    values.sort()
+    n = len(values)
+    with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
+        f.write("se,cdf\n")
+        f.writelines(f"{v:.10g},{i / n:.10g}\n" for i, v in enumerate(values, start=1))
+    return values
+
+
 def _cmd_export_cdf(args) -> int:
-    values, _ = ev.export_cdf(args.run)
-    print(f"wrote {os.path.join(args.run, 'cdf.csv')} ({values.size} samples)")
+    values = export_cdf(args.run)
+    print(f"wrote {os.path.join(args.run, 'cdf.csv')} ({len(values)} samples)")
     return 0
 
 
@@ -95,10 +170,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
+        if _is_input_error(e):
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
 

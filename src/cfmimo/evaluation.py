@@ -504,25 +504,6 @@ def build_report(
     )
 
 
-def export_cdf(run_dir) -> tuple[np.ndarray, np.ndarray]:
-    """Write ``cdf.csv``, the empirical CDF of a finished run's per-UE-per-block SE.
-
-    Reads the SE column of the run's ``se_blocks.csv`` and writes rows
-    ``se,cdf`` in ascending SE. Returns (sorted values, ordinates i/n for
-    i = 1..n).
-    """
-    raw = os.path.join(run_dir, "se_blocks.csv")
-    if not os.path.exists(raw):
-        raise FileNotFoundError(f"no raw SE file at {raw}")
-    values = np.sort(np.loadtxt(raw, delimiter=",", skiprows=1, usecols=2, ndmin=1))
-    n = values.size
-    ordinates = np.arange(1, n + 1) / n
-    with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
-        f.write("se,cdf\n")
-        f.writelines(f"{v:.10g},{c:.10g}\n" for v, c in zip(values.tolist(), ordinates.tolist()))
-    return values, ordinates
-
-
 def _percentile_rows(values: np.ndarray, q: float) -> np.ndarray:
     """np.percentile(values, q, axis=1) by its default linear method.
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cfmimo import AreaSpec, ChannelSnapshot, RadioConfig, SelectionConstraints, generate_ppp_topology
+from cfmimo.channel import ChannelSnapshot, RadioConfig
+from cfmimo.selection import SelectionConstraints
+from cfmimo.topology import AreaSpec, generate_ppp_topology
 
 
 @pytest.fixture

@@ -14,11 +14,14 @@ channel, shadowing, scalar estimate variance, simplified SINR, estimate
 draws) are the per-link forms the package replaced with its matrix and
 block forms; the tests check the statistics and closed forms on them. The
 line-list map loader is the form the streaming loader replaced; the parser
-fuzz holds the two to the same tables and messages.
+fuzz holds the two to the same tables and messages. The numpy CDF export is
+the form the CLI's text-only export replaced; the two must write the same
+bytes.
 """
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -678,3 +681,16 @@ def _map_row_line_reference(body, i) -> int:
     """File line number of data row ``i``, counting past blank lines."""
     rows = (ln for ln, line in enumerate(body, start=2) if line.strip())
     return next(itertools.islice(rows, i, None))
+
+
+def export_cdf_reference(run_dir) -> tuple[np.ndarray, np.ndarray]:
+    """numpy CDF export: write ``cdf.csv`` from column 2 of ``se_blocks.csv``;
+    returns (sorted values, ordinates i/n for i = 1..n)."""
+    raw = os.path.join(run_dir, "se_blocks.csv")
+    values = np.sort(np.loadtxt(raw, delimiter=",", skiprows=1, usecols=2, ndmin=1))
+    n = values.size
+    ordinates = np.arange(1, n + 1) / n
+    with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
+        f.write("se,cdf\n")
+        f.writelines(f"{v:.10g},{c:.10g}\n" for v, c in zip(values.tolist(), ordinates.tolist()))
+    return values, ordinates

@@ -1,6 +1,8 @@
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from cfmimo import channel as ch
 from cfmimo import cli
 from cfmimo import evaluation as ev
 from cfmimo.channel import RadioConfig
-from cfmimo.evaluation import export_cdf, write_report
+from cfmimo.evaluation import write_report
 from cfmimo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,6 +28,7 @@ from cfmimo.harness import (
 from cfmimo.topology import AreaSpec, generate_ppp_topology
 
 import mapgen
+import oracles
 
 
 def mini_config(**kw) -> ExperimentConfig:
@@ -201,11 +204,46 @@ def test_export_cdf_ordinates(tmp_path):
     cfg = mini_config(topology_m=4, ue_count=1, blocks=3, n_mc=40)
     rep = run_experiment(cfg)
     write_report(rep, tmp_path)
-    values, ordinates = export_cdf(tmp_path)
-    assert np.allclose(ordinates, [1 / 3, 2 / 3, 1.0])
-    assert np.all(np.diff(values) >= 0)
+    values = cli.export_cdf(tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "cdf.csv").read_text().splitlines()[1:]]
+    assert [float(v) for v, _ in rows] == values
+    assert np.allclose([float(c) for _, c in rows], [1 / 3, 2 / 3, 1.0])
     # independent re-sort oracle (plain Python sort of the written SE values)
-    assert values.tolist() == sorted(float(f"{v:.10g}") for v in rep.se_per_block.reshape(-1).tolist())
+    assert values == sorted(float(f"{v:.10g}") for v in rep.se_per_block.reshape(-1).tolist())
+
+
+@pytest.mark.parametrize("se_blocks", sorted(Path(__file__).parent.glob("golden/*/*/se_blocks.csv")),
+                         ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}")
+def test_export_cdf_equals_numpy_reference_on_goldens(tmp_path, se_blocks):
+    for side in ("cli", "reference"):
+        (tmp_path / side).mkdir()
+        shutil.copy(se_blocks, tmp_path / side)
+    assert cli.main(["export-cdf", "--run", str(tmp_path / "cli")]) == 0
+    oracles.export_cdf_reference(tmp_path / "reference")
+    assert (tmp_path / "cli" / "cdf.csv").read_bytes() == (tmp_path / "reference" / "cdf.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "no raw SE file at {raw}"),
+        ("block,ue_id,se,g\n", "{raw}: no SE rows"),
+        ("block,ue_id,se,g\n\n", "{raw}: no SE rows"),
+        ("block,ue_id,se,g\n0,0,1.5,1\n0,1,nan,1\n", "{raw}:3: non-finite SE in '0,1,nan,1'"),
+        ("block,ue_id,se,g\n0,0,-inf,1\n", "{raw}:2: non-finite SE in '0,0,-inf,1'"),
+        ("block,ue_id,se,g\n0,0,abc,1\n", "{raw}:2: non-numeric SE in '0,0,abc,1'"),
+        ("block,ue_id,se,g\n0,0,1.5\n", "{raw}:2: expected 'block,ue_id,se,g', got '0,0,1.5'"),
+        ("ue_id,se\n0,1.5\n", "{raw}:1: expected header 'block,ue_id,se,g'"),
+        ("", "{raw}:1: expected header 'block,ue_id,se,g'"),
+    ],
+)
+def test_cli_export_cdf_bad_input_exits_2(tmp_path, capsys, text, message):
+    raw = tmp_path / "se_blocks.csv"
+    if text is not None:
+        raw.write_text(text)
+    assert cli.main(["export-cdf", "--run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: " + message.format(raw=raw) + "\n"
+    assert not (tmp_path / "cdf.csv").exists()
 
 
 def test_report_hash_tracks_config():
@@ -263,15 +301,47 @@ def test_cli_compare(tmp_path):
     assert (tmp_path / "out" / "full-cf" / "report.txt").exists()
 
 
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports cfmimo from this checkout."""
+    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+_NUMPY_FREE_EXPORT = """
+import sys
+import cfmimo.cli
+rc = cfmimo.cli.main(["export-cdf", "--run", sys.argv[1]])
+simulator = {f"cfmimo.{m}" for m in ("topology", "mobility", "channel", "selection", "evaluation", "harness")}
+loaded = sorted(m for m in sys.modules if m in simulator or m == "numpy" or m.startswith("numpy."))
+if loaded:
+    sys.exit(f"export-cdf loaded {loaded}")
+sys.exit(rc)
+"""
+
+
+def test_cli_export_cdf_loads_no_numpy(tmp_path):
+    shutil.copy(Path(__file__).parent / "golden" / "all-algorithms" / "full-cf" / "se_blocks.csv", tmp_path)
+    proc = run_python(_NUMPY_FREE_EXPORT, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cdf.csv").exists()
+
+
 _NO_SCIPY_RUN = """
 import sys
 import cfmimo.cli
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-if loaded:
-    sys.exit(f"import cfmimo.cli loaded {loaded}")
-sys.modules["scipy"] = None  # any later import of scipy now fails
+
+def no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    if loaded:
+        sys.exit(f"{after} loaded {loaded}")
+
+no_scipy("import cfmimo.cli")
 cfg, out, algorithms = sys.argv[1:]
 rc = cfmimo.cli.main(["compare", "--config", cfg, "--algorithms", algorithms, "--out", out])
+no_scipy("compare")
+sys.modules["scipy"] = None  # any later import of scipy now fails
 for a in algorithms.split(","):
     rc = rc or cfmimo.cli.main(["export-cdf", "--run", f"{out}/{a}"])
 sys.exit(rc)
@@ -282,13 +352,8 @@ def test_cli_runs_without_scipy(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
     algorithms = ["small-cell", "full-cf"]
-    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     blocked = tmp_path / "blocked"
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUN, str(cfg_path), str(blocked), ",".join(algorithms)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python(_NO_SCIPY_RUN, cfg_path, blocked, ",".join(algorithms))
     assert proc.returncode == 0, proc.stderr
     plain = tmp_path / "plain"
     assert cli.main(["compare", "--config", str(cfg_path), "--algorithms", ",".join(algorithms),
@@ -303,6 +368,7 @@ def test_cli_runs_without_scipy(tmp_path):
 
 _NUMPY_MA_PROBE = """
 import sys
+import numpy
 import cfmimo.cli
 if "numpy.ma" in sys.modules:
     print("numpy imports numpy.ma eagerly")
@@ -320,12 +386,7 @@ def test_cli_compare_leaves_numpy_ma_unloaded(tmp_path):
     # first call; a compare run calls none of them
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
-    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_MA_PROBE, str(cfg_path), str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python(_NUMPY_MA_PROBE, cfg_path, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     if "eagerly" in proc.stdout:
         pytest.skip("this numpy imports numpy.ma on import")
@@ -345,7 +406,7 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     def boom(cfg):
         raise RuntimeError("backend exploded")
 
-    monkeypatch.setattr("cfmimo.cli.hn.run_experiment", boom)
+    monkeypatch.setattr("cfmimo.harness.run_experiment", boom)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
 
 
@@ -387,7 +448,7 @@ def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys)
     out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
-    evaluate_draws = cli.hn.ev.evaluate_draws
+    evaluate_draws = ev.evaluate_draws
     calls = []
 
     def nan_on_block_1(*args, **kwargs):
