@@ -11,3 +11,7 @@ the package itself loads none of them, so a command starts only what it runs.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """A bad configuration or input file; the CLI exits 2 on it."""

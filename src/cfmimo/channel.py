@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
+
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
 LIGHT_SPEED = 299792458.0
@@ -24,7 +26,7 @@ ESTIMATE_FORMS = ("mmse",)
 PILOT_METHODS = ("random", "sequential")
 
 
-class MapParseError(ValueError):
+class MapParseError(InputError):
     """Malformed path-loss map file; message names the offending line."""
 
 

@@ -11,35 +11,13 @@ import math
 import os
 import sys
 
+from . import InputError
+
 SE_BLOCKS_HEADER = "block,ue_id,se,g"
 
-#: input-error classes (exit 2) of the simulator modules, by module name
-_MODULE_INPUT_ERRORS = (
-    ("harness", "ConfigError"),
-    ("topology", "TopologyParseError"),
-    ("mobility", "TrackParseError"),
-    ("channel", "MapParseError"),
-)
 
-
-class RunFileError(ValueError):
+class RunFileError(InputError):
     """Malformed file of a finished run; the message names the file and line."""
-
-
-def _is_input_error(e: Exception) -> bool:
-    """Whether e is a configuration/input error (exit 2).
-
-    The simulator's error classes are looked up among the modules already
-    loaded: a module the command never imported raised nothing, and looking
-    there imports nothing on the error path.
-    """
-    if isinstance(e, (RunFileError, FileNotFoundError)):
-        return True
-    for module, name in _MODULE_INPUT_ERRORS:
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None and isinstance(e, getattr(mod, name)):
-            return True
-    return False
 
 
 # simulate and compare import the simulator modules when they run, so that
@@ -84,7 +62,6 @@ def _cmd_compare(args) -> int:
     if not algorithms:
         raise hn.ConfigError("--algorithms must name at least one algorithm")
     reports = hn.compare_algorithms(cfg, algorithms)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
     table = hn.comparison_table(reports)
@@ -171,7 +148,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as e:
-        if _is_input_error(e):
+        if isinstance(e, (InputError, FileNotFoundError)):
             print(f"config error: {e}", file=sys.stderr)
             return 2
         print(f"runtime error: {e}", file=sys.stderr)

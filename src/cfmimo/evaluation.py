@@ -33,7 +33,6 @@ included, gives the same result to the bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -49,20 +48,16 @@ SINR_ESTIMATORS = ("hardening", "per-draw")
 
 @dataclass(frozen=True)
 class PrecodingContext:
-    """Serving sets and co-served interferer sets derived from D.
+    """precode_pmmse's layout of a cooperation matrix D, built once per D.
 
-    serving_sets[k] lists the AP rows with D[m, k] = 1; interferer_sets[k]
-    lists the UEs sharing at least one serving AP with k (always including k).
+    UE k's serving rows are the APs m with D[m, k] = 1, and its interferer
+    set S_k the UEs sharing at least one serving AP with it (k included).
+    groups holds one _Group per distinct interferer set of a served UE, in
+    first-UE order; an unserved UE is in no group. n_ues is K.
     """
 
-    serving_sets: tuple
-    interferer_sets: tuple
-
-    @functools.cached_property
-    def groups(self) -> tuple:
-        """precode_pmmse's layout, one _Group per interferer set of a served
-        UE; built on first use and shared by every draw chunk after it."""
-        return _plan_groups(self.serving_sets, self.interferer_sets)
+    n_ues: int
+    groups: tuple
 
     @classmethod
     def from_matrix(cls, coop: CooperationMatrix) -> "PrecodingContext":
@@ -70,15 +65,35 @@ class PrecodingContext:
         # a float matmul runs in BLAS and counts 0/1 products exactly
         df = d.astype(float)
         share = (df.T @ df) > 0
-        serving = []
-        interferers = []
-        for k in range(d.shape[1]):
-            serving.append(np.flatnonzero(d[:, k]))
-            s = np.flatnonzero(share[k])
-            if k not in s:
-                s = np.sort(np.append(s, k))
-            interferers.append(s)
-        return cls(serving_sets=tuple(serving), interferer_sets=tuple(interferers))
+        members_of = {}
+        for k in np.flatnonzero(share.diagonal()).tolist():
+            members_of.setdefault(share[k].tobytes(), []).append(k)
+        groups = []
+        for members in members_of.values():
+            s_set = np.flatnonzero(share[members[0]])
+            rows = np.flatnonzero(d[:, members].any(axis=1))
+            pos = {k: np.flatnonzero(d[rows, k]) for k in members}
+            col = {k: int(np.searchsorted(s_set, k)) for k in members}
+            wide = [k for k in members if pos[k].size > s_set.size]
+            mask = np.zeros((rows.size, len(wide)), dtype=bool)
+            rhs = np.zeros((len(wide), s_set.size, 1))
+            for c, k in enumerate(wide):
+                mask[pos[k], c] = True
+                rhs[c, col[k]] = 1.0
+            core = mask.all(axis=1) if wide else np.zeros(rows.size, dtype=bool)
+            groups.append(
+                _Group(
+                    s_set=s_set,
+                    rows=rows,
+                    direct=tuple((k, pos[k], col[k]) for k in members if k not in wide),
+                    wide=np.array(wide, dtype=np.intp),
+                    wide_mask=mask,
+                    wide_rhs=rhs,
+                    core=np.flatnonzero(core),
+                    tree=_gram_tree(mask, list(range(len(wide))), core) if wide else None,
+                )
+            )
+        return cls(n_ues=d.shape[1], groups=tuple(groups))
 
 
 def split_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
@@ -214,42 +229,6 @@ def _gram_tree(mask: np.ndarray, members: list, core: np.ndarray):
     return tuple(nodes)
 
 
-def _plan_groups(serving_sets, interferer_sets) -> tuple:
-    """The _Group of each distinct interferer set of a served UE, in first-UE order."""
-    members_of = {}
-    for k, (idx, s_set) in enumerate(zip(serving_sets, interferer_sets)):
-        if k not in s_set:
-            raise ValueError(f"interferer set of UE {k} does not contain it")
-        if idx.size:
-            members_of.setdefault(s_set.tobytes(), (s_set, []))[1].append(k)
-    groups = []
-    for s_set, members in members_of.values():
-        # bincount, not np.unique, whose first call imports numpy.ma
-        rows = np.flatnonzero(np.bincount(np.concatenate([serving_sets[k] for k in members])))
-        pos = {k: np.searchsorted(rows, serving_sets[k]) for k in members}
-        col = {k: int(np.flatnonzero(s_set == k)[0]) for k in members}
-        wide = [k for k in members if pos[k].size > s_set.size]
-        mask = np.zeros((rows.size, len(wide)), dtype=bool)
-        rhs = np.zeros((len(wide), s_set.size, 1))
-        for c, k in enumerate(wide):
-            mask[pos[k], c] = True
-            rhs[c, col[k]] = 1.0
-        core = mask.all(axis=1) if wide else np.zeros(rows.size, dtype=bool)
-        groups.append(
-            _Group(
-                s_set=s_set,
-                rows=rows,
-                direct=tuple((k, pos[k], col[k]) for k in members if k not in wide),
-                wide=np.array(wide, dtype=np.intp),
-                wide_mask=mask,
-                wide_rhs=rhs,
-                core=np.flatnonzero(core),
-                tree=_gram_tree(mask, list(range(len(wide))), core) if wide else None,
-            )
-        )
-    return tuple(groups)
-
-
 def _gram(u: np.ndarray, uh: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Batched U^H U of rows ``pos`` of the (n, R, S) draws u; uh is conj(u)."""
     return uh[:, pos].transpose(0, 2, 1) @ u[:, pos]
@@ -282,8 +261,7 @@ def precode_pmmse(
 
     w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k and
     is normalized per draw. ``estimates`` is (N, M, K) and so is the return,
-    with zeros outside the serving sets. Every interferer set must contain
-    its own UE, as PrecodingContext.from_matrix guarantees.
+    with zeros outside the serving sets.
 
     The work follows ctx.groups, the layout built once per context: served
     UEs grouped by interferer set S, each group gathering its estimates
@@ -304,7 +282,7 @@ def precode_pmmse(
     """
     est = np.asarray(estimates)
     n, _, k_ues = est.shape
-    if len(ctx.serving_sets) != k_ues:
+    if ctx.n_ues != k_ues:
         raise ValueError("context and estimate dimensions disagree")
     w = np.zeros_like(est)
     flat = est.reshape(n, -1)
@@ -315,7 +293,7 @@ def precode_pmmse(
             uk = u[:, pos]  # (n, G, S)
             a = (uk * p) @ uk.conj().transpose(0, 2, 1)
             a[:, np.arange(pos.size), np.arange(pos.size)] += noise
-            w[:, ctx.serving_sets[k], k] = _normalize(np.linalg.solve(a, uk[:, :, col, None])[..., 0])
+            w[:, g.rows[pos], k] = _normalize(np.linalg.solve(a, uk[:, :, col, None])[..., 0])
         if not g.wide.size:
             continue
         s = g.s_set.size

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import InputError
 from . import channel as ch
 from . import evaluation as ev
 from . import mobility as mb
@@ -24,7 +25,7 @@ from . import selection as sel
 from . import topology as tp
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Invalid experiment configuration or config file."""
 
 
@@ -88,6 +89,8 @@ class ExperimentConfig:
         for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget", "tau_p"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.clusters_per_side < 0:
+            raise ConfigError(f"clusters_per_side must be at least 0, got {self.clusters_per_side}")
         positive = ["area_width", "area_height"]
         if self.mobility_source == "rwp":
             positive += ["speed_mps", "mean_transition_m"]
@@ -324,16 +327,18 @@ def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.Me
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
-    Every algorithm name is checked before any work. The run is block-major:
-    the topology, trace, path-loss provider and pilots are built once, and
-    each block takes one channel snapshot and one set of Monte-Carlo draws
-    that every algorithm is evaluated on. Two (n_mc, M, K) complex draw
+    Every algorithm name, and cuc's cluster grid, is checked before any
+    work. The run is block-major: the topology, trace, path-loss provider
+    and pilots are built once, and each block takes one channel snapshot and
+    one set of Monte-Carlo draws that every algorithm is evaluated on. Two (n_mc, M, K) complex draw
     arrays stay live per block, whatever the number of algorithms.
     """
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:
         if name not in sel.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+    if "cuc" in algorithms and cfg.clusters_per_side < 1:
+        raise ConfigError("cuc needs a cluster grid: set clusters_per_side to at least 1")
     return _run_blocks(cfg, algorithms)
 
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 from .topology import AreaSpec
 
 
-class TrackParseError(ValueError):
+class TrackParseError(InputError):
     """Malformed track file; message names the offending line."""
 
 

@@ -113,7 +113,7 @@ def select_unifsrv_heu(
     unless allow_tau_p_equality is set.
 
     AP loads, serving-set sizes, served SNRs and simplified SINRs are kept
-    per UE and recomputed only for a UE whose serving set grew, so a rank
+    per UE and updated only for a UE whose serving set grew, so a rank
     costs one vector pass plus one load check per eligible UE. The rank walk
     stops early once no UE can grow any more: each has reached g_max, the
     delta fraction, or its last candidate AP. None of these can reverse.
@@ -123,10 +123,7 @@ def select_unifsrv_heu(
     order = _rank_order(beta)
     ranked_beta = np.take_along_axis(beta, order, axis=0)
     d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    # the delta rule reads the axis-0 sum and the simplified SINR the
-    # per-column sum; the two sum in different orders
     total = beta.sum(axis=0)
-    col_total = np.array([float(beta[:, k].sum()) for k in range(k_ues)])
     load_cap = constraints.tau_p + 1 if constraints.allow_tau_p_equality else constraints.tau_p
     w = np.zeros(m_aps, dtype=int)
     ues = np.arange(k_ues)
@@ -140,14 +137,8 @@ def select_unifsrv_heu(
             d[free[0], k] = 1
             w[free[0]] += 1
     g = d.sum(axis=0)
-    served = np.array([float(np.dot(d[:, k].astype(float), beta[:, k])) for k in range(k_ues)])
-    # the first threshold (rank 2) is taken on simplified_sinr_all; from then
-    # on s is the per-column form, served (one dot product per UE) over
-    # unserved plus one, updated as serving sets grow. The forms sum in
-    # different orders, so this keeps every D the same as a per-rank
-    # recomputation
-    s_col = served / (col_total - served + 1.0)
-    s = simplified_sinr_all(d, beta)
+    served = np.einsum("mk,mk->k", d.astype(float), beta)
+    s = served / (total - served + 1.0)
 
     for rank in range(1, m_aps):
         aps = order[rank]
@@ -171,9 +162,8 @@ def select_unifsrv_heu(
                 d[ap, k] = 1
                 w[ap] += 1
                 g[k] += 1
-                served[k] = float(np.dot(d[:, k].astype(float), beta[:, k]))
-                s_col[k] = served[k] / (col_total[k] - served[k] + 1.0)
-        s = s_col
+                served[k] += beta[ap, k]
+                s[k] = served[k] / (total[k] - served[k] + 1.0)
     return CooperationMatrix(d=d)
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InputError
 
-class TopologyParseError(ValueError):
+
+class TopologyParseError(InputError):
     """Malformed topology file; message names the offending line."""
 
 

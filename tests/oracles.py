@@ -371,28 +371,35 @@ def _solve_exact(a, b):
     return np.array([complex(float(x[0]), float(x[1])) for x in out])
 
 
-def pmmse_oracle(serving_sets, interferer_sets, estimates, noise, powers_ue, exact=False):
+def pmmse_oracle(d, estimates, noise, powers_ue, exact=False):
     """Unit-norm partial MMSE precoders by one direct solve per UE and draw.
 
-    w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k|_{M_k}
-    and is normalized; entries outside M_k stay zero. ``estimates`` is
-    (N, M, K). With ``exact`` the system is formed and solved in rational
-    arithmetic (tiny sizes only), which stays accurate however badly n0
-    conditions it.
+    M_k is the serving set {m : d[m][k] = 1} of the M x K 0/1 matrix d and
+    S_k the UEs sharing at least one of its APs. w_k solves
+    (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k|_{M_k} and is
+    normalized; entries outside M_k stay zero. ``estimates`` is (N, M, K).
+    With ``exact`` the system is formed and solved in rational arithmetic
+    (tiny sizes only), which stays accurate however badly n0 conditions it.
     """
     est = np.asarray(estimates, dtype=complex)
+    d = [[int(x) for x in row] for row in np.asarray(d)]
+    m_aps, k_ues = len(d), len(d[0])
+    serving = [[m for m in range(m_aps) if d[m][k]] for k in range(k_ues)]
+    interferers = [
+        [i for i in range(k_ues) if any(d[m][i] for m in serving[k])] for k in range(k_ues)
+    ]
     w = np.zeros_like(est)
     for n in range(est.shape[0]):
         for k in range(est.shape[2]):
-            rows = [int(m) for m in serving_sets[k]]
+            rows = serving[k]
             if not rows:
                 continue
             if exact:
-                a, b = _system_exact(est[n], rows, interferer_sets[k], k, noise, powers_ue)
+                a, b = _system_exact(est[n], rows, interferers[k], k, noise, powers_ue)
                 sol = _solve_exact(a, b)
             else:
                 a = noise * np.eye(len(rows), dtype=complex)
-                for i in interferer_sets[k]:
+                for i in interferers[k]:
                     v = est[n, rows, i]
                     a += powers_ue[i] * np.outer(v, v.conj())
                 sol = np.linalg.solve(a, est[n, rows, k])

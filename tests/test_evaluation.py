@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo import evaluation
 from cfmimo.channel import ESTIMATE_FORMS, ChannelSnapshot, RadioConfig, estimate_variance_matrix, noise_power_w
 from cfmimo.evaluation import (
     PrecodingContext,
@@ -33,20 +32,36 @@ import oracles
 from oracles import draw_estimates
 
 
+def _members(group):
+    """(UE, serving rows, column in S) of each direct member of a layout group."""
+    return [(k, group.rows[pos].tolist(), col) for k, pos, col in group.direct]
+
+
 def test_context_sets():
     d = CooperationMatrix(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
     ctx = PrecodingContext.from_matrix(d)
-    assert ctx.serving_sets[0].tolist() == [0, 1]
-    assert ctx.serving_sets[2].tolist() == [2]
-    # UE0 and UE1 share AP1; UE2 is isolated but still contains itself
-    assert ctx.interferer_sets[0].tolist() == [0, 1]
-    assert ctx.interferer_sets[2].tolist() == [2]
+    assert ctx.n_ues == 3
+    # UE0 and UE1 share AP1, so S = {0, 1} for both; UE2 is isolated and is
+    # its own interferer set
+    g01, g2 = ctx.groups
+    assert g01.s_set.tolist() == [0, 1] and g01.rows.tolist() == [0, 1]
+    assert _members(g01) == [(0, [0, 1], 0), (1, [1], 1)]
+    assert g2.s_set.tolist() == [2] and g2.rows.tolist() == [2]
+    assert _members(g2) == [(2, [2], 0)]
+    assert not g01.wide.size and not g2.wide.size
 
 
 def test_context_contains_self_even_unserved():
+    # UE1 has no serving AP: it is in no group, in no interferer set, and
+    # its precoder column stays zero; UE0's interferer set is itself
     d = CooperationMatrix(np.array([[1, 0], [0, 0]]))
     ctx = PrecodingContext.from_matrix(d)
-    assert 1 in ctx.interferer_sets[1].tolist()
+    assert ctx.n_ues == 2
+    (group,) = ctx.groups
+    assert group.s_set.tolist() == [0]
+    assert _members(group) == [(0, [0], 0)]
+    w = precode_pmmse(ctx, np.ones((1, 2, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
+    assert abs(w[0, 0, 0]) == pytest.approx(1.0) and not w[..., 1].any()
 
 
 def test_split_powers_equal_share():
@@ -132,7 +147,7 @@ def test_precoder_woodbury_path_matches_direct():
     ctx = PrecodingContext.from_matrix(d)
     powers = np.full(k, 0.3)
     w_wood = precode_pmmse(ctx, est, noise=1e-3, powers_ue=powers)
-    w_direct = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, 1e-3, powers)
+    w_direct = oracles.pmmse_oracle(d.d, est, 1e-3, powers)
     assert np.allclose(w_wood, w_direct, atol=1e-9)
 
 
@@ -145,7 +160,7 @@ def _assert_matches_oracle(d, est, noise=0.05, powers=None, ues=None):
     if powers is None:
         powers = np.linspace(0.2, 0.5, est.shape[-1])
     w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
-    ref = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, noise, powers)
+    ref = oracles.pmmse_oracle(d, est, noise, powers)
     assert w.shape == est.shape
     cols = slice(None) if ues is None else ues
     assert np.abs(w[..., cols] - ref[..., cols]).max() < 1e-9
@@ -162,8 +177,9 @@ def test_precoder_fullcf_distinct_serving_sets_one_group():
     d[[5, 6, 7], 1] = 0
     d[11, 2] = 0
     ctx, _ = _assert_matches_oracle(d, _cn(rng, (5, m, k)))
-    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
-    assert len({idx.tobytes() for idx in ctx.serving_sets}) == k
+    (group,) = ctx.groups
+    assert group.s_set.tolist() == list(range(k))
+    assert len({tuple(col) for col in d.T}) == k
 
 
 def test_precoder_group_mixes_direct_and_woodbury():
@@ -177,8 +193,10 @@ def test_precoder_group_mixes_direct_and_woodbury():
     d[[0, 5, 6], 3] = 1
     rng = np.random.default_rng(22)
     ctx, _ = _assert_matches_oracle(d, _cn(rng, (4, m, 4)))
-    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
-    assert [idx.size for idx in ctx.serving_sets] == [2, 10, 7, 3]
+    (group,) = ctx.groups
+    assert group.s_set.tolist() == [0, 1, 2, 3]
+    assert d.sum(axis=0).tolist() == [2, 10, 7, 3]
+    assert [k for k, _, _ in group.direct] == [0, 3] and group.wide.tolist() == [1, 2]
 
 
 def _tree_extras(tree):
@@ -188,7 +206,7 @@ def _tree_extras(tree):
     return [e for extra, sub in tree for e in [extra] + _tree_extras(sub)]
 
 
-def test_precoder_layout_built_once_serves_any_chunk(monkeypatch):
+def test_precoder_layout_built_once_serves_any_chunk():
     # one interferer group of 8 UEs, all wide (G >= 12 > |S| = 8), over
     # distinct serving sets: rows 0-5 are the core, UEs 0-3 share no row
     # beyond it (so tree nodes {0, 1, 2, 3} and {0, 1} add none), UEs 4-7
@@ -203,39 +221,21 @@ def test_precoder_layout_built_once_serves_any_chunk(monkeypatch):
     d[7:18, 3] = 1
     d[6:, 4:] = 1
     d[[18, 19, 6, 7], [4, 5, 6, 7]] = 0
-    plans = []
-    plan_groups = evaluation._plan_groups
-
-    def spy(*args):
-        plans.append(args)
-        return plan_groups(*args)
-
-    monkeypatch.setattr("cfmimo.evaluation._plan_groups", spy)
     ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
     est = _cn(np.random.default_rng(27), (n, m, k))
     powers = np.linspace(0.2, 0.5, k)
-    ref = oracles.pmmse_oracle(ctx.serving_sets, ctx.interferer_sets, est, 0.05, powers)
+    ref = oracles.pmmse_oracle(d, est, 0.05, powers)
     runs = []
     for step in (1, 3, n):
         w = np.concatenate([precode_pmmse(ctx, est[i : i + step], 0.05, powers) for i in range(0, n, step)])
         assert np.abs(w - ref).max() < 1e-9
         runs.append(w)
     assert all(np.array_equal(w, runs[-1]) for w in runs)
-    assert len(plans) == 1
     (group,) = ctx.groups
     assert group.wide.tolist() == list(range(k)) and not group.direct
-    assert len({idx.tobytes() for idx in ctx.serving_sets}) == k
+    assert len({tuple(col) for col in d.T}) == k
     assert group.core.tolist() == list(range(6))
     assert any(extra.size == 0 for extra in _tree_extras(group.tree))
-
-
-def test_precoder_rejects_interferer_set_without_own_ue():
-    ctx = PrecodingContext(
-        serving_sets=(np.array([0]), np.array([0])),
-        interferer_sets=(np.array([0, 1]), np.array([0])),
-    )
-    with pytest.raises(ValueError, match="UE 1"):
-        precode_pmmse(ctx, np.ones((1, 1, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
 
 
 def test_precoder_unserved_ues_zero():
@@ -273,9 +273,7 @@ def test_precoder_accurate_at_high_snr(noise):
     powers = np.array([0.2, 0.3, 0.25])
     ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
     w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
-    ref = oracles.pmmse_oracle(
-        ctx.serving_sets, ctx.interferer_sets, est, noise, powers, exact=True
-    )
+    ref = oracles.pmmse_oracle(d, est, noise, powers, exact=True)
     assert np.abs(w - ref).max() < 1e-12
 
 
@@ -581,9 +579,10 @@ def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
     coops = [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap, no_outage(snap))]
     # one interferer group over distinct serving sets, as under full-CF with
     # beta0 cuts: UEs 0-3 solve the S x S form, UE 4 (G = 3) solves directly
-    ctx = PrecodingContext.from_matrix(coops[1])
-    assert len({s.tobytes() for s in ctx.interferer_sets}) == 1
-    assert len({idx.tobytes() for idx in ctx.serving_sets}) == 5
+    (group,) = PrecodingContext.from_matrix(coops[1]).groups
+    assert group.s_set.tolist() == list(range(5))
+    assert group.wide.tolist() == [0, 1, 2, 3] and [k for k, _, _ in group.direct] == [4]
+    assert len({tuple(col) for col in cuts.T}) == 5
     for coop in coops:
         runs = []
         for chunk_elems in (60, 120, 1 << 40):

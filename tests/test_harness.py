@@ -477,3 +477,48 @@ def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypa
     rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "clusters, algorithms, message",
+    [
+        (0, "small-cell,cuc", "cuc needs a cluster grid: set clusters_per_side to at least 1"),
+        (-3, "small-cell", "clusters_per_side must be at least 0, got -3"),
+    ],
+)
+def test_cli_cluster_grid_errors_exit_2_before_block_0(tmp_path, monkeypatch, capsys, clusters, algorithms, message):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    text = serialize_config(mini_config(out_dir=str(out)))
+    cfg_path.write_text(text.replace("clusters_per_side = 2", f"clusters_per_side = {clusters}"))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", algorithms])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_compare_empty_out_dir_writes_current_dir(tmp_path, monkeypatch):
+    # out_dir = (empty) writes into the current directory, as --out . does
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir="")))
+    assert "out_dir = \n" in cfg_path.read_text()
+    runs = {}
+    for name, extra in (("empty", []), ("dot", ["--out", "."])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        argv = ["compare", "--config", str(cfg_path), "--algorithms", "small-cell,full-cf"] + extra
+        assert cli.main(argv) == 0
+        runs[name] = {
+            str(p.relative_to(tmp_path / name)): p.read_bytes()
+            for p in sorted((tmp_path / name).rglob("*")) if p.is_file()
+        }
+    assert runs["empty"] == runs["dot"]
+    assert sorted(runs["empty"]) == [
+        "comparison.csv", "full-cf/report.txt", "full-cf/se_blocks.csv",
+        "small-cell/report.txt", "small-cell/se_blocks.csv",
+    ]
