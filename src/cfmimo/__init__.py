@@ -10,8 +10,22 @@ Import what you use from the submodules (``cfmimo.topology``, ``mobility``,
 the package itself loads none of them, so a command starts only what it runs.
 """
 
+from contextlib import contextmanager
+
 __version__ = "0.1.0"
 
 
 class InputError(ValueError):
     """A bad configuration or input file; the CLI exits 2 on it."""
+
+
+@contextmanager
+def open_text(path, error):
+    """Open an input file as UTF-8 text whose lines end only at ``\\n``,
+    ``\\r\\n`` or ``\\r`` (each read as ``\\n``). A byte that is not UTF-8,
+    met anywhere in the ``with`` block, raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            raise error(f"{path}: not UTF-8 text") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError
+from . import InputError, open_text
 
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
@@ -192,9 +192,6 @@ class PathLossMap:
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
-# str.splitlines also ends a line at \v, \f and \x1c-\x1e (and at three
-# non-ASCII characters); a line-at-a-time read ends one only at \n and \r
-_SPLITLINES_ONLY_BREAKS = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -207,55 +204,28 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     non-positive grid spacing are parse errors. Each error names the file
     line (``path:line``) of the first offending row.
 
-    An ASCII file is streamed: the open file goes to one ``np.loadtxt``
-    call, so the rows (32 B each) are the only copy of the body, and the
-    file is read again only to name an error's line. A file with other
-    bytes, or a row ``loadtxt`` refuses, takes the fallback: the text is
-    split with ``str.splitlines``, which holds the text and its line list in
-    memory, and when ``loadtxt`` refuses that list too the rows are parsed
-    one by one up to the first malformed one.
+    The file is streamed: after the header, the open file goes to one
+    ``np.loadtxt`` call, so the rows (32 B each) are the only copy of the
+    body. Only where ``loadtxt`` refuses a row is the body read again, row
+    by row up to the first malformed one; an error's line is found by
+    reading the file again too.
     """
-    if _lines_break_at_newlines_only(path):
-        with open(path) as f:
-            first = f.readline()
-            header = _parse_map_header(path, first.rstrip("\n") if first else None)
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported below as "no map rows"
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    rows = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
-            except ValueError:
-                # loadtxt's message gives no file line, and loadtxt refuses
-                # some rows the row rules accept (whitespace-only lines, "1_0")
-                rows = None
-        if rows is not None:
-            if not rows.size:
-                raise MapParseError(f"{path}: no map rows")
-            return _map_from_rows(path, topo, header, rows, None, lambda i: _file_row_line(path, i))
-
-    with open(path) as f:
-        lines = f.read().splitlines()
-    header = _parse_map_header(path, lines[0] if lines else None)
-    body = lines[1:]
-    if not any(line.strip() for line in body):
-        raise MapParseError(f"{path}: no map rows")
-    bad = None
-    try:
-        rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
-    except ValueError:
-        rows, bad = _scan_map_rows(path, body, topo.n_aps)
-    return _map_from_rows(path, topo, header, rows, bad, lambda i: _map_row_line(body, i))
-
-
-def _lines_break_at_newlines_only(path) -> bool:
-    """True when ``str.splitlines`` splits the file only where a text-mode
-    line read does: at \\n, \\r\\n and \\r. Any non-ASCII byte also gives
-    False, so only ASCII text takes the streamed path."""
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 20):
-            if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY_BREAKS):
-                return False
-    return True
+    with open_text(path, MapParseError) as f:
+        first = f.readline()
+        header = _parse_map_header(path, first.rstrip("\n") if first else None)
+        bad = None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as "no map rows"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+        except ValueError:
+            # loadtxt's message gives no file line, and loadtxt refuses
+            # some rows the row rules accept (whitespace-only lines, "1_0")
+            rows, bad = _scan_map_rows(path, _body_lines(f), topo.n_aps)
+        if not rows.size and bad is None:
+            raise MapParseError(f"{path}: no map rows")
+        return _map_from_rows(path, topo, header, rows, bad, lambda i: _file_row_line(f, i))
 
 
 def _parse_map_header(path, line):
@@ -320,12 +290,14 @@ def _map_from_rows(path, topo, header, rows, bad, row_line) -> PathLossMap:
 def _scan_map_rows(path, body, n_aps):
     """Parse rows one by one up to the first malformed one.
 
-    Returns the rows before it and the error naming its line (None when
+    ``body`` yields (file line number, line) after the header. Returns the
+    rows before the malformed one and the error naming its line (None when
     every row parses). Besides the field rules and the AP id range, a cell
     index beyond int64, which no table could hold, ends the scan.
     """
     parsed, bad = [], None
-    for ln, line in enumerate(body, start=2):
+    for ln, line in body:
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split(",")
@@ -347,18 +319,19 @@ def _scan_map_rows(path, body, n_aps):
     return np.array(parsed, dtype=_MAP_ROW), bad
 
 
-def _map_row_line(body, i) -> int:
-    """File line number of data row ``i``, counting past blank lines;
-    ``body`` iterates the lines after the header."""
-    rows = (ln for ln, line in enumerate(body, start=2) if line.strip())
+def _body_lines(f):
+    """(file line number, line) of each line after the header of the open
+    map file ``f``, read again from the start."""
+    f.seek(0)
+    f.readline()
+    return enumerate(f, start=2)
+
+
+def _file_row_line(f, i) -> int:
+    """File line number of data row ``i`` of the open map file ``f``,
+    counting past blank lines."""
+    rows = (ln for ln, line in _body_lines(f) if line.strip())
     return next(itertools.islice(rows, i, None))
-
-
-def _file_row_line(path, i) -> int:
-    """``_map_row_line`` over the file's lines, read again from disk."""
-    with open(path) as f:
-        f.readline()
-        return _map_row_line(f, i)
 
 
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from . import InputError
+from . import InputError, open_text
 
 SE_BLOCKS_HEADER = "block,ue_id,se,g"
 
@@ -78,15 +78,15 @@ def export_cdf(run_dir) -> list[float]:
 
     Reads the SE column of the run's ``se_blocks.csv`` and writes rows
     ``se,cdf`` in ascending SE, the i-th of n at ordinate i/n. Returns the
-    sorted SE values. A file with a header other than ``block,ue_id,se,g``,
-    no rows, or a row that is not four fields with a finite SE raises
-    RunFileError, and nothing is written.
+    sorted SE values. A file that is not UTF-8 text, a header other than
+    ``block,ue_id,se,g``, no rows, or a row that is not four fields with a
+    finite SE raises RunFileError, and nothing is written.
     """
     raw = os.path.join(run_dir, "se_blocks.csv")
     if not os.path.exists(raw):
         raise FileNotFoundError(f"no raw SE file at {raw}")
     values = []
-    with open(raw) as f:
+    with open_text(raw, RunFileError) as f:
         if f.readline().strip() != SE_BLOCKS_HEADER:
             raise RunFileError(f"{raw}:1: expected header '{SE_BLOCKS_HEADER}'")
         for ln, line in enumerate(f, start=2):

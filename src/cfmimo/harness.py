@@ -12,12 +12,13 @@ regardless of execution order.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import InputError
+from . import InputError, open_text
 from . import channel as ch
 from . import evaluation as ev
 from . import mobility as mb
@@ -100,6 +101,9 @@ class ExperimentConfig:
         if self.topology_source == "ppp" and self.topology_m < 1:
             raise ConfigError(f"topology_m must be at least 1, got {self.topology_m}")
         for key, known in (
+            ("topology_source", ("ppp", "file")),
+            ("mobility_source", ("rwp", "file")),
+            ("channel_provider", ("log-distance", "map")),
             ("sinr_estimator", ev.SINR_ESTIMATORS),
             ("pilot_method", ch.PILOT_METHODS),
         ):
@@ -153,11 +157,12 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the key = value format; unknown keys and bad values are errors."""
+    """Parse the key = value format, whose lines end only at ``\\n``,
+    ``\\r\\n`` or ``\\r``; unknown keys and bad values are errors."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     defaults = ExperimentConfig()
     values = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -188,7 +193,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open_text(path, ConfigError) as f:
             return parse_config(f.read())
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
@@ -208,12 +213,10 @@ def _build_topology(cfg: ExperimentConfig) -> tp.NetworkTopology:
     area = tp.AreaSpec(width=cfg.area_width, height=cfg.area_height)
     if cfg.topology_source == "ppp":
         topo = tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
-    elif cfg.topology_source == "file":
+    else:
         if not cfg.topology_file:
             raise ConfigError("topology_source=file needs topology_file")
         topo = tp.load_topology(cfg.topology_file)
-    else:
-        raise ConfigError(f"unknown topology_source {cfg.topology_source!r}")
     if cfg.clusters_per_side > 0:
         topo = tp.build_square_clusters(topo, cfg.clusters_per_side)
     return topo
@@ -230,16 +233,14 @@ def _build_trace(cfg: ExperimentConfig, area: tp.AreaSpec) -> mb.MobilityTrace:
             mean_transition=cfg.mean_transition_m,
             seed=int(derive_seed(cfg.seed, "mobility").generate_state(1)[0]),
         )
-    if cfg.mobility_source == "file":
-        if not cfg.tracks_file:
-            raise ConfigError("mobility_source=file needs tracks_file")
-        trace = mb.load_tracks(cfg.tracks_file, cfg.block_duration_s, area=area)
-        if trace.n_blocks < cfg.blocks:
-            raise ConfigError(
-                f"track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
-            )
-        return trace
-    raise ConfigError(f"unknown mobility_source {cfg.mobility_source!r}")
+    if not cfg.tracks_file:
+        raise ConfigError("mobility_source=file needs tracks_file")
+    trace = mb.load_tracks(cfg.tracks_file, cfg.block_duration_s, area=area)
+    if trace.n_blocks < cfg.blocks:
+        raise ConfigError(
+            f"track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
+        )
+    return trace
 
 
 def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.RadioConfig, n_ues: int):
@@ -247,11 +248,9 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
         return ch.LogDistanceProvider(
             topo, radio, n_ues, seed=derive_seed(cfg.seed, "shadowing")
         )
-    if cfg.channel_provider == "map":
-        if not cfg.pathloss_map_file:
-            raise ConfigError("channel_provider=map needs pathloss_map_file")
-        return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
-    raise ConfigError(f"unknown channel_provider {cfg.channel_provider!r}")
+    if not cfg.pathloss_map_file:
+        raise ConfigError("channel_provider=map needs pathloss_map_file")
+    return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
 
 
 def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.MetricsReport]:

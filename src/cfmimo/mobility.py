@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError
+from . import InputError, open_text
 from .topology import AreaSpec
 
 
@@ -140,7 +140,7 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
         raise ValueError("block_duration must be positive")
     tracks: dict[int, list[tuple[float, float, float]]] = {}
     line_of: dict[int, int] = {}
-    with open(path) as f:
+    with open_text(path, TrackParseError) as f:
         for ln, line in enumerate(f, start=1):
             if not line.strip():
                 continue

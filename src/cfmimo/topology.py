@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError
+from . import InputError, open_text
 
 
 class TopologyParseError(InputError):
@@ -116,37 +116,38 @@ def load_topology(path) -> NetworkTopology:
     TopologyParseError naming the 1-based line number on any malformed row,
     duplicate AP id, id outside 0..M-1, or out-of-area position.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise TopologyParseError(f"{path}: empty topology file")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise TopologyParseError(f"{path}:1: expected header 'area_width,area_height'")
-    try:
-        area = AreaSpec(width=float(head[0]), height=float(head[1]))
-    except ValueError as e:
-        raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
-
     by_id: dict[int, tuple[float, float]] = {}
     line_of: dict[int, int] = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TopologyParseError(f"{path}:{ln}: expected 'ap_id,x,y', got {line!r}")
+    with open_text(path, TopologyParseError) as f:
+        first = f.readline()
+        if not first:
+            raise TopologyParseError(f"{path}: empty topology file")
+        head = first.rstrip("\n").split(",")
+        if len(head) != 2:
+            raise TopologyParseError(f"{path}:1: expected header 'area_width,area_height'")
         try:
-            ap_id = int(parts[0])
-            x, y = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise TopologyParseError(f"{path}:{ln}: non-numeric field in {line!r}") from None
-        if ap_id in by_id:
-            raise TopologyParseError(f"{path}:{ln}: duplicate AP id {ap_id}")
-        if not bool(area.contains((x, y))):
-            raise TopologyParseError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
-        by_id[ap_id] = (x, y)
-        line_of[ap_id] = ln
+            area = AreaSpec(width=float(head[0]), height=float(head[1]))
+        except ValueError as e:
+            raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
+
+        for ln, line in enumerate(f, start=2):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise TopologyParseError(f"{path}:{ln}: expected 'ap_id,x,y', got {line!r}")
+            try:
+                ap_id = int(parts[0])
+                x, y = float(parts[1]), float(parts[2])
+            except ValueError:
+                raise TopologyParseError(f"{path}:{ln}: non-numeric field in {line!r}") from None
+            if ap_id in by_id:
+                raise TopologyParseError(f"{path}:{ln}: duplicate AP id {ap_id}")
+            if not bool(area.contains((x, y))):
+                raise TopologyParseError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
+            by_id[ap_id] = (x, y)
+            line_of[ap_id] = ln
     if not by_id:
         raise TopologyParseError(f"{path}: no AP rows")
     m = len(by_id)

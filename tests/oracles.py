@@ -604,12 +604,14 @@ _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
 def load_pathloss_map_reference(path, topo) -> PathLossMap:
     """The line-list map loader the package's streaming loader replaced.
 
-    It holds the file text, its line list and the body copy at once, checks
-    duplicates with a stable argsort, and defines every accepted table and
-    every error message the streaming loader must reproduce.
+    It reads the lines by the package's line rule (UTF-8 text, lines ending
+    only at \\n, \\r\\n or \\r, line ends stripped) into one list, holds
+    that list and the body copy at once, checks duplicates with a stable
+    argsort, and defines every accepted table and every error message the
+    streaming loader must reproduce.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    with open(path, encoding="utf-8") as f:
+        lines = [line.rstrip("\n") for line in f]
     if not lines:
         raise MapParseError(f"{path}: empty map file")
     head = lines[0].split(",")

@@ -552,8 +552,8 @@ def test_map_round_trip_bit_identical(tmp_path):
 
 
 _FUZZ_NEWLINES = ["\n"] * 8 + ["\r\n", "\r"]
-# str.splitlines breaks that a text-mode line read does not honour, and a
-# space that joins two rows into one
+# characters that end no line under the line rule (str.splitlines would
+# break at each), and a space: each joins two rows into one
 _FUZZ_BREAKS = _FUZZ_NEWLINES + ["\v", "\f", "\x1c", "\x85", "\u2028", " "]
 _FUZZ_ODD_ROWS = [
     "", "", "  ", "\t", "#0,0,0,90", "# AP 0", "0,1", "0,1,0", "0,1,0,90,7", "1.5,0,0,90",
@@ -590,8 +590,9 @@ def _load_outcome(loader, path, topo):
 
 
 def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
-    # the streamed loader and its fallback against the line-list reference:
-    # the same table for every accepted file, the same error for every other
+    # the streamed loader and its row-by-row re-read against the line-list
+    # reference: the same table for every accepted file, the same error for
+    # every other
     rng = np.random.default_rng(2024)
     kinds = set()
     for n in range(300):

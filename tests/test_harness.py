@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,7 +26,8 @@ from cfmimo.harness import (
     run_experiment,
     serialize_config,
 )
-from cfmimo.topology import AreaSpec, generate_ppp_topology
+from cfmimo.mobility import load_tracks
+from cfmimo.topology import AreaSpec, generate_ppp_topology, load_topology
 
 import mapgen
 import oracles
@@ -59,6 +61,39 @@ def test_config_bad_value_rejected():
 def test_config_comments_and_blanks_ok():
     cfg = parse_config("# comment\n\nblocks = 7  # trailing\n")
     assert cfg.blocks == 7
+
+
+def test_config_lines_end_only_at_newlines():
+    cfg = parse_config("blocks = 7\rn_mc = 3\r\nue_count = 4\n")
+    assert (cfg.blocks, cfg.n_mc, cfg.ue_count) == (7, 3, 4)
+    with pytest.raises(ConfigError, match="^line 1: bad value for blocks"):
+        parse_config("blocks = 7\fn_mc = 3\n")
+
+
+_TWO_AP_TOPOLOGY = generate_ppp_topology(AreaSpec(100.0, 100.0), 2, seed=1)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\f", "\x85"], ids=["lf", "cr", "crlf", "ff", "nel"])
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (load_topology, "100,100\n0,10,10\n1,20,20{end}2,30,30\n", ":3: expected 'ap_id,x,y', got "),
+        (lambda p: load_tracks(p, 0.02), "0,0,10,10\n0,0.02,11,10{end}0,0.04,12,10\n", ":2: expected 'ue_id,t,x,y', got "),
+        (lambda p: ch.load_pathloss_map(p, _TWO_AP_TOPOLOGY), "10,10,0,0\n0,0,0,90{end}1,0,0,91\n",
+         ":2: expected 'ap_id,cell_ix,cell_iy,pathloss_db'"),
+    ],
+    ids=["topology", "tracks", "map"],
+)
+def test_input_lines_end_only_at_newlines(tmp_path, loader, text, message, end):
+    # \n, \r and \r\n end a line; \f and \x85, line breaks to str.splitlines,
+    # join two rows into one malformed line, and the error names that line
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.format(end=end).encode("utf-8"))
+    if end in ("\n", "\r", "\r\n"):
+        loader(path)
+    else:
+        with pytest.raises(cfmimo.InputError, match=re.escape(f"{path}{message}")):
+            loader(path)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -418,7 +453,8 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
         "tx_power_w = 0", "delta = 1.5", "g_max = 0", "mdp_round_budget = 0",
         "area_width = 0", "topology_m = 0", "speed_mps = 0", "mean_transition_m = 0", "tau_p = 0",
         "tx_power_w = nan", "area_height = nan", "shadowing_sigma_db = nan", "beta0_db = nan",
-        "beta0_db = inf",
+        "beta0_db = inf", "topology_source = grid", "mobility_source = walk",
+        "channel_provider = raytrace",
     ],
 )
 def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
@@ -432,6 +468,48 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
     monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
     assert not out.exists()
+
+
+_FILE_INPUTS = {
+    "topology": "100,100\n0,20,20\n1,70,70\n",
+    "tracks": "0,0,1,1\n1,0,2,2\n0,0.02,1.5,1\n1,0.02,2.5,2\n",
+    "map": "10,10,0,0\n0,0,0,90\n1,0,0,91\n",
+}
+
+
+@pytest.mark.parametrize("bad", ["config", "topology", "tracks", "map", "se_blocks"])
+def test_cli_non_utf8_byte_exits_2_before_block_0(tmp_path, monkeypatch, capsys, bad):
+    # a \xff on the second line of any input file is an input error naming
+    # the file: exit 2, one stderr line, no run directory and no cdf.csv
+    out = tmp_path / "out"
+    paths = {name: tmp_path / f"{name}.txt" for name in _FILE_INPUTS}
+    for name, text in _FILE_INPUTS.items():
+        paths[name].write_text(text)
+    paths["config"] = tmp_path / "cfg.txt"
+    paths["config"].write_text(serialize_config(mini_config(
+        out_dir=str(out), ue_count=2, e_best=1,
+        topology_source="file", topology_file=str(paths["topology"]),
+        mobility_source="file", tracks_file=str(paths["tracks"]),
+        channel_provider="map", pathloss_map_file=str(paths["map"]),
+    )))
+    paths["se_blocks"] = tmp_path / "run" / "se_blocks.csv"
+    paths["se_blocks"].parent.mkdir()
+    paths["se_blocks"].write_text("block,ue_id,se,g\n0,0,1.5,1\n0,1,2.5,1\n")
+    first, second, rest = paths[bad].read_bytes().split(b"\n", 2)
+    paths[bad].write_bytes(first + b"\n" + second + b"\xff\n" + rest)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    if bad == "se_blocks":
+        rc = cli.main(["export-cdf", "--run", str(paths[bad].parent)])
+    else:
+        rc = cli.main(["simulate", "--config", str(paths["config"])])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {paths[bad]}: not UTF-8 text\n"
+    assert not out.exists()
+    assert not (paths["se_blocks"].parent / "cdf.csv").exists()
 
 
 def test_cli_mobility_override_is_checked(tmp_path, monkeypatch):
