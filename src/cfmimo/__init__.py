@@ -29,3 +29,27 @@ def open_text(path, error):
             yield f
         except UnicodeDecodeError:
             raise error(f"{path}: not UTF-8 text") from None
+
+
+def read_rows(f, path, fields, types, error, start=1):
+    """Yield (line number, row, values) for each non-blank line of ``f``.
+
+    Line numbers count from ``start`` and include blank or whitespace-only
+    lines, which are skipped; ``#`` starts no comment. ``row`` is the line
+    without its line end, split on ``,`` into one field per entry of
+    ``types``, and ``values`` are those fields converted by ``types``. A row
+    of another field count, or a field a type refuses, raises ``error``
+    naming the line and quoting the row; ``fields`` names the columns.
+    """
+    for ln, line in enumerate(f, start):
+        row = line.rstrip("\n")
+        if not row.strip():
+            continue
+        parts = row.split(",")
+        if len(parts) != len(types):
+            raise error(f"{path}:{ln}: expected '{fields}', got {row!r}")
+        try:
+            values = [convert(part) for convert, part in zip(types, parts)]
+        except ValueError:
+            raise error(f"{path}:{ln}: non-numeric field in {row!r}") from None
+        yield ln, row, values

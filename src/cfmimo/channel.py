@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError, open_text
+from . import InputError, open_text, read_rows
 
 BOLTZMANN = 1.380649e-23
 T0_KELVIN = 290.0
@@ -192,6 +192,7 @@ class PathLossMap:
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
+_MAP_FIELDS = "ap_id,cell_ix,cell_iy,pathloss_db"
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -200,9 +201,10 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     Format: header ``grid_dx,grid_dy,origin_x,origin_y`` then rows
     ``ap_id,cell_ix,cell_iy,pathloss_db``. Blank lines are skipped; ``#``
     starts no comment, so a ``#`` line is a malformed row. Every AP id must
-    belong to the topology and appear at least once; duplicate cells and
-    non-positive grid spacing are parse errors. Each error names the file
-    line (``path:line``) of the first offending row.
+    belong to the topology and appear at least once; duplicate cells, a
+    non-finite header field and non-positive grid spacing are parse errors.
+    Each error names the file line (``path:line``) of the first offending
+    row.
 
     The file is streamed: after the header, the open file goes to one
     ``np.loadtxt`` call, so the rows (32 B each) are the only copy of the
@@ -222,10 +224,10 @@ def load_pathloss_map(path, topo) -> PathLossMap:
         except ValueError:
             # loadtxt's message gives no file line, and loadtxt refuses
             # some rows the row rules accept (whitespace-only lines, "1_0")
-            rows, bad = _scan_map_rows(path, _body_lines(f), topo.n_aps)
+            rows, bad = _scan_map_rows(path, _rewind_body(f), topo.n_aps)
         if not rows.size and bad is None:
             raise MapParseError(f"{path}: no map rows")
-        return _map_from_rows(path, topo, header, rows, bad, lambda i: _file_row_line(f, i))
+        return _map_from_rows(path, topo, header, rows, bad, lambda i: _file_row_line(path, f, i))
 
 
 def _parse_map_header(path, line):
@@ -240,6 +242,8 @@ def _parse_map_header(path, line):
         dx, dy, ox, oy = (float(v) for v in head)
     except ValueError:
         raise MapParseError(f"{path}:1: non-numeric header field") from None
+    if not all(map(math.isfinite, (dx, dy, ox, oy))):
+        raise MapParseError(f"{path}:1: non-finite header field")
     if dx <= 0 or dy <= 0:
         raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
     return dx, dy, ox, oy
@@ -290,48 +294,37 @@ def _map_from_rows(path, topo, header, rows, bad, row_line) -> PathLossMap:
 def _scan_map_rows(path, body, n_aps):
     """Parse rows one by one up to the first malformed one.
 
-    ``body`` yields (file line number, line) after the header. Returns the
-    rows before the malformed one and the error naming its line (None when
-    every row parses). Besides the field rules and the AP id range, a cell
-    index beyond int64, which no table could hold, ends the scan.
+    ``body`` is the open map file after its header. Returns the rows before
+    the malformed one and the error naming its line (None when every row
+    parses). Besides the row rule and the AP id range, a cell index beyond
+    int64, which no table could hold, ends the scan.
     """
-    parsed, bad = [], None
-    for ln, line in body:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db'")
-            break
-        try:
-            ap, cix, ciy, pl = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError:
-            bad = MapParseError(f"{path}:{ln}: non-numeric field in {line!r}")
-            break
-        if not 0 <= ap < n_aps:
-            bad = MapParseError(f"{path}:{ln}: unknown AP id {ap}")
-            break
-        if max(abs(cix), abs(ciy)) >= 2**63:
-            bad = MapParseError(f"{path}:{ln}: cell index out of range in {line!r}")
-            break
-        parsed.append((ap, cix, ciy, pl))
-    return np.array(parsed, dtype=_MAP_ROW), bad
+    parsed = []
+    rows = read_rows(body, path, _MAP_FIELDS, (int, int, int, float), MapParseError, start=2)
+    try:
+        for ln, row, (ap, cix, ciy, pl) in rows:
+            if not 0 <= ap < n_aps:
+                raise MapParseError(f"{path}:{ln}: unknown AP id {ap}")
+            if max(abs(cix), abs(ciy)) >= 2**63:
+                raise MapParseError(f"{path}:{ln}: cell index out of range in {row!r}")
+            parsed.append((ap, cix, ciy, pl))
+    except MapParseError as e:
+        return np.array(parsed, dtype=_MAP_ROW), e
+    return np.array(parsed, dtype=_MAP_ROW), None
 
 
-def _body_lines(f):
-    """(file line number, line) of each line after the header of the open
-    map file ``f``, read again from the start."""
+def _rewind_body(f):
+    """The open map file ``f``, read again from its first line after the header."""
     f.seek(0)
     f.readline()
-    return enumerate(f, start=2)
+    return f
 
 
-def _file_row_line(f, i) -> int:
+def _file_row_line(path, f, i) -> int:
     """File line number of data row ``i`` of the open map file ``f``,
     counting past blank lines."""
-    rows = (ln for ln, line in _body_lines(f) if line.strip())
-    return next(itertools.islice(rows, i, None))
+    rows = read_rows(_rewind_body(f), path, _MAP_FIELDS, (str,) * 4, MapParseError, start=2)
+    return next(itertools.islice(rows, i, None))[0]
 
 
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from . import InputError, open_text
+from . import InputError, open_text, read_rows
 
 SE_BLOCKS_HEADER = "block,ue_id,se,g"
 
@@ -89,17 +89,8 @@ def export_cdf(run_dir) -> list[float]:
     with open_text(raw, RunFileError) as f:
         if f.readline().strip() != SE_BLOCKS_HEADER:
             raise RunFileError(f"{raw}:1: expected header '{SE_BLOCKS_HEADER}'")
-        for ln, line in enumerate(f, start=2):
-            row = line.strip()
-            if not row:
-                continue
-            fields = row.split(",")
-            if len(fields) != 4:
-                raise RunFileError(f"{raw}:{ln}: expected '{SE_BLOCKS_HEADER}', got {row!r}")
-            try:
-                se = float(fields[2])
-            except ValueError:
-                raise RunFileError(f"{raw}:{ln}: non-numeric SE in {row!r}") from None
+        rows = read_rows(f, raw, SE_BLOCKS_HEADER, (str, str, float, str), RunFileError, start=2)
+        for ln, row, (_, _, se, _) in rows:
             if not math.isfinite(se):
                 raise RunFileError(f"{raw}:{ln}: non-finite SE in {row!r}")
             values.append(se)

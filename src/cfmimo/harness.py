@@ -329,8 +329,9 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Every algorithm name, and cuc's cluster grid, is checked before any
     work. The run is block-major: the topology, trace, path-loss provider
     and pilots are built once, and each block takes one channel snapshot and
-    one set of Monte-Carlo draws that every algorithm is evaluated on. Two (n_mc, M, K) complex draw
-    arrays stay live per block, whatever the number of algorithms.
+    one set of Monte-Carlo draws that every algorithm is evaluated on. Two
+    (n_mc, M, K) complex draw arrays stay live per block, whatever the
+    number of algorithms.
     """
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:

@@ -9,11 +9,12 @@ t = 0, bd, 2*bd, ...
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError, open_text
+from . import InputError, open_text, read_rows
 from .topology import AreaSpec
 
 
@@ -131,27 +132,20 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
     beyond any UE's last waypoint: T = floor(min last timestamp / bd) + 1.
     Per-UE speed is estimated as the median displacement rate between
     consecutive waypoints. The UE ids of a file with K tracks must be
-    0..K-1, in any order; row i of the trace is UE i. Sample gaps larger than
-    10x block_duration, (when ``area`` is given) out-of-area points and an
-    id outside 0..K-1 are parse errors; the last names the first row of the
-    first such id and the smallest missing id.
+    0..K-1, in any order; row i of the trace is UE i. A non-finite time,
+    sample gaps larger than 10x block_duration, (when ``area`` is given)
+    out-of-area points and an id outside 0..K-1 are parse errors; the last
+    names the first row of the first such id and the smallest missing id.
     """
     if block_duration <= 0:
         raise ValueError("block_duration must be positive")
     tracks: dict[int, list[tuple[float, float, float]]] = {}
     line_of: dict[int, int] = {}
     with open_text(path, TrackParseError) as f:
-        for ln, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise TrackParseError(f"{path}:{ln}: expected 'ue_id,t,x,y', got {line!r}")
-            try:
-                ue = int(parts[0])
-                t, x, y = float(parts[1]), float(parts[2]), float(parts[3])
-            except ValueError:
-                raise TrackParseError(f"{path}:{ln}: non-numeric field in {line!r}") from None
+        parsed = read_rows(f, path, "ue_id,t,x,y", (int, float, float, float), TrackParseError)
+        for ln, row, (ue, t, x, y) in parsed:
+            if not math.isfinite(t):
+                raise TrackParseError(f"{path}:{ln}: non-finite time in {row!r}")
             if area is not None and not bool(area.contains((x, y))):
                 raise TrackParseError(f"{path}:{ln}: point ({x}, {y}) outside area")
             rows = tracks.setdefault(ue, [])

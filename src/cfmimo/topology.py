@@ -9,11 +9,12 @@ share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError, open_text
+from . import InputError, open_text, read_rows
 
 
 class TopologyParseError(InputError):
@@ -28,8 +29,8 @@ class AreaSpec:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"area must have positive extent, got {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"area must have finite, positive extent, got {self.width}x{self.height}")
 
     def contains(self, xy) -> np.ndarray:
         xy = np.asarray(xy, dtype=float)
@@ -130,18 +131,8 @@ def load_topology(path) -> NetworkTopology:
         except ValueError as e:
             raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
 
-        for ln, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise TopologyParseError(f"{path}:{ln}: expected 'ap_id,x,y', got {line!r}")
-            try:
-                ap_id = int(parts[0])
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise TopologyParseError(f"{path}:{ln}: non-numeric field in {line!r}") from None
+        parsed = read_rows(f, path, "ap_id,x,y", (int, float, float), TopologyParseError, start=2)
+        for ln, _, (ap_id, x, y) in parsed:
             if ap_id in by_id:
                 raise TopologyParseError(f"{path}:{ln}: duplicate AP id {ap_id}")
             if not bool(area.contains((x, y))):

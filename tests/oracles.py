@@ -669,7 +669,7 @@ def _scan_map_rows_reference(path, body, n_aps):
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db'")
+            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db', got {line!r}")
             break
         try:
             ap, cix, ciy, pl = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])

@@ -411,6 +411,16 @@ def test_map_bad_spacing_rejected(tmp_path):
         load_pathloss_map(path, topo)
 
 
+@pytest.mark.parametrize("header", ["10,10,nan,0", "10,10,0,-inf", "inf,10,0,0", "10,nan,0,0"])
+def test_map_non_finite_header_rejected(tmp_path, header):
+    # a nan origin put every UE outside the map and ran to a sum rate of 0
+    topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 1, seed=1)
+    path = tmp_path / "map.txt"
+    _write_map(path, header, [(0, 0, 0, 90.0)])
+    with pytest.raises(MapParseError, match=r"map\.txt:1: non-finite header field$"):
+        load_pathloss_map(path, topo)
+
+
 def test_map_monotone_outage(tmp_path):
     # removing rows never increases any beta
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 3, seed=2)
@@ -462,7 +472,8 @@ def test_map_non_numeric_field_names_line(tmp_path, row):
 @pytest.mark.parametrize("row", ["0,1,0", "0,1,0,90,7", "# AP 0 coverage"])
 def test_map_wrong_field_count_names_line(tmp_path, row):
     path = _write_map_text(tmp_path / "map.txt", f"0,0,0,90\n{row}\n1,0,0,91\n")
-    with pytest.raises(MapParseError, match=r"map\.txt:3: expected 'ap_id,cell_ix,cell_iy,pathloss_db'$"):
+    message = f"expected 'ap_id,cell_ix,cell_iy,pathloss_db', got '{row}'"
+    with pytest.raises(MapParseError, match=rf"map\.txt:3: {message}$"):
         _load_two_ap_map(path)
 
 
@@ -475,7 +486,7 @@ def test_map_hash_starts_no_comment(tmp_path):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("0,1,0", "expected 'ap_id,cell_ix,cell_iy,pathloss_db'"),
+        ("0,1,0", "expected 'ap_id,cell_ix,cell_iy,pathloss_db', got '0,1,0'"),
         ("0,1,x,90", "non-numeric field in '0,1,x,90'"),
         ("5,1,0,90", "unknown AP id 5"),
         ("0,0,0,95", r"duplicate cell \(0, 0, 0\)"),

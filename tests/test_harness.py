@@ -96,6 +96,36 @@ def test_input_lines_end_only_at_newlines(tmp_path, loader, text, message, end):
             loader(path)
 
 
+# per row file: its loader, file name, header line (None for none), a good
+# row, the column names, a short row and a row with a non-numeric field
+_ROW_FILES = {
+    "topology": (load_topology, "topology.txt", "100,100", "0,10,10", "ap_id,x,y", "1,20", "1,x,20"),
+    "tracks": (lambda p: load_tracks(p, 0.02), "tracks.txt", None, "0,0,10,10", "ue_id,t,x,y",
+               "0,0.02,11", "0,0.02,x,10"),
+    "map": (lambda p: ch.load_pathloss_map(p, _TWO_AP_TOPOLOGY), "map.txt", "10,10,0,0", "0,0,0,90",
+            "ap_id,cell_ix,cell_iy,pathloss_db", "1,0,0", "1,0,x,91"),
+    "se_blocks": (lambda p: cli.export_cdf(p.parent), "se_blocks.csv", "block,ue_id,se,g", "0,0,1.5,1",
+                  "block,ue_id,se,g", "0,1,2.5", "0,1,abc,1"),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", ["short", "non-numeric"])
+@pytest.mark.parametrize("reader", list(_ROW_FILES))
+def test_row_rule_same_for_every_row_file(tmp_path, reader, kind, end):
+    # one row rule: blank and whitespace-only lines are skipped but counted,
+    # and a bad row gets one of two messages quoting it without its line end
+    load, name, header, good, fields, short, non_numeric = _ROW_FILES[reader]
+    bad = short if kind == "short" else non_numeric
+    lines = ([header] if header else []) + [good, "", " \t", bad, good]
+    path = tmp_path / name
+    path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+    message = f"expected '{fields}', got '{bad}'" if kind == "short" else f"non-numeric field in '{bad}'"
+    with pytest.raises(cfmimo.InputError) as info:
+        load(path)
+    assert str(info.value) == f"{path}:{len(lines) - 1}: {message}"
+
+
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(3, "eval", 0).generate_state(2)
     b = derive_seed(3, "eval", 0).generate_state(2)
@@ -266,7 +296,7 @@ def test_export_cdf_equals_numpy_reference_on_goldens(tmp_path, se_blocks):
         ("block,ue_id,se,g\n\n", "{raw}: no SE rows"),
         ("block,ue_id,se,g\n0,0,1.5,1\n0,1,nan,1\n", "{raw}:3: non-finite SE in '0,1,nan,1'"),
         ("block,ue_id,se,g\n0,0,-inf,1\n", "{raw}:2: non-finite SE in '0,0,-inf,1'"),
-        ("block,ue_id,se,g\n0,0,abc,1\n", "{raw}:2: non-numeric SE in '0,0,abc,1'"),
+        ("block,ue_id,se,g\n0,0,abc,1\n", "{raw}:2: non-numeric field in '0,0,abc,1'"),
         ("block,ue_id,se,g\n0,0,1.5\n", "{raw}:2: expected 'block,ue_id,se,g', got '0,0,1.5'"),
         ("ue_id,se\n0,1.5\n", "{raw}:1: expected header 'block,ue_id,se,g'"),
         ("", "{raw}:1: expected header 'block,ue_id,se,g'"),

@@ -127,6 +127,24 @@ def test_tracks_nonincreasing_time_rejected(tmp_path):
         load_tracks(path, block_duration=0.02)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_tracks_non_finite_time_names_line(tmp_path, t):
+    # a nan time passed every time check and gave nan positions
+    path = tmp_path / "tracks.txt"
+    path.write_text(f"0,0,10,10\n0,{t},11,10\n0,0.04,12,10\n")
+    with pytest.raises(TrackParseError, match=rf"tracks\.txt:2: non-finite time in '0,{t},11,10'$"):
+        load_tracks(path, block_duration=0.02)
+
+
+def test_tracks_non_finite_first_time_names_line(tmp_path):
+    # a lone -inf time passed the start-at-t=0 check and overflowed the
+    # block count
+    path = tmp_path / "tracks.txt"
+    path.write_text("0,-inf,10,10\n")
+    with pytest.raises(TrackParseError, match=r"tracks\.txt:1: non-finite time in '0,-inf,10,10'$"):
+        load_tracks(path, block_duration=0.02)
+
+
 @pytest.mark.parametrize(
     "ids, line, stray, missing",
     [((3, 7), 1, 3, 0), ((0, 2), 2, 2, 1), ((1, -1), 2, -1, 0)],

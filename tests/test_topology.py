@@ -20,6 +20,21 @@ def test_zero_area_rejected():
         AreaSpec(width=750.0, height=-1.0)
 
 
+@pytest.mark.parametrize("width, height", [(float("inf"), 750.0), (750.0, float("nan")), (float("-inf"), 1.0)])
+def test_non_finite_area_rejected(width, height):
+    with pytest.raises(ValueError, match="finite, positive extent"):
+        AreaSpec(width=width, height=height)
+
+
+@pytest.mark.parametrize("header", ["inf,100", "nan,100", "100,-inf"])
+def test_load_non_finite_area_header_names_line_1(tmp_path, header):
+    # an infinite area let every AP and UE in and ran to a sum rate of 0
+    path = tmp_path / "t.txt"
+    path.write_text(f"{header}\n0,10,20\n")
+    with pytest.raises(TopologyParseError, match=r"t\.txt:1: bad area header: area must have finite"):
+        load_topology(path)
+
+
 def test_ppp_count_and_bounds():
     area = AreaSpec(width=750.0, height=750.0)
     topo = generate_ppp_topology(area, 324, seed=7)
