@@ -1,10 +1,11 @@
 """Serving-set selection: cooperation matrix, selection algorithms, MDP env.
 
-All algorithms are pure functions of a channel snapshot and the selection
-constraints; candidate APs are those at or above the outage threshold beta0,
-and ties in beta always break toward the lowest AP index. UE iteration order
-is ascending UE id, which matters for the eviction-based and fairness-driven
-algorithms (documented order dependence).
+Every algorithm selects from the candidate APs, those at or above the
+outage threshold beta0, and ranks a UE's candidates by descending beta with
+ties toward the lowest AP index. Besides the snapshot and the constraints,
+cuc reads the topology's cluster grid and mdp-greedy its round budget. The
+rules that walk UEs do so in ascending UE id, which matters for the
+load-capped and eviction-based algorithms (documented order dependence).
 """
 
 from __future__ import annotations
@@ -92,9 +93,29 @@ def jain_index(values) -> float:
     return float(v.sum()) ** 2 / (v.size * ssq)
 
 
-def _rank_order(beta: np.ndarray) -> np.ndarray:
-    """Per-UE AP ranks: column k is UE k's stable descending-beta AP order."""
-    return np.argsort(-beta, axis=0, kind="stable")
+def _ranked(snapshot: ChannelSnapshot, constraints: SelectionConstraints):
+    """(beta, order, ranked_beta): the candidate beta, each UE's stable
+    descending-beta AP order (column k for UE k), and beta in that order."""
+    beta = candidate_beta(snapshot, constraints)
+    order = np.argsort(-beta, axis=0, kind="stable")
+    return beta, order, np.take_along_axis(beta, order, axis=0)
+
+
+def _fill_in_rank_order(order: np.ndarray, ranked: np.ndarray, cap: int, take: int):
+    """UE by UE in ascending id, connect the first ``take`` candidate APs in
+    rank order whose load is below ``cap``; returns (d, AP loads w).
+
+    An AP's load depends on the UEs before, so this walks UEs in Python.
+    """
+    m_aps, k_ues = order.shape
+    d = np.zeros((m_aps, k_ues), dtype=np.int8)
+    w = np.zeros(m_aps, dtype=int)
+    for k in range(k_ues):
+        col = order[:, k]
+        chosen = col[(ranked[:, k] > 0.0) & (w[col] < cap)][:take]
+        d[chosen, k] = 1
+        w[chosen] += 1
+    return d, w
 
 
 def select_unifsrv_heu(
@@ -118,24 +139,15 @@ def select_unifsrv_heu(
     stops early once no UE can grow any more: each has reached g_max, the
     delta fraction, or its last candidate AP. None of these can reverse.
     """
-    beta = candidate_beta(snapshot, constraints)
+    beta, order, ranked_beta = _ranked(snapshot, constraints)
     m_aps, k_ues = beta.shape
-    order = _rank_order(beta)
-    ranked_beta = np.take_along_axis(beta, order, axis=0)
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
     total = beta.sum(axis=0)
     load_cap = constraints.tau_p + 1 if constraints.allow_tau_p_equality else constraints.tau_p
-    w = np.zeros(m_aps, dtype=int)
     ues = np.arange(k_ues)
 
     # initial connection: best candidate AP with spare load, so the load cap
     # holds even when many UEs share one best AP
-    for k in range(k_ues):
-        col = order[:, k]
-        free = col[(ranked_beta[:, k] > 0.0) & (w[col] < load_cap)]
-        if free.size:
-            d[free[0], k] = 1
-            w[free[0]] += 1
+    d, w = _fill_in_rank_order(order, ranked_beta, load_cap, 1)
     g = d.sum(axis=0)
     served = np.einsum("mk,mk->k", d.astype(float), beta)
     s = served / (total - served + 1.0)
@@ -170,24 +182,19 @@ def select_unifsrv_heu(
 def select_puc(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> CooperationMatrix:
     """Unconstrained best-SNR growth until the delta SNR fraction is reached.
 
-    No load or serving-set caps apply; serving sets can violate both.
+    No load or serving-set caps apply; serving sets can violate both. A UE
+    keeps each candidate rank whose running served sum before it is below
+    delta times its total. The running sum adds in rank order and each total
+    is numpy's pairwise sum over the UE's contiguous column: a sum in another
+    order can move a UE whose served sum lands next to delta times its total.
     """
-    beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    order = _rank_order(beta)
-    for k in range(k_ues):
-        col = beta[:, k]
-        total = col.sum()
-        served = 0.0
-        for ap in order[:, k]:
-            if col[ap] <= 0.0:
-                break
-            if served < constraints.delta * total:
-                d[ap, k] = 1
-                served += col[ap]
-            else:
-                break
+    beta, order, ranked = _ranked(snapshot, constraints)
+    total = np.ascontiguousarray(beta.T).sum(axis=1)
+    before = np.zeros_like(ranked)
+    np.cumsum(ranked[:-1], axis=0, out=before[1:])
+    keep = (ranked > 0.0) & (before < constraints.delta * total)
+    d = np.zeros(beta.shape, dtype=np.int8)
+    np.put_along_axis(d, order, keep, axis=0)
     return CooperationMatrix(d=d)
 
 
@@ -200,15 +207,10 @@ def select_puc_const(
     full AP swaps in the newcomer only if the newcomer's beta beats the worst
     beta among the AP's current UEs. The result always satisfies the load cap.
     """
-    beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    order = _rank_order(beta)
-    for k in range(k_ues):
-        col = beta[:, k]
-        for ap in order[:, k]:
-            if col[ap] <= 0.0:
-                break
+    beta, order, ranked = _ranked(snapshot, constraints)
+    d = np.zeros(beta.shape, dtype=np.int8)
+    for k in range(beta.shape[1]):
+        for ap in order[ranked[:, k] > 0.0, k]:
             served = np.flatnonzero(d[ap, :])
             if served.size < constraints.tau_p:
                 d[ap, k] = 1
@@ -223,32 +225,26 @@ def select_puc_const(
 def select_cuc(
     snapshot: ChannelSnapshot, topo, constraints: SelectionConstraints
 ) -> CooperationMatrix:
-    """Serve each UE with the full clusters of its e_best strongest APs."""
-    if topo.cluster_of_ap is None:
+    """Serve each UE with the full clusters of its e_best strongest APs.
+
+    An AP serves a UE when its cluster holds one of the UE's first e_best
+    candidate APs in rank order.
+    """
+    if topo is None or topo.cluster_of_ap is None:
         raise ValueError("CUC requires a topology with a built cluster grid")
-    beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    order = _rank_order(beta)
-    for k in range(k_ues):
-        col = beta[:, k]
-        for ap in order[: constraints.e_best, k]:
-            if col[ap] <= 0.0:
-                break
-            members = topo.cluster_of_ap == topo.cluster_of_ap[ap]
-            d[members, k] = 1
-    return CooperationMatrix(d=d)
+    beta, order, ranked = _ranked(snapshot, constraints)
+    rank, ue = np.nonzero(ranked[: constraints.e_best] > 0.0)
+    hit = np.zeros((topo.n_clusters, beta.shape[1]), dtype=bool)
+    hit[topo.cluster_of_ap[order[rank, ue]], ue] = True
+    return CooperationMatrix(d=hit[topo.cluster_of_ap].astype(np.int8))
 
 
 def select_small_cell(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> CooperationMatrix:
     """One AP per UE: the best-SNR candidate (lowest index on ties)."""
     beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    for k in range(k_ues):
-        best = int(np.argmax(beta[:, k]))
-        if beta[best, k] > 0.0:
-            d[best, k] = 1
+    best, ues = beta.argmax(axis=0), np.arange(beta.shape[1])
+    d = np.zeros(beta.shape, dtype=np.int8)
+    d[best, ues] = beta[best, ues] > 0.0
     return CooperationMatrix(d=d)
 
 
@@ -424,29 +420,13 @@ def select_mdp_greedy(
     """
     if round_budget < 1:
         raise ValueError(f"round_budget must be at least 1, got {round_budget}")
-    beta = candidate_beta(snapshot, constraints)
-    m_aps, k_ues = beta.shape
-    order = _rank_order(beta)
-    take = min(constraints.g_max, round_budget)
-    d = np.zeros((m_aps, k_ues), dtype=np.int8)
-    w = np.zeros(m_aps, dtype=int)
-    for k in range(k_ues):
-        col = order[:, k]
-        chosen = col[(beta[col, k] > 0.0) & (w[col] < constraints.tau_p)][:take]
-        d[chosen, k] = 1
-        w[chosen] += 1
+    _, order, ranked = _ranked(snapshot, constraints)
+    d, _ = _fill_in_rank_order(order, ranked, constraints.tau_p, min(constraints.g_max, round_budget))
     return CooperationMatrix(d=d)
 
 
-ALGORITHMS = {
-    "unifsrv-heu": "fairness-threshold heuristic",
-    "puc": "unconstrained best-SNR growth",
-    "puc-const": "load-capped growth with eviction",
-    "cuc": "cluster-union selection",
-    "small-cell": "single best AP",
-    "full-cf": "all candidate APs",
-    "mdp-greedy": "greedy policy on the selection MDP",
-}
+#: config keys of the selection algorithms; README describes each
+ALGORITHMS = ("unifsrv-heu", "puc", "puc-const", "cuc", "small-cell", "full-cf", "mdp-greedy")
 
 
 def run_algorithm(
@@ -469,8 +449,6 @@ def run_algorithm(
     if name == "puc-const":
         return select_puc_const(snapshot, constraints)
     if name == "cuc":
-        if topo is None:
-            raise ValueError("cuc needs the cluster topology")
         return select_cuc(snapshot, topo, constraints)
     if name == "small-cell":
         return select_small_cell(snapshot, constraints)

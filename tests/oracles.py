@@ -621,6 +621,8 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         dx, dy, ox, oy = (float(v) for v in head)
     except ValueError:
         raise MapParseError(f"{path}:1: non-numeric header field") from None
+    if not all(math.isfinite(v) for v in (dx, dy, ox, oy)):
+        raise MapParseError(f"{path}:1: non-finite header field")
     if dx <= 0 or dy <= 0:
         raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
 

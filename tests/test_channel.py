@@ -571,7 +571,9 @@ _FUZZ_ODD_ROWS = [
     "0,1_0,0,90", "0,1,0,9_0.5", "0,9223372036854775808,0,90", "1,0,-9223372036854775809,90",
     "0,100000000000000000000,1,90", " 1 , 2 ,3, 95.5 ", "0,x,0,90", "0,0,0,nan", "0,0,0,-inf",
 ]
-_FUZZ_HEADERS = ["10,10,0,0"] * 8 + ["2.5,4,-3,7", "0,10,0,0", "10,10,0", "a,10,0,0", ""]
+_FUZZ_HEADERS = ["10,10,0,0"] * 8 + [
+    "2.5,4,-3,7", "0,10,0,0", "10,10,0", "a,10,0,0", "10,10,nan,0", "inf,10,0,0", "",
+]
 
 
 def _fuzz_map_text(rng, n_aps):
@@ -622,4 +624,4 @@ def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
             assert same and got[1] == want[1], path.read_bytes()
             kinds.add("accepted")
     # the fuzz reaches acceptance and the main error kinds
-    assert {"accepted", "duplicate", "unknown", "non-numeric", "expected"} <= kinds, kinds
+    assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "expected"} <= kinds, kinds

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.selection import (
+    ALGORITHMS,
     CooperationMatrix,
     SelectionConstraints,
     jain_index,
@@ -11,6 +12,7 @@ from cfmimo.selection import (
     select_puc_const,
     select_small_cell,
     select_unifsrv_heu,
+    run_algorithm,
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology
 
@@ -312,8 +314,11 @@ def _clustered_topo(m=20, n_per_side=2, seed=6):
 def test_cuc_requires_clusters():
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 4, seed=0)
     snap = random_snapshot(4, 2, seed=1)
-    with pytest.raises(ValueError, match="cluster"):
+    message = "^CUC requires a topology with a built cluster grid$"
+    with pytest.raises(ValueError, match=message):
         select_cuc(snap, topo, loose())
+    with pytest.raises(ValueError, match=message):
+        run_algorithm("cuc", snap, loose(), topo=None)
 
 
 def test_cuc_exhaustive_e_serves_all():
@@ -410,6 +415,60 @@ def test_small_cell_full_cf_oracles():
         assert np.array_equal(
             select_full_cf(snap, no_outage(snap)).d, oracles.full_cf_oracle(snap.beta.tolist())
         )
+
+
+# ---------------------------------------------------------------------------
+# every algorithm on tied inputs
+# ---------------------------------------------------------------------------
+
+ORACLES = {
+    "unifsrv-heu": lambda b, c, cl, u: oracles.unifsrv_heu_oracle(
+        b, c.tau_p, c.g_max, c.delta, c.beta0, c.allow_tau_p_equality
+    ),
+    "puc": lambda b, c, cl, u: oracles.puc_oracle(b, c.delta, c.beta0),
+    "puc-const": lambda b, c, cl, u: oracles.puc_const_oracle(b, c.tau_p, c.beta0),
+    "cuc": lambda b, c, cl, u: oracles.cuc_oracle(b, cl, c.e_best, c.beta0),
+    "small-cell": lambda b, c, cl, u: oracles.small_cell_oracle(b, c.beta0),
+    "full-cf": lambda b, c, cl, u: oracles.full_cf_oracle(b, c.beta0),
+    "mdp-greedy": lambda b, c, cl, u: oracles.mdp_greedy_oracle(b, c.tau_p, c.g_max, u, c.beta0),
+}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_algorithm_matches_oracle_on_tied_sweep(name):
+    # integer beta gives ties and exact sums, so a puc UE's served SNR can
+    # land exactly on delta times its total; every fifth instance has one AP
+    # and every fifth one UE, e_best runs up to M + 1, and the round budget
+    # alternates between below and above g_max
+    rng = np.random.default_rng(17)
+    on_delta = 0
+    for i in range(150):
+        m = 1 if i % 5 == 0 else int(rng.integers(1, 21))
+        k = 1 if i % 5 == 1 else int(rng.integers(1, 16))
+        beta = np.round(rng.uniform(0.0, 6.0, size=(m, k)))
+        g_max = int(rng.integers(1, 9))
+        budget = int(rng.integers(1, g_max)) if i % 2 and g_max > 1 else g_max + int(rng.integers(1, 3))
+        cons = SelectionConstraints(
+            g_max=g_max,
+            tau_p=int(rng.integers(0, 5)),
+            delta=float(rng.choice([0.5, 0.95, 1.0])),
+            e_best=int(rng.integers(1, m + 2)),
+            beta0=1.0,
+            allow_tau_p_equality=bool(rng.integers(2)),
+        )
+        pos = rng.uniform(0.0, 100.0, size=(m, 2))
+        topo = build_square_clusters(
+            NetworkTopology(area=AreaSpec(100.0, 100.0), ap_positions=pos), int(rng.integers(1, 4))
+        )
+        got = run_algorithm(name, make_snapshot(beta), cons, topo=topo, mdp_round_budget=budget).d
+        want = ORACLES[name](beta.tolist(), cons, topo.cluster_of_ap.tolist(), budget)
+        assert np.array_equal(got, want), (i, m, k, cons, budget)
+        # a UE whose served sum meets delta * total exactly, with one more
+        # candidate left that puc must refuse
+        ranked = -np.sort(-np.where(beta >= 1.0, beta, 0.0), axis=0)
+        hit = np.cumsum(ranked, axis=0)[:-1] == cons.delta * ranked.sum(axis=0)
+        on_delta += int(np.any(hit & (ranked[1:] > 0.0)))
+    assert on_delta > 20
 
 
 # ---------------------------------------------------------------------------
