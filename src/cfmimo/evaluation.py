@@ -14,21 +14,30 @@ or per draw (instantaneous SINR of every realization, ergodic-equivalent
 output), at the block end (worst aging).
 
 A block's draws split in two. draw_block takes what no selection changes:
-the MMSE channel estimates, whose variance Z comes from the pilot power, and
-the channel aged to the block end, two (n_mc, M, K) complex arrays.
-evaluate_draws then runs what the cooperation matrix shapes: the precoders
-and the received gains. So several algorithms evaluated on one block share
-one set of draws; evaluate_block is the two in one call.
+the MMSE channel estimates est ~ CN(0, Z), whose variance Z comes from the
+pilot power, and for the per-draw rule the channel aged to the block end,
+h_t = rho est + nu with the residual nu ~ CN(0, R - rho^2 Z) independent of
+est. evaluate_draws then runs what the cooperation matrix shapes: the
+precoders and the received gains. So several algorithms evaluated on one
+block share one set of draws; evaluate_block is the two in one call.
+
+The hardening bound needs no h_t: given est, the gain's mean is rho_k times
+the gain formed on est and its second moment adds the residual's power
+sum_m p_mi |w_mi|^2 (R_mk - rho_k^2 Z_mk) (hardening_moments). That is the
+conditional expectation of the bound's draws on the aged channel, with the
+same expectation and a lower Monte-Carlo variance, so a hardening block holds
+one (n_mc, M, K) draw array and a per-draw block two.
 
 evaluate_draws builds the precoding layout (PrecodingContext.groups) once,
 then streams the draw axis in chunks of at most _CHUNK_ELEMS (M, K) elements
 and at most _GATHER_ELEMS gathered estimates of the widest interferer group,
 so that precode_pmmse works in cache. Each chunk's precoders and
 power-scaled conjugate precoders live only while its gains are formed. So
-the live arrays of an evaluation are the two draw arrays, one chunk of the
-precoders and of their conjugate, and the (n_mc, K, K) gains that
-instant_sinr combines once every chunk is in. Any chunk size, one draw
-included, gives the same result to the bit.
+the live arrays of an evaluation are the block's draw arrays, one chunk of
+the precoders and of their conjugate, and the (n_mc, K, K) gains (and, for
+hardening, their second moments) that instant_sinr combines once every
+chunk is in. Any chunk size, one draw included, gives the same result to the
+bit.
 """
 
 from __future__ import annotations
@@ -132,47 +141,57 @@ def _complex_normal(rng, shape, scale, buf=None) -> np.ndarray:
 class BlockDraws(NamedTuple):
     """The Monte-Carlo draws of one block that no selection changes.
 
-    est is the channel estimate and h_t the channel aged to the block end,
-    each (n_mc, M, K) complex; rho is the per-UE aging correlation at the
-    block end.
+    est is the (n_mc, M, K) complex channel estimate, rho the per-UE aging
+    correlation at the block end and resid the (M, K) variance R - rho^2 Z of
+    the aged channel about rho est. h_t = rho est + nu is the (n_mc, M, K)
+    complex channel aged to the block end in per-draw draws, and None in
+    hardening draws, whose bound needs only est and resid.
     """
 
     est: np.ndarray
-    h_t: np.ndarray
+    h_t: np.ndarray | None
     rho: np.ndarray
+    resid: np.ndarray
 
 
-def draw_block(snap: ChannelSnapshot, pilots: np.ndarray, speeds, cfg: RadioConfig, n_mc: int, seed) -> BlockDraws:
-    """Draw one block's channel estimates and aged channel.
+def draw_block(
+    snap: ChannelSnapshot,
+    pilots: np.ndarray,
+    speeds,
+    cfg: RadioConfig,
+    n_mc: int,
+    seed,
+    estimator: str = "hardening",
+) -> BlockDraws:
+    """Draw one block's channel estimates, and its aged channel for per-draw.
 
-    The stream draws the block-start channel h0 ~ CN(0, R), then the
-    estimate error eps ~ CN(0, 1), then the aging innovation g ~ CN(0, R),
-    each real part before its imaginary part. With Z the estimate variance
-    (estimate_variance_matrix at the block end) and c = Z/R (0 where R = 0),
-    est = c h0 + sqrt(Z (1 - c)) eps, so E|est|^2 = E{est conj(h0)} = Z. est
-    is built in eps's array and h_t = rho h0 + sqrt(1 - rho^2) g in h0's,
-    each part of g passing through one float scratch array.
+    With Z the estimate variance (estimate_variance_matrix at the block end)
+    the stream draws est ~ CN(0, Z), then, for ``estimator`` "per-draw"
+    only, the residual nu ~ CN(0, R - rho^2 Z), each real part before its
+    imaginary part, and builds h_t = rho est + nu in nu's array. That is the
+    aged channel's law given its estimate: E{est conj(h0)} = E|est|^2 = Z
+    makes est = E[h0 | est], so h_t = rho h0 + sqrt(1 - rho^2) g, with g a
+    fresh CN(0, R), has mean rho est and variance rho^2 (R - Z) + (1 - rho^2) R
+    about it. "hardening" draws no nu, and h_t is None. Each part of est
+    and nu, and rho times each part of est, passes through one float scratch
+    array.
     """
+    if estimator not in SINR_ESTIMATORS:
+        raise ValueError(f"unknown SINR estimator {estimator!r}")
     speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
     rng = np.random.default_rng(seed)
-    r = snap.channel_gain()
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
-    c = np.divide(z, r, out=np.zeros_like(z), where=r > 0)
-    shape = (n_mc, snap.n_aps, snap.n_ues)
-    scale = np.sqrt(r / 2.0)
-    buf = np.empty(shape)
-    h0 = _complex_normal(rng, shape, scale, buf)
-    est = _complex_normal(rng, shape, np.sqrt(z * (1.0 - c) / 2.0), buf)
-    for part_e, part_0 in ((est.real, h0.real), (est.imag, h0.imag)):
-        part_e += np.multiply(part_0, c, out=buf)
     rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
-    fresh = np.sqrt(np.maximum(0.0, 1.0 - rho**2))
-    for part in (h0.real, h0.imag):
-        np.multiply(rng.standard_normal(shape, out=buf), scale, out=buf)
-        buf *= fresh
-        part *= rho
-        part += buf
-    return BlockDraws(est=est, h_t=h0, rho=rho)
+    resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
+    shape = (n_mc, snap.n_aps, snap.n_ues)
+    buf = np.empty(shape)
+    est = _complex_normal(rng, shape, np.sqrt(z / 2.0), buf)
+    h_t = None
+    if estimator == "per-draw":
+        h_t = _complex_normal(rng, shape, np.sqrt(resid / 2.0), buf)
+        for part_h, part_e in ((h_t.real, est.real), (h_t.imag, est.imag)):
+            part_h += np.multiply(part_e, rho, out=buf)
+    return BlockDraws(est=est, h_t=h_t, rho=rho, resid=resid)
 
 
 #: Complex (M, K) elements of one draw chunk in evaluate_draws: bounds each
@@ -322,7 +341,28 @@ def received_gains(h: np.ndarray, precoders: np.ndarray, powers: np.ndarray) -> 
     return np.conj(gains, out=gains)
 
 
-def instant_sinr(gains: np.ndarray, rho, noise: float, estimator: str = "hardening") -> np.ndarray:
+def hardening_moments(est, precoders, powers, rho, resid):
+    """The hardening bound's gain moments given each estimate draw.
+
+    With h_t = rho est + nu and nu ~ CN(0, resid) independent of est and of
+    the precoders, gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi has mean
+    rho_k gt_ik, gt the received_gains formed on est, and second moment
+    |rho_k gt_ik|^2 + sum_m p_mi |w_mi|^2 resid_mk. est and precoders are
+    (N, M, K) draws, powers the per-link (M, K) split, rho per UE and resid
+    (M, K); returns the (N, i, k) means and second moments.
+    """
+    mean = received_gains(est, precoders, powers)
+    mean *= rho
+    power = np.abs(precoders) ** 2
+    power *= powers
+    power = power.transpose(0, 2, 1) @ resid
+    power += np.abs(mean) ** 2
+    return mean, power
+
+
+def instant_sinr(
+    gains: np.ndarray, rho, noise: float, estimator: str = "hardening", power: np.ndarray | None = None
+) -> np.ndarray:
     """SINR per UE from Monte-Carlo received-gain draws.
 
     gains is the (N, i, k) output of received_gains; rho the aging
@@ -330,16 +370,18 @@ def instant_sinr(gains: np.ndarray, rho, noise: float, estimator: str = "hardeni
 
     "hardening" combines empirical means first (use-and-forget bound: the
     desired-signal square is subtracted from the total received moment to
-    form the interference). "per-draw" evaluates the instantaneous SINR of
-    every draw, conditioning the signal on the current realization, and
-    returns the ergodic-equivalent SINR gamma with log2(1 + gamma) equal to
-    the mean per-draw log2(1 + gamma_n); single-AP links are then not
-    penalized by the missing channel hardening.
+    form the interference). ``power`` is each draw's second moment of the
+    gains, |gains|^2 when None; with gains and power from hardening_moments
+    the bound averages over the residual in closed form. "per-draw"
+    evaluates the instantaneous SINR of every draw, conditioning the signal
+    on the current realization, and returns the ergodic-equivalent SINR
+    gamma with log2(1 + gamma) equal to the mean per-draw log2(1 + gamma_n);
+    single-AP links are then not penalized by the missing channel hardening.
     """
     rho = np.asarray(rho, dtype=float)
     if estimator == "hardening":
         mu = gains.mean(axis=0)
-        m2 = (np.abs(gains) ** 2).mean(axis=0)
+        m2 = (np.abs(gains) ** 2 if power is None else power).mean(axis=0)
         desired = np.abs(np.diagonal(mu)) ** 2
         interference = m2.sum(axis=0) - desired
         return rho**2 * desired / (interference + noise)
@@ -371,27 +413,39 @@ def evaluate_draws(
 
     Returns (gamma, se, rate) per UE; ``draws`` is read, never written. The
     draws are taken in chunks: each chunk's estimates are precoded and its
-    received gains stored, and instant_sinr combines the gains of every draw
-    with ``estimator`` at the end, so every sum over draws runs in draw order
-    and the result is the same for any chunk size.
+    received gains stored (for "hardening", the gain moments given the
+    estimates, see hardening_moments; for "per-draw", the gains on draws.h_t),
+    and instant_sinr combines the gains of every draw with ``estimator`` at
+    the end, so every sum over draws runs in draw order and the result is the
+    same for any chunk size. Per-draw evaluation of hardening draws, which
+    hold no h_t, raises ValueError.
 
     A chunk holds at most _CHUNK_ELEMS (M, K) elements, and at most
     _GATHER_ELEMS gathered (R, S) estimates of the widest interferer group of
     the precoding layout, which is built once here and read by every chunk.
     """
+    if estimator not in SINR_ESTIMATORS:
+        raise ValueError(f"unknown SINR estimator {estimator!r}")
+    hardening = estimator == "hardening"
+    if not hardening and draws.h_t is None:
+        raise ValueError("per-draw evaluation needs draws with h_t: draw the block with estimator='per-draw'")
     ctx = PrecodingContext.from_matrix(coop)
     powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
     powers = radiated_powers(coop, cfg)
     n_mc = draws.est.shape[0]
     gains = np.empty((n_mc, snap.n_ues, snap.n_ues), dtype=complex)
+    power = np.empty(gains.shape) if hardening else None
     widest = max((g.rows.size * g.s_set.size for g in ctx.groups), default=1)
     step = max(1, min(_CHUNK_ELEMS // (snap.n_aps * snap.n_ues), _GATHER_ELEMS // widest))
     for n0 in range(0, n_mc, step):
         c = slice(n0, n0 + step)
         w = precode_pmmse(ctx, draws.est[c], snap.noise_power, powers_ue)
-        gains[c] = received_gains(draws.h_t[c], w, powers)
+        if hardening:
+            gains[c], power[c] = hardening_moments(draws.est[c], w, powers, draws.rho, draws.resid)
+        else:
+            gains[c] = received_gains(draws.h_t[c], w, powers)
         del w
-    gamma = instant_sinr(gains, draws.rho, snap.noise_power, estimator=estimator)
+    gamma = instant_sinr(gains, draws.rho, snap.noise_power, estimator=estimator, power=power)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
 
@@ -408,11 +462,11 @@ def evaluate_block(
 ):
     """Monte-Carlo SE for one block; returns (gamma, se, rate) per UE.
 
-    Draws n_mc joint realizations of the channel estimates and the channel
-    aged to the block end (draw_block), then evaluates ``coop`` on them
-    (evaluate_draws).
+    Draws n_mc realizations of the channel estimates, and for per-draw of
+    the channel aged to the block end (draw_block), then evaluates ``coop``
+    on them (evaluate_draws).
     """
-    draws = draw_block(snap, pilots, speeds, cfg, n_mc, seed)
+    draws = draw_block(snap, pilots, speeds, cfg, n_mc, seed, estimator=estimator)
     return evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
 
 

@@ -258,8 +258,9 @@ def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.Metrics
 
     The topology, trace, path-loss provider and pilots are built once. Per
     block: advance UE positions, take one channel snapshot and one set of
-    Monte-Carlo draws, then select and evaluate each algorithm on them. A
-    block's two (n_mc, M, K) draw arrays are freed before the next block's.
+    Monte-Carlo draws for cfg.sinr_estimator, then select and evaluate each
+    algorithm on them. A block's draw arrays, one (n_mc, M, K) complex array
+    for hardening and two for per-draw, are freed before the next block's.
     Module errors, and a non-finite SE, raise RuntimeError naming the block.
     """
     radio = cfg.radio()
@@ -277,7 +278,8 @@ def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.Metrics
         where = f"block {b}"
         try:
             snap = ch.snapshot(topo, trace.positions[:, b, :], provider, radio)
-            draws = ev.draw_block(snap, pilots, trace.speed, radio, cfg.n_mc, derive_seed(cfg.seed, "eval", b))
+            seed = derive_seed(cfg.seed, "eval", b)
+            draws = ev.draw_block(snap, pilots, trace.speed, radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator)
             for algo in algorithms:
                 if len(algorithms) > 1:
                     where = f"block {b}, {algo}"
@@ -329,9 +331,9 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Every algorithm name, and cuc's cluster grid, is checked before any
     work. The run is block-major: the topology, trace, path-loss provider
     and pilots are built once, and each block takes one channel snapshot and
-    one set of Monte-Carlo draws that every algorithm is evaluated on. Two
-    (n_mc, M, K) complex draw arrays stay live per block, whatever the
-    number of algorithms.
+    one set of Monte-Carlo draws that every algorithm is evaluated on. One
+    (n_mc, M, K) complex draw array (hardening) or two (per-draw) stay live
+    per block, whatever the number of algorithms.
     """
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:

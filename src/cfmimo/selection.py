@@ -208,17 +208,23 @@ def select_puc_const(
     beta among the AP's current UEs. The result always satisfies the load cap.
     """
     beta, order, ranked = _ranked(snapshot, constraints)
-    d = np.zeros(beta.shape, dtype=np.int8)
+    rows = beta.tolist()
+    # each AP's served UEs in ascending id: UEs arrive in ascending id, so an
+    # append keeps the order, and min takes the first UE of least beta
+    served = [[] for _ in rows]
     for k in range(beta.shape[1]):
-        for ap in order[ranked[:, k] > 0.0, k]:
-            served = np.flatnonzero(d[ap, :])
-            if served.size < constraints.tau_p:
-                d[ap, k] = 1
-            elif served.size > 0:
-                worst = served[np.argmin(beta[ap, served])]
-                if beta[ap, worst] < beta[ap, k]:
-                    d[ap, worst] = 0
-                    d[ap, k] = 1
+        for ap in order[ranked[:, k] > 0.0, k].tolist():
+            ues = served[ap]
+            if len(ues) < constraints.tau_p:
+                ues.append(k)
+            elif ues:
+                worst = min(ues, key=rows[ap].__getitem__)
+                if rows[ap][worst] < rows[ap][k]:
+                    ues.remove(worst)
+                    ues.append(k)
+    d = np.zeros(beta.shape, dtype=np.int8)
+    for ap, ues in enumerate(served):
+        d[ap, ues] = 1
     return CooperationMatrix(d=d)
 
 

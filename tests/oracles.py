@@ -7,7 +7,8 @@ paths. The selection oracles share the package's documented tie-breaks
 masking, but none of its code. The precoder and gain oracles loop over draws
 and UEs and call numpy only for one dense linear solve per UE and draw.
 evaluate_block_reference is the exception: it pins the Monte-Carlo draw
-arithmetic bit for bit, so it keeps the package's earlier whole-array form.
+arithmetic bit for bit, so it redraws the package's stream in whole-array
+form.
 
 The channel and selection references at the end (fading state and aged
 channel, shadowing, scalar estimate variance, simplified SINR, estimate
@@ -447,11 +448,13 @@ def sinr_from_gains_oracle(gains, rho, noise, estimator):
 def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, estimator="hardening"):
     """Monte-Carlo (gamma, se, rate) per UE, drawn out of place.
 
-    The package's single-slot evaluate_block arithmetic with every draw and
-    the estimate as a whole-array expression (complex products, np.where
-    masks) rather than the in-place products of draw_block. Precoding, SINR
-    and Z reuse the package's functions, so a byte-level match pins the draw
-    order and the in-place arithmetic only.
+    The package's single-slot evaluate_block arithmetic with every draw as a
+    whole-array expression (complex products, one normal array per part)
+    rather than the in-place slabs of draw_block: est ~ CN(0, Z), then for
+    per-draw h_t = rho est + nu with nu ~ CN(0, R - rho^2 Z). The hardening
+    gain moments given est are formed out of place here too. Precoding, the
+    gains, the SINR rules and Z reuse the package's functions, so a
+    byte-level match pins the draw order and the in-place arithmetic only.
     """
     from cfmimo.channel import estimate_variance_matrix
     from cfmimo.evaluation import (
@@ -468,17 +471,19 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     rng = np.random.default_rng(seed)
     ctx = PrecodingContext.from_matrix(coop)
     powers_eff = radiated_powers(coop, cfg)
-    r = snap.channel_gain()
     shape = (n_mc, snap.n_aps, snap.n_ues)
-    h0 = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
     z = estimate_variance_matrix(snap, pilots, t, speeds, cfg)
-    est = draw_estimates(h0, r[None], z[None], rng)
-    w = precode_pmmse(ctx, est, snap.noise_power, powers_ue)
     rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
-    g = np.sqrt(r / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    h_t = rho[None, None, :] * h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2))[None, None, :] * g
-    gamma = instant_sinr(received_gains(h_t, w, powers_eff), rho, snap.noise_power, estimator=estimator)
+    resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
+    est = np.sqrt(z / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    w = precode_pmmse(ctx, est, snap.noise_power, np.full(snap.n_ues, cfg.tx_power_w))
+    if estimator == "hardening":
+        gains = received_gains(est, w, powers_eff) * rho
+        power = (np.abs(w) ** 2 * powers_eff).transpose(0, 2, 1) @ resid + np.abs(gains) ** 2
+    else:
+        nu = np.sqrt(resid / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        gains, power = received_gains(rho * est + nu, w, powers_eff), None
+    gamma = instant_sinr(gains, rho, snap.noise_power, estimator=estimator, power=power)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
 

@@ -11,6 +11,7 @@ from cfmimo.evaluation import (
     draw_block,
     evaluate_block,
     evaluate_draws,
+    hardening_moments,
     instant_sinr,
     precode_pmmse,
     radiated_powers,
@@ -410,7 +411,7 @@ def test_draw_block_estimate_moments_at_speed_0():
     # on every link, copilot links included, within five standard errors
     snap, cfg = _desk_instance(m=6, k=4, seed=9)
     pilots, speeds, n = np.array([0, 1, 0, 1]), np.zeros(4), 4000
-    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13)
+    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
     assert np.all(draws.rho == 1.0)
     for sample in (np.abs(draws.est) ** 2, draws.est * np.conj(draws.h_t)):
@@ -418,9 +419,74 @@ def test_draw_block_estimate_moments_at_speed_0():
         assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
 
 
+def test_draw_block_joint_law_with_moving_ues():
+    # the estimate-then-residual stream has the joint law of the block-start
+    # draw h0 ~ CN(0, R), est = E[h0 | est] and h_t = rho h0 + sqrt(1 - rho^2) g:
+    # E|est|^2 = Z, E|h_t|^2 = R and E{est conj(h_t)} = rho Z, within five
+    # standard errors on every link
+    snap, cfg = _desk_instance(m=6, k=4, seed=9)
+    pilots, speeds, n = np.array([0, 1, 0, 1]), np.array([0.8, 3.0, 12.0, 30.0]), 4000
+    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
+    assert np.all(draws.rho < 1.0)
+    cases = (
+        (np.abs(draws.est) ** 2, z),
+        (np.abs(draws.h_t) ** 2, snap.channel_gain()),
+        (draws.est * np.conj(draws.h_t), draws.rho * z),
+    )
+    for sample, want in cases:
+        err = np.abs(sample.mean(axis=0) - want)
+        assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
+
+
+def test_draw_block_hardening_draws_the_estimates_only():
+    # hardening draws est first and stops: the same estimates as per-draw at
+    # the same seed, no h_t, and per-draw evaluation of them is refused
+    snap, pilots, speeds = _outage_instance()
+    cfg = RadioConfig()
+    hard = draw_block(snap, pilots, speeds, cfg, 8, seed=5)
+    full = draw_block(snap, pilots, speeds, cfg, 8, seed=5, estimator="per-draw")
+    assert hard.h_t is None and np.array_equal(hard.est, full.est)
+    assert np.array_equal(hard.resid, full.resid) and np.all(hard.resid >= 0.0)
+    coop = select_small_cell(snap, no_outage(snap))
+    with pytest.raises(ValueError, match="h_t"):
+        evaluate_draws(snap, coop, cfg, hard, estimator="per-draw")
+    for estimator in ("hardening", "per-draw"):
+        evaluate_draws(snap, coop, cfg, full, estimator=estimator)
+    with pytest.raises(ValueError, match="estimator"):
+        draw_block(snap, pilots, speeds, cfg, 8, seed=5, estimator="magic")
+
+
+def test_hardening_moments_rao_blackwell_identity():
+    # with the estimates and precoders fixed, the hardening gain moments are
+    # the mean and second moment of the gains over the residual: average
+    # 120k draws of h_t = rho est + nu, nu ~ CN(0, R - rho^2 Z), within five
+    # standard errors on every (i, k)
+    snap, cfg = _desk_instance(m=6, k=3, seed=4)
+    pilots, speeds = np.array([0, 1, 0]), np.array([0.8, 3.0, 12.0])
+    coop = select_full_cf(snap, no_outage(snap))
+    draws = draw_block(snap, pilots, speeds, cfg, 2, seed=21)
+    powers = radiated_powers(coop, cfg)
+    ctx = PrecodingContext.from_matrix(coop)
+    w = precode_pmmse(ctx, draws.est, snap.noise_power, np.full(3, cfg.tx_power_w))
+    mean, power = hardening_moments(draws.est, w, powers, draws.rho, draws.resid)
+    rng = np.random.default_rng(22)
+    n = 120_000
+    sw = np.sqrt(powers) * w  # (2, M, K)
+    for d in range(2):
+        x, y = rng.standard_normal((2, n, 6, 3))
+        nu = np.sqrt(draws.resid / 2.0) * (x + 1j * y)
+        h_t = draws.rho * draws.est[d] + nu
+        gains = np.einsum("mi,nmk->nik", sw[d], h_t.conj())
+        for sample, want in ((gains, mean[d]), (np.abs(gains) ** 2, power[d])):
+            err = np.abs(sample.mean(axis=0) - want)
+            assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
+
+
 def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
     """evaluate_block's gamma for one AP serving one static UE at mean SNR
-    gamma_bar, and the gain draws it combined."""
+    gamma_bar, and the gain draws it combined with their second moments
+    (None for per-draw)."""
     cfg = RadioConfig()
     n0 = noise_power_w(cfg)
     gamma_bar = 10.0 ** (gamma_db / 10.0)
@@ -432,7 +498,7 @@ def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
     seen = []
 
     def spy(gains, *args, **kwargs):
-        seen.append(gains)
+        seen.append((gains, kwargs.get("power")))
         return instant_sinr(gains, *args, **kwargs)
 
     monkeypatch.setattr("cfmimo.evaluation.instant_sinr", spy)
@@ -444,8 +510,10 @@ def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
 def test_evaluate_block_one_link_hardening_closed_form(monkeypatch, gamma_db):
     # imperfect-CSI use-and-forget bound, within five standard errors taken
     # by batch means over the gain draws evaluate_block combined
-    gamma, gains, n0, cfg, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "hardening")
-    batches = [instant_sinr(g, 1.0, n0)[0] for g in np.split(gains, 20)]
+    gamma, (gains, power), n0, cfg, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "hardening")
+    batches = [
+        instant_sinr(g, 1.0, n0, power=p)[0] for g, p in zip(np.split(gains, 20), np.split(power, 20))
+    ]
     sem = np.std(batches, ddof=1) / np.sqrt(len(batches))
     want = oracles.hardening_one_link_sinr(gamma_bar, cfg.tx_power_w, cfg.pilot_len_slots)
     assert abs(gamma - want) <= 5 * sem
@@ -455,7 +523,7 @@ def test_evaluate_block_one_link_hardening_closed_form(monkeypatch, gamma_db):
 def test_evaluate_block_one_link_per_draw_closed_form(monkeypatch, gamma_db):
     # mean log2(1 + gamma_n) against e^{1/g} E1(1/g) / ln 2, within five
     # standard errors of the per-draw log terms
-    gamma, gains, n0, _, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "per-draw")
+    gamma, (gains, _), n0, _, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "per-draw")
     logs = np.log2(1.0 + np.abs(gains[:, 0, 0]) ** 2 / n0)
     sem = logs.std() / np.sqrt(logs.size)
     assert abs(np.log2(1.0 + gamma) - oracles.per_draw_one_link_se(gamma_bar)) <= 5 * sem
@@ -610,6 +678,27 @@ def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - entry < n * m * k * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("estimator, arrays", [("hardening", 1.6), ("per-draw", 2.6)])
+def test_draw_and_evaluate_peak_draw_arrays(monkeypatch, estimator, arrays):
+    # a hardening block holds the estimates alone and a per-draw block the
+    # estimates and h_t; the draw scratch is half a draw array, and a chunk's
+    # precoders, gains and moments are a small slice of one
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1 << 14)
+    n, m, k = 512, 64, 8
+    snap, cfg = _desk_instance(m=m, k=k)
+    speeds, pilots = np.full(k, 0.8), np.arange(k) % cfg.pilot_len_slots
+    coop = select_full_cf(snap, no_outage(snap))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        draws = draw_block(snap, pilots, speeds, cfg, n, seed=3, estimator=estimator)
+        evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < arrays * n * m * k * np.dtype(complex).itemsize
 
 
 def test_received_gains_leaves_inputs():

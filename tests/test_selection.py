@@ -281,6 +281,15 @@ def test_puc_const_matches_pseudocode_oracle():
         assert np.array_equal(got, want)
 
 
+def test_puc_const_matches_oracle_at_scale():
+    # one capped-scale instance: 400 APs, 80 UEs and 10 slots per AP, so
+    # APs fill and later UEs evict
+    snap = random_snapshot(400, 80, seed=41)
+    got = select_puc_const(snap, loose(tau_p=10)).d
+    assert np.array_equal(got, oracles.puc_const_oracle(snap.beta.tolist(), tau_p=10))
+    assert got.sum(axis=1).max() == 10
+
+
 def test_puc_const_order_dependence_exhibit():
     # twin UEs: swapping their labels leaves beta unchanged but moves the
     # single load slot, so UE-permutation equivariance fails (by design, the
