@@ -10,7 +10,6 @@ pilot-contaminated MMSE variance.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -201,21 +200,20 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     Format: header ``grid_dx,grid_dy,origin_x,origin_y`` then rows
     ``ap_id,cell_ix,cell_iy,pathloss_db``. Blank lines are skipped; ``#``
     starts no comment, so a ``#`` line is a malformed row. Every AP id must
-    belong to the topology and appear at least once; duplicate cells, a
+    belong to the topology and appear at least once; a repeated cell, a
     non-finite header field and non-positive grid spacing are parse errors.
     Each error names the file line (``path:line``) of the first offending
     row.
 
     The file is streamed: after the header, the open file goes to one
     ``np.loadtxt`` call, so the rows (32 B each) are the only copy of the
-    body. Only where ``loadtxt`` refuses a row is the body read again, row
-    by row up to the first malformed one; an error's line is found by
-    reading the file again too.
+    body, and a vectorized check decides whether they are a clean map. Only
+    when ``loadtxt`` refuses a row or that check fails is the body read
+    again, once, by the row scanner, which names the first bad row.
     """
     with open_text(path, MapParseError) as f:
         first = f.readline()
         header = _parse_map_header(path, first.rstrip("\n") if first else None)
-        bad = None
         try:
             with warnings.catch_warnings():
                 # a header-only file is reported below as "no map rows"
@@ -224,10 +222,26 @@ def load_pathloss_map(path, topo) -> PathLossMap:
         except ValueError:
             # loadtxt's message gives no file line, and loadtxt refuses
             # some rows the row rules accept (whitespace-only lines, "1_0")
-            rows, bad = _scan_map_rows(path, _rewind_body(f), topo.n_aps)
-        if not rows.size and bad is None:
-            raise MapParseError(f"{path}: no map rows")
-        return _map_from_rows(path, topo, header, rows, bad, lambda i: _file_row_line(path, f, i))
+            cells = None
+        else:
+            cells = _map_cells(rows, topo.n_aps)
+        if cells is None:
+            # read the body again: the scanner names the first bad row
+            f.seek(0)
+            f.readline()
+            rows = _scan_map_rows(path, f, topo.n_aps)
+            cells = _map_cells(rows, topo.n_aps)
+    if not rows.size:
+        raise MapParseError(f"{path}: no map rows")
+    missing = np.flatnonzero(np.bincount(rows["ap"], minlength=topo.n_aps) == 0).tolist()
+    if missing:
+        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+
+    cell, (ix_min, iy_min), (nx, ny) = cells
+    dx, dy, ox, oy = header
+    table = np.full((topo.n_aps, nx, ny), np.inf)
+    table.reshape(-1)[cell] = rows["pl"]
+    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
 
 
 def _parse_map_header(path, line):
@@ -249,82 +263,56 @@ def _parse_map_header(path, line):
     return dx, dy, ox, oy
 
 
-def _map_from_rows(path, topo, header, rows, bad, row_line) -> PathLossMap:
-    """Check the parsed rows and fill the table.
+def _map_cells(rows, n_aps):
+    """Flat table index of each row, the grid's first cell and its shape.
 
-    ``bad`` is the error of a malformed row after ``rows`` (or None), and
-    ``row_line(i)`` the file line of row ``i``. Of the AP-id, duplicate-cell
-    and malformed-row errors, the first in file order is raised.
+    None when ``rows`` is empty, holds an AP id outside ``range(n_aps)``,
+    spans a grid whose flat index would pass int64, or repeats a cell.
     """
-    bad_ap = np.flatnonzero((rows["ap"] < 0) | (rows["ap"] >= topo.n_aps))
-    n_ok = int(bad_ap[0]) if bad_ap.size else len(rows)
-    ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
-    if n_ok:
-        ix_min, iy_min = int(ix.min()), int(iy.min())
-        nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
-        # (ap * nx + ix - ix_min) * ny + iy - iy_min, in one array
-        cell = ap * nx
-        cell += ix
-        cell -= ix_min
-        cell *= ny
-        cell += iy
-        cell -= iy_min
-        ordered = np.sort(cell)
-        if (ordered[1:] == ordered[:-1]).any():
-            # the first repeat in file order: a stable sort puts each cell's
-            # first row ahead of its repeats
-            order = np.argsort(cell, kind="stable")
-            i = int(order[1:][cell[order[1:]] == cell[order[:-1]]].min())
-            raise MapParseError(f"{path}:{row_line(i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})")
-        del ordered
-    if bad_ap.size:
-        raise MapParseError(f"{path}:{row_line(n_ok)}: unknown AP id {rows['ap'][n_ok]}")
-    if bad is not None:
-        raise bad
-    missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()
-    if missing:
-        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
-
-    dx, dy, ox, oy = header
-    table = np.full((topo.n_aps, nx, ny), np.inf)
-    table.reshape(-1)[cell] = rows["pl"]
-    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
+    ap, ix, iy = rows["ap"], rows["ix"], rows["iy"]
+    if not rows.size or ((ap < 0) | (ap >= n_aps)).any():
+        return None
+    ix_min, iy_min = int(ix.min()), int(iy.min())
+    nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
+    if n_aps * nx * ny >= 2**63:
+        return None
+    # (ap * nx + ix - ix_min) * ny + iy - iy_min, in one array
+    cell = ap * nx
+    cell += ix
+    cell -= ix_min
+    cell *= ny
+    cell += iy
+    cell -= iy_min
+    ordered = np.sort(cell)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return cell, (ix_min, iy_min), (nx, ny)
 
 
 def _scan_map_rows(path, body, n_aps):
-    """Parse rows one by one up to the first malformed one.
+    """The rows of ``body``, the open map file after its header, parsed one
+    by one; the first bad row in file order raises its error.
 
-    ``body`` is the open map file after its header. Returns the rows before
-    the malformed one and the error naming its line (None when every row
-    parses). Besides the row rule and the AP id range, a cell index beyond
-    int64, which no table could hold, ends the scan.
+    Besides the row rule, a row is bad for an AP id outside
+    ``range(n_aps)``, for a cell index or a grid so far grown whose flat
+    index passes int64, which no table could hold, and for a cell named by
+    an earlier row.
     """
-    parsed = []
-    rows = read_rows(body, path, _MAP_FIELDS, (int, int, int, float), MapParseError, start=2)
-    try:
-        for ln, row, (ap, cix, ciy, pl) in rows:
-            if not 0 <= ap < n_aps:
-                raise MapParseError(f"{path}:{ln}: unknown AP id {ap}")
-            if max(abs(cix), abs(ciy)) >= 2**63:
-                raise MapParseError(f"{path}:{ln}: cell index out of range in {row!r}")
-            parsed.append((ap, cix, ciy, pl))
-    except MapParseError as e:
-        return np.array(parsed, dtype=_MAP_ROW), e
-    return np.array(parsed, dtype=_MAP_ROW), None
-
-
-def _rewind_body(f):
-    """The open map file ``f``, read again from its first line after the header."""
-    f.seek(0)
-    f.readline()
-    return f
-
-
-def _file_row_line(path, f, i) -> int:
-    """File line number of data row ``i`` of the open map file ``f``,
-    counting past blank lines."""
-    rows = read_rows(_rewind_body(f), path, _MAP_FIELDS, (str,) * 4, MapParseError, start=2)
-    return next(itertools.islice(rows, i, None))[0]
+    pathloss = {}  # (ap, ix, iy) -> pathloss_db, in file order
+    x_lo = y_lo = math.inf
+    x_hi = y_hi = -math.inf
+    for ln, row, (ap, cix, ciy, pl) in read_rows(
+        body, path, _MAP_FIELDS, (int, int, int, float), MapParseError, start=2
+    ):
+        if not 0 <= ap < n_aps:
+            raise MapParseError(f"{path}:{ln}: unknown AP id {ap}")
+        x_lo, x_hi, y_lo, y_hi = min(x_lo, cix), max(x_hi, cix), min(y_lo, ciy), max(y_hi, ciy)
+        if max(abs(cix), abs(ciy), n_aps * (x_hi - x_lo + 1) * (y_hi - y_lo + 1)) >= 2**63:
+            raise MapParseError(f"{path}:{ln}: cell index out of range in {row!r}")
+        if (ap, cix, ciy) in pathloss:
+            raise MapParseError(f"{path}:{ln}: duplicate cell ({ap}, {cix}, {ciy})")
+        pathloss[ap, cix, ciy] = pl
+    return np.fromiter(((*c, pl) for c, pl in pathloss.items()), dtype=_MAP_ROW, count=len(pathloss))
 
 
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:

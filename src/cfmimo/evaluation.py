@@ -308,6 +308,8 @@ def precode_pmmse(
     for g in ctx.groups:
         p = powers_ue[g.s_set]
         u = flat.take(g.rows[:, None] * k_ues + g.s_set, axis=1)  # (n, R, S)
+        # G <= |S|: the G x G system is no larger than the S x S one below,
+        # and solving these members by that form too measured slower
         for k, pos, col in g.direct:
             uk = u[:, pos]  # (n, G, S)
             a = (uk * p) @ uk.conj().transpose(0, 2, 1)

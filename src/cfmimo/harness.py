@@ -253,16 +253,35 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
     return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
 
 
-def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.MetricsReport]:
-    """The block-major loop: one report per algorithm on shared draws.
+def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.MetricsReport:
+    """Run one experiment end to end; fully deterministic per (config, seed).
 
-    The topology, trace, path-loss provider and pilots are built once. Per
-    block: advance UE positions, take one channel snapshot and one set of
-    Monte-Carlo draws for cfg.sinr_estimator, then select and evaluate each
-    algorithm on them. A block's draw arrays, one (n_mc, M, K) complex array
-    for hardening and two for per-draw, are freed before the next block's.
-    Module errors, and a non-finite SE, raise RuntimeError naming the block.
+    The block loop of compare_algorithms with one algorithm, so a lone run
+    and the same algorithm inside a comparison write the same report.
     """
+    algo = algorithm or cfg.algorithm
+    return compare_algorithms(cfg, [algo])[algo]
+
+
+def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
+    """One report per algorithm on identical channel/mobility realizations.
+
+    Every algorithm name, and cuc's cluster grid, is checked before any
+    work. The run is block-major: the topology, trace, path-loss provider
+    and pilots are built once. Per block: advance UE positions, take one
+    channel snapshot and one set of Monte-Carlo draws for
+    cfg.sinr_estimator, then select and evaluate each algorithm on them. A
+    block's draw arrays, one (n_mc, M, K) complex array for hardening and
+    two for per-draw, are freed before the next block's, whatever the number
+    of algorithms. Module errors, and a non-finite SE, raise RuntimeError
+    naming the block.
+    """
+    algorithms = list(dict.fromkeys(algorithms))
+    for name in algorithms:
+        if name not in sel.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+    if "cuc" in algorithms and cfg.clusters_per_side < 1:
+        raise ConfigError("cuc needs a cluster grid: set clusters_per_side to at least 1")
     radio = cfg.radio()
     constraints = cfg.constraints()
     topo = _build_topology(cfg)
@@ -313,35 +332,6 @@ def _run_blocks(cfg: ExperimentConfig, algorithms: list) -> dict[str, ev.Metrics
         )
         for algo in algorithms
     }
-
-
-def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.MetricsReport:
-    """Run one experiment end to end; fully deterministic per (config, seed).
-
-    The block loop of compare_algorithms with one algorithm, so a lone run
-    and the same algorithm inside a comparison write the same report.
-    """
-    algo = algorithm or cfg.algorithm
-    return compare_algorithms(cfg, [algo])[algo]
-
-
-def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
-    """One report per algorithm on identical channel/mobility realizations.
-
-    Every algorithm name, and cuc's cluster grid, is checked before any
-    work. The run is block-major: the topology, trace, path-loss provider
-    and pilots are built once, and each block takes one channel snapshot and
-    one set of Monte-Carlo draws that every algorithm is evaluated on. One
-    (n_mc, M, K) complex draw array (hardening) or two (per-draw) stay live
-    per block, whatever the number of algorithms.
-    """
-    algorithms = list(dict.fromkeys(algorithms))
-    for name in algorithms:
-        if name not in sel.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
-    if "cuc" in algorithms and cfg.clusters_per_side < 1:
-        raise ConfigError("cuc needs a cluster grid: set clusters_per_side to at least 1")
-    return _run_blocks(cfg, algorithms)
 
 
 def comparison_table(reports: dict[str, ev.MetricsReport]) -> str:

@@ -184,14 +184,12 @@ def select_puc(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> 
 
     No load or serving-set caps apply; serving sets can violate both. A UE
     keeps each candidate rank whose running served sum before it is below
-    delta times its total. The running sum adds in rank order and each total
-    is numpy's pairwise sum over the UE's contiguous column: a sum in another
-    order can move a UE whose served sum lands next to delta times its total.
+    delta times its total. Both sums add in rank order.
     """
     beta, order, ranked = _ranked(snapshot, constraints)
-    total = np.ascontiguousarray(beta.T).sum(axis=1)
     before = np.zeros_like(ranked)
     np.cumsum(ranked[:-1], axis=0, out=before[1:])
+    total = before[-1] + ranked[-1]
     keep = (ranked > 0.0) & (before < constraints.delta * total)
     d = np.zeros(beta.shape, dtype=np.int8)
     np.put_along_axis(d, order, keep, axis=0)

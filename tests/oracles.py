@@ -119,15 +119,18 @@ def puc_oracle(beta, delta, beta0=0.0):
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
     for k in range(k_ues):
-        total = sum(beta[ap][k] for ap in range(m))
-        for ap in descending_aps(beta, k):
-            if beta[ap][k] <= 0.0:
+        ranked = descending_aps(beta, k)
+        # both sums run in rank order, as the package adds them (a loop, not
+        # sum(), which compensates its rounding from Python 3.12)
+        total = 0.0
+        for ap in ranked:
+            total += beta[ap][k]
+        served = 0.0
+        for ap in ranked:
+            if beta[ap][k] <= 0.0 or served >= delta * total:
                 break
-            served = sum(d[a][k] * beta[a][k] for a in range(m))
-            if served < delta * total:
-                d[ap][k] = 1
-            else:
-                break
+            d[ap][k] = 1
+            served += beta[ap][k]
     return d
 
 

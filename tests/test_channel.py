@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -496,6 +497,46 @@ def test_map_line_number_counts_blank_lines(tmp_path, row, message):
     # blank and whitespace-only lines are skipped but still count as lines
     path = _write_map_text(tmp_path / "map.txt", f"\n0,0,0,90\n  \n\n1,0,0,91\n\t\n{row}\n")
     with pytest.raises(MapParseError, match=rf"map\.txt:8: {message}$"):
+        _load_two_ap_map(path)
+
+
+_MAP_ROW_ERRORS = {
+    "duplicate": ("0,0,0,95", r"duplicate cell \(0, 0, 0\)"),
+    "unknown": ("5,1,0,90", "unknown AP id 5"),
+    "malformed": ("0,1,x,90", "non-numeric field in '0,1,x,90'"),
+}
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["no-blank", "blank"])
+@pytest.mark.parametrize(
+    "order", [p for n in (2, 3) for p in itertools.permutations(_MAP_ROW_ERRORS, n)], ids="-".join
+)
+def test_map_names_first_bad_row_in_file_order(tmp_path, order, blank):
+    # of two or three bad rows the earliest is named, whether loadtxt reads
+    # every row and the vectorized check fails, or loadtxt refuses a row (a
+    # whitespace-only line or the malformed one) and the scanner reads them
+    lead = "0,0,0,90\n" + ("  \n" if blank else "") + "1,0,0,91\n"
+    path = _write_map_text(tmp_path / "map.txt", lead + "".join(_MAP_ROW_ERRORS[e][0] + "\n" for e in order))
+    message = _MAP_ROW_ERRORS[order[0]][1]
+    with pytest.raises(MapParseError, match=rf"map\.txt:{4 + blank}: {message}$"):
+        _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        # the x extent alone needs a flat index past int64
+        (f"0,{-2**62},0,90\n1,{2**62},0,91\n", 3),
+        # 2 x (2**32 + 1) x 2**32 cells: the int64 index would wrap, and
+        # line 3's cell would land on line 2's
+        (f"0,0,0,90\n0,{2**32},0,91\n1,0,{2**32 - 1},92\n", 4),
+    ],
+    ids=["x-extent", "wrap"],
+)
+def test_map_grid_past_int64_names_row(tmp_path, body, line):
+    path = _write_map_text(tmp_path / "map.txt", body)
+    row = body.splitlines()[line - 2]
+    with pytest.raises(MapParseError, match=rf"map\.txt:{line}: cell index out of range in '{row}'$"):
         _load_two_ap_map(path)
 
 

@@ -228,6 +228,16 @@ def test_puc_matches_pseudocode_oracle():
         got = select_puc(snap, loose(delta=0.9, beta0=0.3)).d
         want = oracles.puc_oracle(snap.beta.tolist(), delta=0.9, beta0=0.3)
         assert np.array_equal(got, want)
+    # tie-heavy beta in 0.1 steps: the served sum often lands next to delta
+    # times the total, where a total summed in another order than the
+    # running sum moves a UE
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m, k = int(rng.integers(9, 41)), int(rng.integers(1, 6))
+        delta = float(rng.choice([0.5, 0.9, 0.95]))
+        beta = rng.integers(1, 5, size=(m, k)) / 10.0
+        got = select_puc(make_snapshot(beta), loose(delta=delta)).d
+        assert np.array_equal(got, oracles.puc_oracle(beta.tolist(), delta=delta)), (beta.tolist(), delta)
 
 
 def test_puc_ue_permutation_equivariant():
