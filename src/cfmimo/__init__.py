@@ -37,9 +37,12 @@ def read_rows(f, path, fields, types, error, start=1):
     Line numbers count from ``start`` and include blank or whitespace-only
     lines, which are skipped; ``#`` starts no comment. ``row`` is the line
     without its line end, split on ``,`` into one field per entry of
-    ``types``, and ``values`` are those fields converted by ``types``. A row
-    of another field count, or a field a type refuses, raises ``error``
-    naming the line and quoting the row; ``fields`` names the columns.
+    ``types``, and ``values`` are those fields converted by ``types`` after
+    ``str.strip``. That strip also takes \\x1c-\\x1f, as ``np.loadtxt`` does
+    and ``int`` and ``float`` do not, so both parsers of the path-loss map
+    read a number alike. A row of another field count, or a field a type
+    refuses, raises ``error`` naming the line and quoting the row; ``fields``
+    names the columns.
     """
     for ln, line in enumerate(f, start):
         row = line.rstrip("\n")
@@ -49,7 +52,7 @@ def read_rows(f, path, fields, types, error, start=1):
         if len(parts) != len(types):
             raise error(f"{path}:{ln}: expected '{fields}', got {row!r}")
         try:
-            values = [convert(part) for convert, part in zip(types, parts)]
+            values = [convert(part.strip()) for convert, part in zip(types, parts)]
         except ValueError:
             raise error(f"{path}:{ln}: non-numeric field in {row!r}") from None
         yield ln, row, values

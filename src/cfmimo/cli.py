@@ -20,6 +20,31 @@ class RunFileError(InputError):
     """Malformed file of a finished run; the message names the file and line."""
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc malloc's mmap threshold at 32 MB and its trim threshold at 64 MB.
+
+    A block's evaluation allocates and frees draw chunks and precoding
+    temporaries of up to a few MB, chunk after chunk. Under glibc's dynamic
+    thresholds the first of them are mmapped, and later the heap is trimmed
+    each time a chunk's arrays are freed, so every chunk faults its pages in
+    again: a desk compare (M = 100, K = 20, n_mc = 500, 2 blocks) took
+    about 35,000 page faults instead of 8,000, and 40-60 ms more system
+    time. Called first, before numpy is imported, so that every array
+    starts out under the fixed thresholds; a capped-scale compare (M = 400,
+    K = 80) peaked about 2.5 MB higher with the call made after argument
+    parsing. Does nothing off Linux.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            return
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 # simulate and compare import the simulator modules when they run, so that
 # export-cdf, which only reads and writes text, starts no numpy
 def _load(args):
@@ -111,6 +136,7 @@ def _cmd_export_cdf(args) -> int:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(prog="cfmimo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,4 @@
-"""Per-block SINR and throughput for a given cooperation matrix.
+"""Per-block SINR and throughput for given cooperation matrices.
 
 SE is estimated by Monte-Carlo over fading, aging, and channel-estimate
 draws: partial MMSE precoders are built per draw from the estimates over
@@ -13,31 +13,38 @@ are combined either with the use-and-forget hardening bound
 or per draw (instantaneous SINR of every realization, ergodic-equivalent
 output), at the block end (worst aging).
 
-A block's draws split in two. draw_block takes what no selection changes:
-the MMSE channel estimates est ~ CN(0, Z), whose variance Z comes from the
-pilot power, and for the per-draw rule the channel aged to the block end,
-h_t = rho est + nu with the residual nu ~ CN(0, R - rho^2 Z) independent of
-est. evaluate_draws then runs what the cooperation matrix shapes: the
-precoders and the received gains. So several algorithms evaluated on one
-block share one set of draws; evaluate_block is the two in one call.
+The draws are what no selection changes: the MMSE channel estimates
+est ~ CN(0, Z), whose variance Z comes from the pilot power, and for the
+per-draw rule the channel aged to the block end, h_t = rho est + nu with the
+residual nu ~ CN(0, R - rho^2 Z) independent of est. So every cooperation
+matrix of a block is evaluated on the same draws (evaluate_matrices;
+evaluate_block is its one-matrix form).
 
 The hardening bound needs no h_t: given est, the gain's mean is rho_k times
 the gain formed on est and its second moment adds the residual's power
 sum_m p_mi |w_mi|^2 (R_mk - rho_k^2 Z_mk) (hardening_moments). That is the
 conditional expectation of the bound's draws on the aged channel, with the
-same expectation and a lower Monte-Carlo variance, so a hardening block holds
-one (n_mc, M, K) draw array and a per-draw block two.
+same expectation and a lower Monte-Carlo variance.
 
-evaluate_draws builds the precoding layout (PrecodingContext.groups) once,
-then streams the draw axis in chunks of at most _CHUNK_ELEMS (M, K) elements
-and at most _GATHER_ELEMS gathered estimates of the widest interferer group,
-so that precode_pmmse works in cache. Each chunk's precoders and
-power-scaled conjugate precoders live only while its gains are formed. So
-the live arrays of an evaluation are the block's draw arrays, one chunk of
-the precoders and of their conjugate, and the (n_mc, K, K) gains (and, for
-hardening, their second moments) that instant_sinr combines once every
-chunk is in. Any chunk size, one draw included, gives the same result to the
-bit.
+The walk is chunk-major. Each matrix's precoding layout (PrecodingContext)
+is built once; then the draw axis is taken in chunks of
+max(1, _CHUNK_ELEMS // (M K)) draws, a number fixed by M and K alone. Chunk
+c is drawn from its own generator, the c-th child of the block seed: est,
+then for per-draw nu, each straight into its complex array's float view
+(real, then imaginary part of each element), and h_t built in nu's array.
+Every matrix then precodes the chunk in sub-chunks of at most _GATHER_ELEMS
+gathered estimates of its widest interferer group, so that precode_pmmse
+works in cache, and keeps of each draw two (K,) vectors: the desired gain
+gain_kk and the total received power sum_i |gain_ik|^2 (for hardening, their
+conditional moments). instant_sinr combines those (n_mc, K) arrays once the
+last chunk is in. So what lives is one chunk of draws (est, and h_t for
+per-draw), one sub-chunk of precoders, whose power-scaled conjugate is
+formed in their own array, and 24 bytes per draw and UE for each matrix; no
+array grows with n_mc M K. Each draw is
+precoded by BLAS and LAPACK calls of the same shapes whatever else its
+sub-chunk holds, and every sum over draws runs in draw order, so a matrix's
+SE does not depend on the sub-chunk size or on which other matrices share
+the block.
 """
 
 from __future__ import annotations
@@ -126,83 +133,29 @@ def radiated_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
     return split_powers(coop, cfg) * np.maximum(coop.g_k, 1)[None, :]
 
 
-def _complex_normal(rng, shape, scale, buf=None) -> np.ndarray:
-    """scale * (x + 1j*y) for standard-normal x then y, built in place.
+def _complex_normal(rng, shape, scale) -> np.ndarray:
+    """A new complex array scale * (x + 1j*y), x and y standard normal.
 
-    ``buf`` is an optional float scratch array of ``shape`` that the draws
-    pass through.
+    The draws go straight into the array's float view, the real then the
+    imaginary part of each element in turn, and are scaled there; ``scale``
+    broadcasts against ``shape``.
     """
     out = np.empty(shape, dtype=complex)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(shape, out=buf), scale, out=part)
+    parts = out.view(float).reshape(*shape, 2)
+    rng.standard_normal(out=parts)
+    parts *= scale[..., None]
     return out
 
 
-class BlockDraws(NamedTuple):
-    """The Monte-Carlo draws of one block that no selection changes.
-
-    est is the (n_mc, M, K) complex channel estimate, rho the per-UE aging
-    correlation at the block end and resid the (M, K) variance R - rho^2 Z of
-    the aged channel about rho est. h_t = rho est + nu is the (n_mc, M, K)
-    complex channel aged to the block end in per-draw draws, and None in
-    hardening draws, whose bound needs only est and resid.
-    """
-
-    est: np.ndarray
-    h_t: np.ndarray | None
-    rho: np.ndarray
-    resid: np.ndarray
-
-
-def draw_block(
-    snap: ChannelSnapshot,
-    pilots: np.ndarray,
-    speeds,
-    cfg: RadioConfig,
-    n_mc: int,
-    seed,
-    estimator: str = "hardening",
-) -> BlockDraws:
-    """Draw one block's channel estimates, and its aged channel for per-draw.
-
-    With Z the estimate variance (estimate_variance_matrix at the block end)
-    the stream draws est ~ CN(0, Z), then, for ``estimator`` "per-draw"
-    only, the residual nu ~ CN(0, R - rho^2 Z), each real part before its
-    imaginary part, and builds h_t = rho est + nu in nu's array. That is the
-    aged channel's law given its estimate: E{est conj(h0)} = E|est|^2 = Z
-    makes est = E[h0 | est], so h_t = rho h0 + sqrt(1 - rho^2) g, with g a
-    fresh CN(0, R), has mean rho est and variance rho^2 (R - Z) + (1 - rho^2) R
-    about it. "hardening" draws no nu, and h_t is None. Each part of est
-    and nu, and rho times each part of est, passes through one float scratch
-    array.
-    """
-    if estimator not in SINR_ESTIMATORS:
-        raise ValueError(f"unknown SINR estimator {estimator!r}")
-    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
-    rng = np.random.default_rng(seed)
-    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
-    rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
-    resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
-    shape = (n_mc, snap.n_aps, snap.n_ues)
-    buf = np.empty(shape)
-    est = _complex_normal(rng, shape, np.sqrt(z / 2.0), buf)
-    h_t = None
-    if estimator == "per-draw":
-        h_t = _complex_normal(rng, shape, np.sqrt(resid / 2.0), buf)
-        for part_h, part_e in ((h_t.real, est.real), (h_t.imag, est.imag)):
-            part_h += np.multiply(part_e, rho, out=buf)
-    return BlockDraws(est=est, h_t=h_t, rho=rho, resid=resid)
-
-
-#: Complex (M, K) elements of one draw chunk in evaluate_draws: bounds each
-#: chunk's estimates, precoders and power-scaled conjugate precoders at ~4 MB
-#: whatever n_mc is.
+#: Complex (M, K) elements of one draw chunk: bounds each chunk's estimates
+#: (and h_t) at ~4 MB whatever n_mc is. The chunk size depends on M and K
+#: alone, so a block's draws do not depend on the matrices evaluated on them.
 _CHUNK_ELEMS = 1 << 18
 
-#: Gathered (R, S) elements of one draw chunk in evaluate_draws, over the
-#: widest interferer group: keeps precode_pmmse's gathered estimates and their
-#: conjugate near 0.5 MB each, so a chunk's precoding works in a 2 MB L2
-#: cache (16 draws for one group of R = 100 APs and S = 20 UEs).
+#: Gathered (R, S) elements of one precoding sub-chunk, over the widest
+#: interferer group of a layout: keeps precode_pmmse's gathered estimates and
+#: their conjugate near 0.5 MB each, so a sub-chunk's precoding works in a
+#: 2 MB L2 cache (16 draws for one group of R = 100 APs and S = 20 UEs).
 _GATHER_ELEMS = 1 << 15
 
 
@@ -329,69 +282,65 @@ def precode_pmmse(
     return w
 
 
-def received_gains(h: np.ndarray, precoders: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Received-gain draws gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi.
+def received_gains(h: np.ndarray, sw: np.ndarray):
+    """Each draw's desired gain gain_kk and total received power sum_i |gain_ik|^2.
 
-    h and precoders are (N, M, K) draws, powers the per-link (M, K) split;
-    returns (N, i, k). Formed as the conjugate of (sqrt(p) conj(w))^T h, one
-    batched matmul per draw; the power-scaled conjugate precoder is the one
-    temporary of the inputs' size, and the inputs are not written.
+    gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi is the conjugate of
+    (sw^T h)_ik, sw = sqrt(p) conj(w) the power-scaled conjugate precoders
+    of the per-link (M, K) split p. h and sw are (N, M, K) draws, and both
+    returns are (N, K). The (N, i, k) gains are one batched matmul per draw
+    and live only here; no input is written.
     """
-    sw = np.conj(precoders)
-    sw *= np.sqrt(powers)
     gains = sw.transpose(0, 2, 1) @ h
-    return np.conj(gains, out=gains)
+    total = (np.abs(gains) ** 2).sum(axis=1)
+    return np.conj(np.diagonal(gains, axis1=1, axis2=2)), total
 
 
-def hardening_moments(est, precoders, powers, rho, resid):
-    """The hardening bound's gain moments given each estimate draw.
+def hardening_moments(est, sw, rho, resid):
+    """The hardening bound's desired gain and total power given each estimate draw.
 
     With h_t = rho est + nu and nu ~ CN(0, resid) independent of est and of
     the precoders, gain_ik = sum_m sqrt(p_mi) conj(h_mk) w_mi has mean
-    rho_k gt_ik, gt the received_gains formed on est, and second moment
-    |rho_k gt_ik|^2 + sum_m p_mi |w_mi|^2 resid_mk. est and precoders are
-    (N, M, K) draws, powers the per-link (M, K) split, rho per UE and resid
-    (M, K); returns the (N, i, k) means and second moments.
+    rho_k gt_ik, gt the gains formed on est, and second moment
+    |rho_k gt_ik|^2 + sum_m p_mi |w_mi|^2 resid_mk. Returns the (N, K) means
+    rho_k gt_kk and the (N, K) sums over i of the second moments; the
+    residual's part is summed over i first and enters through one real
+    (1, M) @ (M, K) product per draw, of the same shape whatever N is. est
+    and sw, the power-scaled conjugate precoders of received_gains, are
+    (N, M, K) draws, rho is per UE and resid (M, K).
     """
-    mean = received_gains(est, precoders, powers)
-    mean *= rho
-    power = np.abs(precoders) ** 2
-    power *= powers
-    power = power.transpose(0, 2, 1) @ resid
-    power += np.abs(mean) ** 2
-    return mean, power
+    radiated = np.abs(sw)
+    radiated *= radiated
+    radiated = radiated.sum(axis=2)  # sum_i p_mi |w_mi|^2
+    desired, total = received_gains(est, sw)
+    desired *= rho
+    total *= rho**2
+    total += (radiated[:, None] @ resid)[:, 0]
+    return desired, total
 
 
-def instant_sinr(
-    gains: np.ndarray, rho, noise: float, estimator: str = "hardening", power: np.ndarray | None = None
-) -> np.ndarray:
-    """SINR per UE from Monte-Carlo received-gain draws.
+def instant_sinr(desired, total, rho, noise: float, estimator: str = "hardening") -> np.ndarray:
+    """SINR per UE from each draw's desired gain and total received power.
 
-    gains is the (N, i, k) output of received_gains; rho the aging
-    correlation (scalar or per-UE).
+    desired and total are the (N, K) draws of gain_kk and sum_i |gain_ik|^2
+    that received_gains returns, or their conditional moments from
+    hardening_moments; rho is the aging correlation (scalar or per-UE).
 
     "hardening" combines empirical means first (use-and-forget bound: the
     desired-signal square is subtracted from the total received moment to
-    form the interference). ``power`` is each draw's second moment of the
-    gains, |gains|^2 when None; with gains and power from hardening_moments
-    the bound averages over the residual in closed form. "per-draw"
-    evaluates the instantaneous SINR of every draw, conditioning the signal
-    on the current realization, and returns the ergodic-equivalent SINR
-    gamma with log2(1 + gamma) equal to the mean per-draw log2(1 + gamma_n);
-    single-AP links are then not penalized by the missing channel hardening.
+    form the interference). "per-draw" evaluates the instantaneous SINR of
+    every draw, conditioning the signal on the current realization, and
+    returns the ergodic-equivalent SINR gamma with log2(1 + gamma) equal to
+    the mean per-draw log2(1 + gamma_n); single-AP links are then not
+    penalized by the missing channel hardening.
     """
     rho = np.asarray(rho, dtype=float)
     if estimator == "hardening":
-        mu = gains.mean(axis=0)
-        m2 = (np.abs(gains) ** 2 if power is None else power).mean(axis=0)
-        desired = np.abs(np.diagonal(mu)) ** 2
-        interference = m2.sum(axis=0) - desired
-        return rho**2 * desired / (interference + noise)
+        signal = np.abs(desired.mean(axis=0)) ** 2
+        return rho**2 * signal / (total.mean(axis=0) - signal + noise)
     if estimator == "per-draw":
-        p2 = np.abs(gains) ** 2  # (N, i, k)
-        desired = np.diagonal(p2, axis1=1, axis2=2)
-        interference = p2.sum(axis=1) - desired
-        gamma_n = rho**2 * desired / (interference + noise)
+        signal = np.abs(desired) ** 2
+        gamma_n = rho**2 * signal / (total - signal + noise)
         return np.expm1(np.log1p(gamma_n).mean(axis=0))
     raise ValueError(f"unknown SINR estimator {estimator!r}")
 
@@ -404,52 +353,83 @@ def spectral_efficiency(gamma, cfg: RadioConfig):
     return se, cfg.bandwidth_hz * se
 
 
-def evaluate_draws(
+def _chunk_rng(seed, c: int) -> np.random.Generator:
+    """Generator of draw chunk c: the c-th child of the block seed."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, c)))
+
+
+def evaluate_matrices(
     snap: ChannelSnapshot,
-    coop: CooperationMatrix,
+    coops,
+    pilots: np.ndarray,
+    speeds,
     cfg: RadioConfig,
-    draws: BlockDraws,
+    n_mc: int = 500,
+    seed=0,
     estimator: str = "hardening",
-):
-    """Monte-Carlo SE of one cooperation matrix on a block's shared draws.
+) -> list:
+    """Monte-Carlo SE of each cooperation matrix of ``coops`` on one block's draws.
 
-    Returns (gamma, se, rate) per UE; ``draws`` is read, never written. The
-    draws are taken in chunks: each chunk's estimates are precoded and its
-    received gains stored (for "hardening", the gain moments given the
-    estimates, see hardening_moments; for "per-draw", the gains on draws.h_t),
-    and instant_sinr combines the gains of every draw with ``estimator`` at
-    the end, so every sum over draws runs in draw order and the result is the
-    same for any chunk size. Per-draw evaluation of hardening draws, which
-    hold no h_t, raises ValueError.
-
-    A chunk holds at most _CHUNK_ELEMS (M, K) elements, and at most
-    _GATHER_ELEMS gathered (R, S) estimates of the widest interferer group of
-    the precoding layout, which is built once here and read by every chunk.
+    Returns one (gamma, se, rate) per matrix, in order. With Z the estimate
+    variance (estimate_variance_matrix at the block end), each chunk draws
+    est ~ CN(0, Z), then for "per-draw" only the residual
+    nu ~ CN(0, R - rho^2 Z), and builds h_t = rho est + nu in nu's array.
+    That is the aged channel's law given its estimate: E{est conj(h0)} =
+    E|est|^2 = Z makes est = E[h0 | est], so h_t = rho h0 + sqrt(1 - rho^2) g,
+    with g a fresh CN(0, R), has mean rho est and variance
+    rho^2 (R - Z) + (1 - rho^2) R about it. Every matrix then precodes the
+    chunk and keeps each draw's desired gain and total power (for
+    "hardening", their moments given est, see hardening_moments; for
+    "per-draw", received_gains on h_t), and instant_sinr combines each
+    matrix's (n_mc, K) arrays at the end. See the module docstring for the
+    chunk and sub-chunk sizes.
     """
     if estimator not in SINR_ESTIMATORS:
         raise ValueError(f"unknown SINR estimator {estimator!r}")
     hardening = estimator == "hardening"
-    if not hardening and draws.h_t is None:
-        raise ValueError("per-draw evaluation needs draws with h_t: draw the block with estimator='per-draw'")
-    ctx = PrecodingContext.from_matrix(coop)
-    powers_ue = np.full(snap.n_ues, cfg.tx_power_w)
-    powers = radiated_powers(coop, cfg)
-    n_mc = draws.est.shape[0]
-    gains = np.empty((n_mc, snap.n_ues, snap.n_ues), dtype=complex)
-    power = np.empty(gains.shape) if hardening else None
-    widest = max((g.rows.size * g.s_set.size for g in ctx.groups), default=1)
-    step = max(1, min(_CHUNK_ELEMS // (snap.n_aps * snap.n_ues), _GATHER_ELEMS // widest))
-    for n0 in range(0, n_mc, step):
-        c = slice(n0, n0 + step)
-        w = precode_pmmse(ctx, draws.est[c], snap.noise_power, powers_ue)
-        if hardening:
-            gains[c], power[c] = hardening_moments(draws.est[c], w, powers, draws.rho, draws.resid)
-        else:
-            gains[c] = received_gains(draws.h_t[c], w, powers)
-        del w
-    gamma = instant_sinr(gains, draws.rho, snap.noise_power, estimator=estimator, power=power)
-    se, rate = spectral_efficiency(gamma, cfg)
-    return gamma, se, rate
+    m, k = snap.n_aps, snap.n_ues
+    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (k,))
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
+    rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
+    resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
+    est_scale, nu_scale = np.sqrt(z / 2.0), np.sqrt(resid / 2.0)
+    powers_ue = np.full(k, cfg.tx_power_w)
+    plans = []
+    for coop in coops:
+        ctx = PrecodingContext.from_matrix(coop)
+        widest = max((g.rows.size * g.s_set.size for g in ctx.groups), default=1)
+        plans.append((ctx, np.sqrt(radiated_powers(coop, cfg)), max(1, _GATHER_ELEMS // widest)))
+    desired = [np.empty((n_mc, k), dtype=complex) for _ in plans]
+    total = [np.empty((n_mc, k)) for _ in plans]
+    step = max(1, _CHUNK_ELEMS // (m * k))
+    for c, start in enumerate(range(0, n_mc, step)):
+        rng = _chunk_rng(seed, c)
+        n = min(step, n_mc - start)
+        est = _complex_normal(rng, (n, m, k), est_scale)
+        h_t = None
+        if not hardening:
+            h_t = _complex_normal(rng, (n, m, k), nu_scale)
+            for h_draw, est_draw in zip(h_t, est):  # one draw's temporary at a time
+                h_draw += est_draw * rho
+        for (ctx, root_powers, sub), d, t in zip(plans, desired, total):
+            for s in range(0, n, sub):
+                part, out = slice(s, s + sub), slice(start + s, start + min(s + sub, n))
+                # sqrt(p) conj(w), formed in the precoders' own array
+                sw = precode_pmmse(ctx, est[part], snap.noise_power, powers_ue)
+                np.conj(sw, out=sw)
+                sw *= root_powers
+                if hardening:
+                    d[out], t[out] = hardening_moments(est[part], sw, rho, resid)
+                else:
+                    d[out], t[out] = received_gains(h_t[part], sw)
+                del sw
+        del est, h_t  # freed before the next chunk is drawn
+    results = []
+    for d, t in zip(desired, total):
+        gamma = instant_sinr(d, t, rho, snap.noise_power, estimator=estimator)
+        results.append((gamma, *spectral_efficiency(gamma, cfg)))
+    return results
 
 
 def evaluate_block(
@@ -462,14 +442,9 @@ def evaluate_block(
     seed=0,
     estimator: str = "hardening",
 ):
-    """Monte-Carlo SE for one block; returns (gamma, se, rate) per UE.
-
-    Draws n_mc realizations of the channel estimates, and for per-draw of
-    the channel aged to the block end (draw_block), then evaluates ``coop``
-    on them (evaluate_draws).
-    """
-    draws = draw_block(snap, pilots, speeds, cfg, n_mc, seed, estimator=estimator)
-    return evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
+    """Monte-Carlo SE of one cooperation matrix for one block; returns
+    (gamma, se, rate) per UE. The one-matrix form of evaluate_matrices."""
+    return evaluate_matrices(snap, [coop], pilots, speeds, cfg, n_mc, seed, estimator)[0]
 
 
 @dataclass

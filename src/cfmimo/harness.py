@@ -2,9 +2,8 @@
 
 One experiment = (topology, mobility trace, channel provider, selection
 algorithms) driven block by block: update UE positions, snapshot the
-channel, draw the block's Monte-Carlo realizations, then for each algorithm
-select serving sets and evaluate SE on those shared draws; aggregate per
-algorithm. Every random stream derives from the master seed through a
+channel, select each algorithm's serving sets, then evaluate SE for all of
+them on the block's shared Monte-Carlo draws; aggregate per algorithm. Every random stream derives from the master seed through a
 stable hash, so a (config, seed) pair reproduces byte-identical reports
 regardless of execution order.
 """
@@ -269,12 +268,12 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Every algorithm name, and cuc's cluster grid, is checked before any
     work. The run is block-major: the topology, trace, path-loss provider
     and pilots are built once. Per block: advance UE positions, take one
-    channel snapshot and one set of Monte-Carlo draws for
-    cfg.sinr_estimator, then select and evaluate each algorithm on them. A
-    block's draw arrays, one (n_mc, M, K) complex array for hardening and
-    two for per-draw, are freed before the next block's, whatever the number
-    of algorithms. Module errors, and a non-finite SE, raise RuntimeError
-    naming the block.
+    channel snapshot, select every algorithm's serving sets on it, then
+    evaluate them all on one walk over the block's Monte-Carlo draws for
+    cfg.sinr_estimator (evaluation.evaluate_matrices), so that the draws
+    live one chunk at a time, whatever n_mc and the number of algorithms.
+    Module errors, and a non-finite SE, raise RuntimeError naming the block,
+    and the algorithm where the error is its own.
     """
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:
@@ -297,15 +296,21 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
         where = f"block {b}"
         try:
             snap = ch.snapshot(topo, trace.positions[:, b, :], provider, radio)
-            seed = derive_seed(cfg.seed, "eval", b)
-            draws = ev.draw_block(snap, pilots, trace.speed, radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator)
+            coops = []
             for algo in algorithms:
                 if len(algorithms) > 1:
                     where = f"block {b}, {algo}"
-                coop = sel.run_algorithm(
-                    algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget
+                coops.append(
+                    sel.run_algorithm(algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget)
                 )
-                _, se, rate = ev.evaluate_draws(snap, coop, radio, draws, estimator=cfg.sinr_estimator)
+            where = f"block {b}"
+            seed = derive_seed(cfg.seed, "eval", b)
+            results = ev.evaluate_matrices(
+                snap, coops, pilots, trace.speed, radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator
+            )
+            for algo, coop, (_, se, rate) in zip(algorithms, coops, results):
+                if len(algorithms) > 1:
+                    where = f"block {b}, {algo}"
                 bad = np.flatnonzero(~np.isfinite(se))
                 if bad.size:
                     raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
@@ -313,7 +318,6 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
                 rate_blocks[algo][:, b] = rate
                 g_blocks[algo][:, b] = coop.g_k
                 w_blocks[algo][:, b] = coop.w_m
-            del draws
         except ConfigError:
             raise
         except Exception as e:

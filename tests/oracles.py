@@ -451,14 +451,18 @@ def sinr_from_gains_oracle(gains, rho, noise, estimator):
 def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, estimator="hardening"):
     """Monte-Carlo (gamma, se, rate) per UE, drawn out of place.
 
-    The package's single-slot evaluate_block arithmetic with every draw as a
-    whole-array expression (complex products, one normal array per part)
-    rather than the in-place slabs of draw_block: est ~ CN(0, Z), then for
-    per-draw h_t = rho est + nu with nu ~ CN(0, R - rho^2 Z). The hardening
-    gain moments given est are formed out of place here too. Precoding, the
-    gains, the SINR rules and Z reuse the package's functions, so a
-    byte-level match pins the draw order and the in-place arithmetic only.
+    The package's evaluate_block arithmetic with every step a whole-array
+    expression over all n_mc draws, rather than its walk over draw chunks.
+    Chunk c of max(1, _CHUNK_ELEMS // (M K)) draws takes its normals from
+    the c-th spawned child of the block seed: est ~ CN(0, Z) from one
+    (n, M, K, 2) normal array, the real and imaginary part of each element
+    in turn, then for per-draw nu ~ CN(0, R - rho^2 Z) the same way, and
+    h_t = rho est + nu. The hardening moments given est are formed out of
+    place too. Precoding, received_gains, the SINR rules and Z reuse the
+    package's functions, so a byte-level match pins the draw stream, the
+    chunk walk and the in-place arithmetic only.
     """
+    from cfmimo import evaluation
     from cfmimo.channel import estimate_variance_matrix
     from cfmimo.evaluation import (
         PrecodingContext,
@@ -470,23 +474,34 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     )
 
     t = cfg.block_len_slots
-    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (snap.n_ues,))
-    rng = np.random.default_rng(seed)
+    m, k = snap.n_aps, snap.n_ues
+    speeds = np.broadcast_to(np.asarray(speeds, dtype=float), (k,))
     ctx = PrecodingContext.from_matrix(coop)
     powers_eff = radiated_powers(coop, cfg)
-    shape = (n_mc, snap.n_aps, snap.n_ues)
     z = estimate_variance_matrix(snap, pilots, t, speeds, cfg)
     rho = np.atleast_1d(aging_coefficient(t, speeds, cfg))
     resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
-    est = np.sqrt(z / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    w = precode_pmmse(ctx, est, snap.noise_power, np.full(snap.n_ues, cfg.tx_power_w))
+    step = max(1, evaluation._CHUNK_ELEMS // (m * k))
+    children = np.random.SeedSequence(seed).spawn(-(-n_mc // step))
+    est, nu = [], []
+    for c, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        shape = (min(step, n_mc - c * step), m, k, 2)
+        x = rng.standard_normal(shape)
+        est.append(np.sqrt(z / 2.0) * (x[..., 0] + 1j * x[..., 1]))
+        if estimator == "per-draw":
+            y = rng.standard_normal(shape)
+            nu.append(np.sqrt(resid / 2.0) * (y[..., 0] + 1j * y[..., 1]))
+    est = np.concatenate(est)
+    w = precode_pmmse(ctx, est, snap.noise_power, np.full(k, cfg.tx_power_w))
+    sw = np.sqrt(powers_eff) * np.conj(w)
     if estimator == "hardening":
-        gains = received_gains(est, w, powers_eff) * rho
-        power = (np.abs(w) ** 2 * powers_eff).transpose(0, 2, 1) @ resid + np.abs(gains) ** 2
+        desired, total = received_gains(est, sw)
+        radiated = (np.abs(sw) ** 2).sum(axis=2)
+        desired, total = rho * desired, rho**2 * total + (radiated[:, None] @ resid)[:, 0]
     else:
-        nu = np.sqrt(resid / 2.0)[None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        gains, power = received_gains(rho * est + nu, w, powers_eff), None
-    gamma = instant_sinr(gains, rho, snap.noise_power, estimator=estimator, power=power)
+        desired, total = received_gains(rho * est + np.concatenate(nu), sw)
+    gamma = instant_sinr(desired, total, rho, snap.noise_power, estimator=estimator)
     se, rate = spectral_efficiency(gamma, cfg)
     return gamma, se, rate
 
@@ -682,7 +697,9 @@ def _scan_map_rows_reference(path, body, n_aps):
             bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db', got {line!r}")
             break
         try:
-            ap, cix, ciy, pl = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            # stripped as np.loadtxt strips a field: str.strip takes \x1c-\x1f too
+            ap, cix, ciy = (int(part.strip()) for part in parts[:3])
+            pl = float(parts[3].strip())
         except ValueError:
             bad = MapParseError(f"{path}:{ln}: non-numeric field in {line!r}")
             break

@@ -611,9 +611,13 @@ _FUZZ_ODD_ROWS = [
     "", "", "  ", "\t", "#0,0,0,90", "# AP 0", "0,1", "0,1,0", "0,1,0,90,7", "1.5,0,0,90",
     "0,1_0,0,90", "0,1,0,9_0.5", "0,9223372036854775808,0,90", "1,0,-9223372036854775809,90",
     "0,100000000000000000000,1,90", " 1 , 2 ,3, 95.5 ", "0,x,0,90", "0,0,0,nan", "0,0,0,-inf",
+    "0,0,0,90\x1c", "\x1d1,0,0,90", "0, \x1e1,0,90\x1f", "0,0,-1\x1f\t,90", "0\x1c,0,0,9\x1d0",
 ]
+# \x1c-\x1f, which np.loadtxt strips around a field and int and float refuse
+_FUZZ_FIELD_PADS = ["\x1c", "\x1d", "\x1e", "\x1f"]
 _FUZZ_HEADERS = ["10,10,0,0"] * 8 + [
     "2.5,4,-3,7", "0,10,0,0", "10,10,0", "a,10,0,0", "10,10,nan,0", "inf,10,0,0", "",
+    "10,10,0,0\x1c", "\x1f10,10,0,0",
 ]
 
 
@@ -628,7 +632,12 @@ def _fuzz_map_text(rng, n_aps):
         else:
             ap = rng.integers(0, n_aps + 1) if rng.uniform() < 0.1 else rng.integers(0, n_aps)
             ix, iy = rng.integers(-2, hi, size=2)
-            lines.append(f"{ap},{ix},{iy},{rng.uniform(60.0, 140.0):.6g}")
+            fields = [str(ap), str(ix), str(iy), f"{rng.uniform(60.0, 140.0):.6g}"]
+            if rng.uniform() < 0.15:
+                f = rng.integers(4)
+                pad = _FUZZ_FIELD_PADS[rng.integers(len(_FUZZ_FIELD_PADS))]
+                fields[f] = pad + fields[f] if rng.uniform() < 0.5 else fields[f] + pad
+            lines.append(",".join(fields))
     mix = _FUZZ_BREAKS if rng.uniform() < 0.4 else _FUZZ_NEWLINES
     breaks = [mix[rng.integers(len(mix))] for _ in lines]
     text = "".join(line + end for line, end in zip(lines, breaks))

@@ -3,14 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmimo.channel import ESTIMATE_FORMS, ChannelSnapshot, RadioConfig, estimate_variance_matrix, noise_power_w
+from cfmimo.channel import (
+    ESTIMATE_FORMS,
+    ChannelSnapshot,
+    RadioConfig,
+    aging_coefficient,
+    estimate_variance_matrix,
+    noise_power_w,
+)
 from cfmimo.evaluation import (
     PrecodingContext,
     _percentile_rows,
     build_report,
-    draw_block,
     evaluate_block,
-    evaluate_draws,
+    evaluate_matrices,
     hardening_moments,
     instant_sinr,
     precode_pmmse,
@@ -31,6 +37,11 @@ from cfmimo.channel import LogDistanceProvider, snapshot as make_channel_snapsho
 from conftest import make_snapshot, no_outage, random_snapshot
 import oracles
 from oracles import draw_estimates
+
+
+def _sw(w, powers):
+    """sqrt(p) conj(w): the power-scaled conjugate precoders received_gains takes."""
+    return np.sqrt(powers) * np.conj(w)
 
 
 def _members(group):
@@ -94,7 +105,7 @@ def test_instant_sinr_per_draw_single_link():
     w = h / np.abs(h)
     p = np.array([[0.3]])
     n0 = 1e-2
-    gamma = instant_sinr(received_gains(h, w, p), rho=1.0, noise=n0, estimator="per-draw")
+    gamma = instant_sinr(*received_gains(h, _sw(w, p)), rho=1.0, noise=n0, estimator="per-draw")
     direct = 0.3 * abs(h[0, 0, 0]) ** 2 / n0
     assert gamma[0] == pytest.approx(direct, rel=1e-9)
 
@@ -106,7 +117,7 @@ def test_instant_sinr_per_draw_is_log_mean():
     w = h / np.abs(h)
     p = np.array([[0.3]])
     n0 = 0.5
-    gamma = instant_sinr(received_gains(h, w, p), rho=1.0, noise=n0, estimator="per-draw")
+    gamma = instant_sinr(*received_gains(h, _sw(w, p)), rho=1.0, noise=n0, estimator="per-draw")
     gamma_n = 0.3 * np.abs(h[:, 0, 0]) ** 2 / n0
     assert np.log2(1 + gamma[0]) == pytest.approx(np.mean(np.log2(1 + gamma_n)), rel=1e-9)
 
@@ -114,7 +125,7 @@ def test_instant_sinr_per_draw_is_log_mean():
 def test_instant_sinr_unknown_estimator_rejected():
     h = np.ones((1, 1, 1), dtype=complex)
     with pytest.raises(ValueError, match="estimator"):
-        instant_sinr(received_gains(h, h, np.array([[0.2]])), rho=1.0, noise=1e-3, estimator="magic")
+        instant_sinr(*received_gains(h, _sw(h, np.array([[0.2]]))), rho=1.0, noise=1e-3, estimator="magic")
 
 
 def test_precoder_single_link_matched_filter():
@@ -294,7 +305,7 @@ def _sinr_instance(seed, n=7, m=5, k=4):
 def test_instant_sinr_matches_gain_loop_oracle(estimator):
     for seed in range(3):
         h, w, powers, rho = _sinr_instance(seed)
-        gamma = instant_sinr(received_gains(h, w, powers), rho, noise=0.05, estimator=estimator)
+        gamma = instant_sinr(*received_gains(h, _sw(w, powers)), rho, noise=0.05, estimator=estimator)
         gains = oracles.gains_oracle(h, w, powers)
         ref = oracles.sinr_from_gains_oracle(gains, rho, 0.05, estimator)
         assert np.allclose(gamma, ref, rtol=1e-12, atol=0.0)
@@ -309,14 +320,14 @@ def test_precoder_duplicate_channels_split_interference():
     ctx1 = PrecodingContext.from_matrix(d1)
     w1 = precode_pmmse(ctx1, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
     p1 = np.full((2, 1), 0.1)
-    g1 = instant_sinr(received_gains(h[None], w1[None], p1), rho=1.0, noise=n0)
+    g1 = instant_sinr(*received_gains(h[None], _sw(w1[None], p1)), rho=1.0, noise=n0)
     # duplicated UE with the same channel
     h2 = np.concatenate([h, h], axis=1)
     d2 = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx2 = PrecodingContext.from_matrix(d2)
     w2 = precode_pmmse(ctx2, h2[None], noise=n0, powers_ue=np.array([0.2, 0.2]))[0]
     p2 = np.full((2, 2), 0.1)
-    g2 = instant_sinr(received_gains(h2[None], w2[None], p2), rho=1.0, noise=n0)
+    g2 = instant_sinr(*received_gains(h2[None], _sw(w2[None], p2)), rho=1.0, noise=n0)
     assert g2[0] <= g1[0] + 1e-9
     assert g2[1] <= g1[0] + 1e-9
 
@@ -332,7 +343,7 @@ def test_instant_sinr_single_link_oracle():
     n0 = 1e-13
     w = precode_pmmse(ctx, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
     p = np.full((m, 1), 0.2)
-    gamma = instant_sinr(received_gains(h[None], w[None], p), rho=1.0, noise=n0)
+    gamma = instant_sinr(*received_gains(h[None], _sw(w[None], p)), rho=1.0, noise=n0)
     direct = abs(np.sum(np.sqrt(0.2) * np.conj(h[:, 0]) * w[:, 0])) ** 2 / n0
     assert gamma[0] == pytest.approx(direct, rel=1e-9)
 
@@ -343,7 +354,7 @@ def test_instant_sinr_unserved_ue_zero():
     rng = np.random.default_rng(2)
     h = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
     w = precode_pmmse(ctx, h, noise=1e-3, powers_ue=np.array([0.2, 0.2]))
-    gamma = instant_sinr(received_gains(h, w, np.full((2, 2), 0.1)), rho=1.0, noise=1e-3)
+    gamma = instant_sinr(*received_gains(h, _sw(w, np.full((2, 2), 0.1))), rho=1.0, noise=1e-3)
     assert gamma[1] == 0.0
 
 
@@ -351,8 +362,8 @@ def test_instant_sinr_vanishes_with_aging():
     h = np.array([[[1.0 + 0j]]])
     w = np.array([[[1.0 + 0j]]])
     p = np.array([[0.2]])
-    g_fresh = instant_sinr(received_gains(h, w, p), rho=1.0, noise=1e-3)
-    g_aged = instant_sinr(received_gains(h, w, p), rho=0.0, noise=1e-3)
+    g_fresh = instant_sinr(*received_gains(h, _sw(w, p)), rho=1.0, noise=1e-3)
+    g_aged = instant_sinr(*received_gains(h, _sw(w, p)), rho=0.0, noise=1e-3)
     assert g_aged[0] == 0.0
     assert g_fresh[0] > 0
 
@@ -406,87 +417,112 @@ def test_draw_estimates_variance_and_correlation():
     assert abs(cov) == pytest.approx(z[0, 0], rel=0.05)
 
 
-def test_draw_block_estimate_moments_at_speed_0():
+def _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed, estimator):
+    """The estimates one evaluate_block run precodes and the channels its
+    received_gains forms gains on (h_t for per-draw; for hardening, whose
+    moments are formed on the estimates, the estimates again), in draw order."""
+    est, gain_channels = [], []
+
+    def precode_spy(ctx, estimates, *args):
+        est.append(estimates.copy())
+        return precode_pmmse(ctx, estimates, *args)
+
+    def gains_spy(h, *args, **kwargs):
+        gain_channels.append(h.copy())
+        return received_gains(h, *args, **kwargs)
+
+    monkeypatch.setattr("cfmimo.evaluation.precode_pmmse", precode_spy)
+    monkeypatch.setattr("cfmimo.evaluation.received_gains", gains_spy)
+    coop = CooperationMatrix(np.ones((snap.n_aps, snap.n_ues), dtype=int))
+    evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=n, seed=seed, estimator=estimator)
+    monkeypatch.undo()
+    return np.concatenate(est), np.concatenate(gain_channels)
+
+
+def test_draw_block_estimate_moments_at_speed_0(monkeypatch):
     # static UEs (rho = 1, so h_t = h0): E|est|^2 = Z and E{est conj(h_t)} = Z
     # on every link, copilot links included, within five standard errors
     snap, cfg = _desk_instance(m=6, k=4, seed=9)
     pilots, speeds, n = np.array([0, 1, 0, 1]), np.zeros(4), 4000
-    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
+    est, h_t = _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
-    assert np.all(draws.rho == 1.0)
-    for sample in (np.abs(draws.est) ** 2, draws.est * np.conj(draws.h_t)):
+    assert np.all(aging_coefficient(cfg.block_len_slots, speeds, cfg) == 1.0)
+    for sample in (np.abs(est) ** 2, est * np.conj(h_t)):
         err = np.abs(sample.mean(axis=0) - z)
         assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
 
 
-def test_draw_block_joint_law_with_moving_ues():
+def test_draw_block_joint_law_with_moving_ues(monkeypatch):
     # the estimate-then-residual stream has the joint law of the block-start
     # draw h0 ~ CN(0, R), est = E[h0 | est] and h_t = rho h0 + sqrt(1 - rho^2) g:
     # E|est|^2 = Z, E|h_t|^2 = R and E{est conj(h_t)} = rho Z, within five
-    # standard errors on every link
+    # standard errors on every link. n = 4000 takes 1,639-draw chunks, so the
+    # law holds across chunk seeds.
     snap, cfg = _desk_instance(m=6, k=4, seed=9)
     pilots, speeds, n = np.array([0, 1, 0, 1]), np.array([0.8, 3.0, 12.0, 30.0]), 4000
-    draws = draw_block(snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1639 * 24)
+    est, h_t = _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
-    assert np.all(draws.rho < 1.0)
+    rho = aging_coefficient(cfg.block_len_slots, speeds, cfg)
+    assert np.all(rho < 1.0)
     cases = (
-        (np.abs(draws.est) ** 2, z),
-        (np.abs(draws.h_t) ** 2, snap.channel_gain()),
-        (draws.est * np.conj(draws.h_t), draws.rho * z),
+        (np.abs(est) ** 2, z),
+        (np.abs(h_t) ** 2, snap.channel_gain()),
+        (est * np.conj(h_t), rho * z),
     )
     for sample, want in cases:
         err = np.abs(sample.mean(axis=0) - want)
         assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
 
 
-def test_draw_block_hardening_draws_the_estimates_only():
+def test_draw_block_hardening_draws_the_estimates_only(monkeypatch):
     # hardening draws est first and stops: the same estimates as per-draw at
-    # the same seed, no h_t, and per-draw evaluation of them is refused
+    # the same seed, and its gains are formed on those estimates only; an
+    # unknown estimator is refused
     snap, pilots, speeds = _outage_instance()
     cfg = RadioConfig()
-    hard = draw_block(snap, pilots, speeds, cfg, 8, seed=5)
-    full = draw_block(snap, pilots, speeds, cfg, 8, seed=5, estimator="per-draw")
-    assert hard.h_t is None and np.array_equal(hard.est, full.est)
-    assert np.array_equal(hard.resid, full.resid) and np.all(hard.resid >= 0.0)
+    hard = _block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="hardening")
+    full = _block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="per-draw")
+    assert np.array_equal(hard[0], full[0]) and np.array_equal(hard[1], hard[0])
+    assert not np.array_equal(full[1], full[0])
     coop = select_small_cell(snap, no_outage(snap))
-    with pytest.raises(ValueError, match="h_t"):
-        evaluate_draws(snap, coop, cfg, hard, estimator="per-draw")
-    for estimator in ("hardening", "per-draw"):
-        evaluate_draws(snap, coop, cfg, full, estimator=estimator)
     with pytest.raises(ValueError, match="estimator"):
-        draw_block(snap, pilots, speeds, cfg, 8, seed=5, estimator="magic")
+        evaluate_block(snap, coop, pilots, speeds, cfg, 8, seed=5, estimator="magic")
 
 
 def test_hardening_moments_rao_blackwell_identity():
-    # with the estimates and precoders fixed, the hardening gain moments are
-    # the mean and second moment of the gains over the residual: average
-    # 120k draws of h_t = rho est + nu, nu ~ CN(0, R - rho^2 Z), within five
-    # standard errors on every (i, k)
+    # with the estimates and precoders fixed, the hardening desired gain and
+    # total power are the mean of gain_kk and of sum_i |gain_ik|^2 over the
+    # residual: average 120k draws of h_t = rho est + nu,
+    # nu ~ CN(0, R - rho^2 Z), within five standard errors for every UE
     snap, cfg = _desk_instance(m=6, k=3, seed=4)
     pilots, speeds = np.array([0, 1, 0]), np.array([0.8, 3.0, 12.0])
     coop = select_full_cf(snap, no_outage(snap))
-    draws = draw_block(snap, pilots, speeds, cfg, 2, seed=21)
+    z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
+    rho = aging_coefficient(cfg.block_len_slots, speeds, cfg)
+    resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
+    est = np.sqrt(z / 2.0) * _cn(np.random.default_rng(21), (2, 6, 3))
     powers = radiated_powers(coop, cfg)
     ctx = PrecodingContext.from_matrix(coop)
-    w = precode_pmmse(ctx, draws.est, snap.noise_power, np.full(3, cfg.tx_power_w))
-    mean, power = hardening_moments(draws.est, w, powers, draws.rho, draws.resid)
+    w = precode_pmmse(ctx, est, snap.noise_power, np.full(3, cfg.tx_power_w))
+    desired, total = hardening_moments(est, _sw(w, powers), rho, resid)
     rng = np.random.default_rng(22)
     n = 120_000
     sw = np.sqrt(powers) * w  # (2, M, K)
     for d in range(2):
         x, y = rng.standard_normal((2, n, 6, 3))
-        nu = np.sqrt(draws.resid / 2.0) * (x + 1j * y)
-        h_t = draws.rho * draws.est[d] + nu
+        nu = np.sqrt(resid / 2.0) * (x + 1j * y)
+        h_t = rho * est[d] + nu
         gains = np.einsum("mi,nmk->nik", sw[d], h_t.conj())
-        for sample, want in ((gains, mean[d]), (np.abs(gains) ** 2, power[d])):
+        samples = ((np.diagonal(gains, axis1=1, axis2=2), desired[d]), ((np.abs(gains) ** 2).sum(axis=1), total[d]))
+        for sample, want in samples:
             err = np.abs(sample.mean(axis=0) - want)
             assert np.all(err <= 5 * sample.std(axis=0) / np.sqrt(n))
 
 
 def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
     """evaluate_block's gamma for one AP serving one static UE at mean SNR
-    gamma_bar, and the gain draws it combined with their second moments
-    (None for per-draw)."""
+    gamma_bar, and the per-draw desired gains and total powers it combined."""
     cfg = RadioConfig()
     n0 = noise_power_w(cfg)
     gamma_bar = 10.0 ** (gamma_db / 10.0)
@@ -497,9 +533,9 @@ def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
     coop = CooperationMatrix(np.ones((1, 1), dtype=int))
     seen = []
 
-    def spy(gains, *args, **kwargs):
-        seen.append((gains, kwargs.get("power")))
-        return instant_sinr(gains, *args, **kwargs)
+    def spy(desired, total, *args, **kwargs):
+        seen.append((desired, total))
+        return instant_sinr(desired, total, *args, **kwargs)
 
     monkeypatch.setattr("cfmimo.evaluation.instant_sinr", spy)
     gamma, _, _ = evaluate_block(snap, coop, np.zeros(1, dtype=int), 0.0, cfg, n_mc=n_mc, seed=31, estimator=estimator)
@@ -509,11 +545,9 @@ def _evaluate_one_link(monkeypatch, gamma_db, estimator, n_mc=100_000):
 @pytest.mark.parametrize("gamma_db", [0.0, 10.0])
 def test_evaluate_block_one_link_hardening_closed_form(monkeypatch, gamma_db):
     # imperfect-CSI use-and-forget bound, within five standard errors taken
-    # by batch means over the gain draws evaluate_block combined
-    gamma, (gains, power), n0, cfg, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "hardening")
-    batches = [
-        instant_sinr(g, 1.0, n0, power=p)[0] for g, p in zip(np.split(gains, 20), np.split(power, 20))
-    ]
+    # by batch means over the draws evaluate_block combined
+    gamma, (desired, total), n0, cfg, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "hardening")
+    batches = [instant_sinr(d, t, 1.0, n0)[0] for d, t in zip(np.split(desired, 20), np.split(total, 20))]
     sem = np.std(batches, ddof=1) / np.sqrt(len(batches))
     want = oracles.hardening_one_link_sinr(gamma_bar, cfg.tx_power_w, cfg.pilot_len_slots)
     assert abs(gamma - want) <= 5 * sem
@@ -523,8 +557,9 @@ def test_evaluate_block_one_link_hardening_closed_form(monkeypatch, gamma_db):
 def test_evaluate_block_one_link_per_draw_closed_form(monkeypatch, gamma_db):
     # mean log2(1 + gamma_n) against e^{1/g} E1(1/g) / ln 2, within five
     # standard errors of the per-draw log terms
-    gamma, (gains, _), n0, _, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "per-draw")
-    logs = np.log2(1.0 + np.abs(gains[:, 0, 0]) ** 2 / n0)
+    gamma, (desired, total), n0, _, gamma_bar = _evaluate_one_link(monkeypatch, gamma_db, "per-draw")
+    assert np.array_equal(total, np.abs(desired) ** 2)  # one link: no interference
+    logs = np.log2(1.0 + np.abs(desired[:, 0]) ** 2 / n0)
     sem = logs.std() / np.sqrt(logs.size)
     assert abs(np.log2(1.0 + gamma) - oracles.per_draw_one_link_se(gamma_bar)) <= 5 * sem
 
@@ -563,10 +598,10 @@ def test_se_invariant_under_joint_ap_relabeling():
     )
     powers = split_powers(coop, cfg)
     w = precode_pmmse(ctx, h, noise=snap.noise_power, powers_ue=np.full(4, cfg.tx_power_w))
-    gamma = instant_sinr(received_gains(h, w, powers), rho=1.0, noise=snap.noise_power)
+    gamma = instant_sinr(*received_gains(h, _sw(w, powers)), rho=1.0, noise=snap.noise_power)
     perm = rng.permutation(10)
     gamma_p = instant_sinr(
-        received_gains(h[:, perm], w[:, perm], powers[perm]), rho=1.0, noise=snap.noise_power
+        *received_gains(h[:, perm], _sw(w[:, perm], powers[perm])), rho=1.0, noise=snap.noise_power
     )
     assert np.allclose(gamma_p, gamma, rtol=1e-10)
 
@@ -618,94 +653,125 @@ def _outage_instance():
 
 @pytest.mark.parametrize("form", ESTIMATE_FORMS)
 @pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
-def test_evaluate_block_matches_reference_bytes(form, estimator):
+def test_evaluate_block_matches_reference_bytes(monkeypatch, form, estimator):
+    # 64 draws in one chunk, then in six 10-draw chunks and a 4-draw tail,
+    # each chunk from its own child of the block seed
     snap, pilots, speeds = _outage_instance()
     cfg = RadioConfig(estimate_form=form)
-    for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap, no_outage(snap))):
-        got = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator)
-        want = oracles.evaluate_block_reference(
-            snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator
-        )
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
+    for chunk_elems in (1 << 18, 600):
+        monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
+        for coop in (CooperationMatrix(np.ones((12, 5), dtype=int)), select_small_cell(snap, no_outage(snap))):
+            got = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator)
+            want = oracles.evaluate_block_reference(
+                snap, coop, pilots, speeds, cfg, n_mc=64, seed=17, estimator=estimator
+            )
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("form", ESTIMATE_FORMS)
-@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
-def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
-    # (M, K) budgets of 60, 120 and 1 << 40 elements take the 12 x 5 draws
-    # one at a time, two at a time with a one-draw tail, and all 63 in one
-    # chunk; every sum over draws runs in draw order either way
-    snap, pilots, speeds = _outage_instance()
-    cfg = RadioConfig(estimate_form=form)
+def _invariance_coops(snap):
+    """Full D, D with beta0-like cuts and small-cell on the 12 x 5 outage instance."""
     cuts = np.ones((12, 5), dtype=int)
     cuts[[0, 3], 0] = 0
     cuts[[5, 6, 7], 1] = 0
     cuts[11, 2] = 0
     cuts[9, 3] = 0
     cuts[[0, 3, 5, 6, 7, 8, 9, 10, 11], 4] = 0
-    coops = [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap, no_outage(snap))]
     # one interferer group over distinct serving sets, as under full-CF with
     # beta0 cuts: UEs 0-3 solve the S x S form, UE 4 (G = 3) solves directly
-    (group,) = PrecodingContext.from_matrix(coops[1]).groups
+    (group,) = PrecodingContext.from_matrix(CooperationMatrix(cuts)).groups
     assert group.s_set.tolist() == list(range(5))
     assert group.wide.tolist() == [0, 1, 2, 3] and [k for k, _, _ in group.direct] == [4]
     assert len({tuple(col) for col in cuts.T}) == 5
-    for coop in coops:
+    return [CooperationMatrix(np.ones((12, 5), dtype=int)), CooperationMatrix(cuts), select_small_cell(snap, no_outage(snap))]
+
+
+@pytest.mark.parametrize("form", ESTIMATE_FORMS)
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_evaluate_block_chunk_invariant(monkeypatch, form, estimator):
+    # 63 draws in 10-draw chunks (six and a 3-draw tail), precoded in
+    # sub-chunks of one draw, of up to 2 and of the whole chunk: every draw
+    # is precoded by calls of the same shapes and every sum over draws runs
+    # in draw order, so the SE is the same to the bit
+    snap, pilots, speeds = _outage_instance()
+    cfg = RadioConfig(estimate_form=form)
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 600)
+    for coop in _invariance_coops(snap):
         runs = []
-        for chunk_elems in (60, 120, 1 << 40):
-            monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", chunk_elems)
+        for gather_elems in (1, 120, 1 << 15):
+            monkeypatch.setattr("cfmimo.evaluation._GATHER_ELEMS", gather_elems)
             runs.append(evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=63, seed=17, estimator=estimator))
         for run in runs[:-1]:
             for x, y in zip(run, runs[-1]):
                 assert np.array_equal(x, y)
 
 
-def test_evaluate_draws_peak_below_one_draw_array(monkeypatch):
-    # with M >> K a chunk's estimates, precoders and conjugate precoders are a
-    # small slice of the draws; evaluated whole, each would be one (n, M, K)
-    # complex array on its own
-    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1 << 14)
-    n, m, k = 512, 64, 8
-    snap, cfg = _desk_instance(m=m, k=k)
-    speeds = np.full(k, 0.8)
-    draws = draw_block(snap, np.arange(k) % cfg.pilot_len_slots, speeds, cfg, n, seed=3)
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_evaluate_matrices_alone_equals_shared(monkeypatch, estimator):
+    # a matrix's SE is the same to the bit whether it is evaluated alone or
+    # with others on the block's draws, over several chunks, also when the
+    # matrices' sub-chunks differ in size (2 draws for full D)
+    snap, pilots, speeds = _outage_instance()
+    cfg = RadioConfig()
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 600)
+    coops = _invariance_coops(snap)
+    for gather_elems in (120, 1 << 15):
+        monkeypatch.setattr("cfmimo.evaluation._GATHER_ELEMS", gather_elems)
+        shared = evaluate_matrices(snap, coops, pilots, speeds, cfg, n_mc=63, seed=17, estimator=estimator)
+        for coop, together in zip(coops, shared):
+            alone = evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=63, seed=17, estimator=estimator)
+            for x, y in zip(alone, together):
+                assert np.array_equal(x, y)
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes of ``fn()`` above what was allocated before it."""
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        evaluate_draws(snap, select_full_cf(snap, no_outage(snap)), cfg, draws)
+        fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry < n * m * k * np.dtype(complex).itemsize
+    return peak - entry
 
 
-@pytest.mark.parametrize("estimator, arrays", [("hardening", 1.6), ("per-draw", 2.6)])
-def test_draw_and_evaluate_peak_draw_arrays(monkeypatch, estimator, arrays):
-    # a hardening block holds the estimates alone and a per-draw block the
-    # estimates and h_t; the draw scratch is half a draw array, and a chunk's
-    # precoders, gains and moments are a small slice of one
+def test_evaluate_block_peak_below_one_draw_array(monkeypatch):
+    # with M >> K a chunk's estimates, precoders and conjugate precoders are a
+    # small slice of the draws: a whole block, draws included, peaks below
+    # one (n, M, K) complex array
     monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1 << 14)
     n, m, k = 512, 64, 8
     snap, cfg = _desk_instance(m=m, k=k)
     speeds, pilots = np.full(k, 0.8), np.arange(k) % cfg.pilot_len_slots
     coop = select_full_cf(snap, no_outage(snap))
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        draws = draw_block(snap, pilots, speeds, cfg, n, seed=3, estimator=estimator)
-        evaluate_draws(snap, coop, cfg, draws, estimator=estimator)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry < arrays * n * m * k * np.dtype(complex).itemsize
+    peak = _traced_peak(lambda: evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=n, seed=3))
+    assert peak < n * m * k * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("estimator", ["hardening", "per-draw"])
+def test_block_peak_flat_in_n_mc(monkeypatch, estimator):
+    # 16-draw chunks: n_mc = 32 spans 2 chunks and n_mc = 512 spans 32, and
+    # the block's traced peaks agree within 10%; only the (n_mc, K) desired
+    # gains and total powers, 24 bytes per draw and UE, grow with n_mc
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1 << 14)
+    m, k = 256, 4
+    snap, cfg = _desk_instance(m=m, k=k)
+    speeds, pilots = np.full(k, 0.8), np.arange(k) % cfg.pilot_len_slots
+    coop = select_full_cf(snap, no_outage(snap))
+    small, large = (
+        _traced_peak(lambda: evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=n, seed=3, estimator=estimator))
+        for n in (32, 512)
+    )
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_received_gains_leaves_inputs():
     h, w, powers, _ = _sinr_instance(4)
-    copies = h.copy(), w.copy(), powers.copy()
-    received_gains(h, w, powers)
-    for before, after in zip(copies, (h, w, powers)):
+    sw = _sw(w, powers)
+    copies = h.copy(), sw.copy()
+    received_gains(h, sw)
+    for before, after in zip(copies, (h, sw)):
         assert np.array_equal(before, after)
 
 

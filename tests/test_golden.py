@@ -6,8 +6,9 @@ lives), and what ``cfmimo compare --out .`` wrote there: comparison.csv and
 each algorithm's report.txt and se_blocks.csv. The algorithms are the rows of
 comparison.csv. Together the configs reach every algorithm, both SINR
 estimators, topology, track and path-loss map files, and (M = 64, K = 16,
-n_mc = 600) several draw chunks per block: three for small-cell and
-unifsrv-heu, 19 for full-CF.
+n_mc = 600) three draw chunks per block, of 256, 256 and 88 draws, each
+drawn from its own child of the block seed, with full-CF precoded in
+sub-chunks of up to 32 draws inside each chunk.
 
 A rerun must match field by field: integers and text (the config hash, the
 names) exactly, every other number within GOLDEN_REL_TOL relative. Outputs

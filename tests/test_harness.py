@@ -226,13 +226,14 @@ def test_compare_builds_provider_once(tmp_path, monkeypatch):
 
 
 def test_compare_draws_once_per_block(tmp_path, monkeypatch):
+    # one walk over each block's draws evaluates every algorithm
     cfg = mini_config()
-    calls = _count_calls(monkeypatch, ev, "draw_block")
+    calls = _count_calls(monkeypatch, ev, "evaluate_matrices")
     compare_algorithms(cfg, ["small-cell", "full-cf"])
     assert len(calls) == cfg.blocks
 
     cfg = map_config(tmp_path)
-    calls = _count_calls(monkeypatch, ev, "draw_block")
+    calls = _count_calls(monkeypatch, ev, "evaluate_matrices")
     compare_algorithms(cfg, ["small-cell", "full-cf"])
     assert len(calls) == cfg.blocks
 
@@ -495,7 +496,7 @@ def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line)
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
     assert not out.exists()
 
@@ -531,7 +532,7 @@ def test_cli_non_utf8_byte_exits_2_before_block_0(tmp_path, monkeypatch, capsys,
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
     if bad == "se_blocks":
         rc = cli.main(["export-cdf", "--run", str(paths[bad].parent)])
     else:
@@ -547,7 +548,7 @@ def test_cli_mobility_override_is_checked(tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(out), mobility_source="file", speed_mps=0.0)))
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", None)  # a block would exit 3
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", None)  # a block would exit 3
     assert cli.main(["simulate", "--config", str(cfg_path), "--mobility", "rwp"]) == 2
     assert not out.exists()
 
@@ -556,18 +557,20 @@ def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys)
     out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
-    evaluate_draws = ev.evaluate_draws
+    evaluate_matrices = ev.evaluate_matrices
     calls = []
 
     def nan_on_block_1(*args, **kwargs):
-        gamma, se, rate = evaluate_draws(*args, **kwargs)
+        results = evaluate_matrices(*args, **kwargs)
         calls.append(None)
         if len(calls) == 2:
+            gamma, se, rate = results[0]
             se = se.copy()
             se[2] = np.nan
-        return gamma, se, rate
+            results[0] = gamma, se, rate
+        return results
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", nan_on_block_1)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", nan_on_block_1)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
     assert "block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
     assert not (out / "small-cell" / "report.txt").exists()
@@ -581,7 +584,7 @@ def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypa
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
     rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
     assert rc == 2
     assert not out.exists()
@@ -603,7 +606,7 @@ def test_cli_cluster_grid_errors_exit_2_before_block_0(tmp_path, monkeypatch, ca
     def no_block(*args, **kwargs):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_draws", no_block)
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
     rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", algorithms])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
