@@ -56,3 +56,16 @@ def read_rows(f, path, fields, types, error, start=1):
         except ValueError:
             raise error(f"{path}:{ln}: non-numeric field in {row!r}") from None
         yield ln, row, values
+
+
+def _check_ids(line_of, path, kind, rows, error):
+    """Raise ``error`` unless the ids of ``line_of`` (id -> first line, in file
+    order) are 0..N-1, naming the first stray id's line and the smallest missing id."""
+    n = len(line_of)
+    stray = next((i for i in line_of if not 0 <= i < n), None)
+    if stray is not None:
+        missing = min(set(range(n)) - line_of.keys())
+        raise error(
+            f"{path}:{line_of[stray]}: {kind} id {stray} is outside 0..{n - 1}; "
+            f"the ids of {n} {kind} {rows} must be 0..{n - 1}, and id {missing} is missing"
+        )

@@ -10,7 +10,9 @@ pilot-contaminated MMSE variance.
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -192,6 +194,7 @@ class PathLossMap:
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
 _MAP_FIELDS = "ap_id,cell_ix,cell_iy,pathloss_db"
+_MAP_TYPES = (int, int, int, float)
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -200,48 +203,47 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     Format: header ``grid_dx,grid_dy,origin_x,origin_y`` then rows
     ``ap_id,cell_ix,cell_iy,pathloss_db``. Blank lines are skipped; ``#``
     starts no comment, so a ``#`` line is a malformed row. Every AP id must
-    belong to the topology and appear at least once; a repeated cell, a
-    non-finite header field and non-positive grid spacing are parse errors.
-    Each error names the file line (``path:line``) of the first offending
-    row.
+    belong to the topology and appear at least once. A repeated cell, a cell
+    index of magnitude 2**63, a grid too large for an int64 flat index, a
+    non-finite header field and non-positive grid spacing are errors, each
+    naming the file line (``path:line``) of the first offending row.
 
-    The file is streamed: after the header, the open file goes to one
-    ``np.loadtxt`` call, so the rows (32 B each) are the only copy of the
-    body, and a vectorized check decides whether they are a clean map. Only
-    when ``loadtxt`` refuses a row or that check fails is the body read
-    again, once, by the row scanner, which names the first bad row.
+    The file is streamed: one ``np.loadtxt`` call reads the rows after the
+    header into 32 B records, or, where it refuses a row, the row scanner
+    does. ``_map_cells`` alone decides whether the rows form a map; only a
+    bad row is read once more, to quote it.
     """
     with open_text(path, MapParseError) as f:
         first = f.readline()
-        header = _parse_map_header(path, first.rstrip("\n") if first else None)
+        dx, dy, ox, oy = _parse_map_header(path, first.rstrip("\n") if first else None)
+        body = f.tell()
         try:
             with warnings.catch_warnings():
                 # a header-only file is reported below as "no map rows"
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
+                rows, refusal = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1), None
         except ValueError:
             # loadtxt's message gives no file line, and loadtxt refuses
-            # some rows the row rules accept (whitespace-only lines, "1_0")
-            cells = None
-        else:
-            cells = _map_cells(rows, topo.n_aps)
-        if cells is None:
-            # read the body again: the scanner names the first bad row
-            f.seek(0)
-            f.readline()
-            rows = _scan_map_rows(path, f, topo.n_aps)
-            cells = _map_cells(rows, topo.n_aps)
-    if not rows.size:
-        raise MapParseError(f"{path}: no map rows")
+            # some rows the row rule accepts (whitespace-only lines, "1_0")
+            f.seek(body)
+            rows, refusal = _scan_map_rows(path, f)
+        if not rows.size:
+            raise refusal or MapParseError(f"{path}: no map rows")
+        cell, grid, bad = _map_cells(rows, topo.n_aps)
+        if bad:
+            f.seek(body)
+            parsed = read_rows(f, path, _MAP_FIELDS, _MAP_TYPES, MapParseError, start=2)
+            ln, row, values = next(itertools.islice(parsed, bad[0], None))
+            raise MapParseError(f"{path}:{ln}: " + bad[1].format(*values, row=row))
+    if refusal:
+        raise refusal
     missing = np.flatnonzero(np.bincount(rows["ap"], minlength=topo.n_aps) == 0).tolist()
     if missing:
         raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
 
-    cell, (ix_min, iy_min), (nx, ny) = cells
-    dx, dy, ox, oy = header
-    table = np.full((topo.n_aps, nx, ny), np.inf)
+    table = np.full((topo.n_aps, *grid[2:]), np.inf)
     table.reshape(-1)[cell] = rows["pl"]
-    return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
+    return PathLossMap(dx, dy, (ox, oy), table, grid[:2])
 
 
 def _parse_map_header(path, line):
@@ -264,55 +266,55 @@ def _parse_map_header(path, line):
 
 
 def _map_cells(rows, n_aps):
-    """Flat table index of each row, the grid's first cell and its shape.
-
-    None when ``rows`` is empty, holds an AP id outside ``range(n_aps)``,
-    spans a grid whose flat index would pass int64, or repeats a cell.
+    """(flat table index of each row, (ix_min, iy_min, nx, ny), None) if the
+    non-empty ``rows`` form a map; else (None, None, (i, message template))
+    for the first bad row i, the one after the longest prefix that does. A
+    repeated cell grows no grid, so no row is both a repeat and out of range.
     """
+    index = _map_index(rows, n_aps)
+    if index:
+        return *index, None
+    lo, hi = 0, len(rows) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _map_index(rows[:mid], n_aps) else (lo, mid - 1)
+    cells = rows[["ap", "ix", "iy"]]
+    if not 0 <= cells[lo]["ap"] < n_aps:
+        return None, None, (lo, "unknown AP id {0}")
+    if (cells[:lo] == cells[lo]).any():
+        return None, None, (lo, "duplicate cell ({0}, {1}, {2})")
+    return None, None, (lo, "cell index out of range in {row!r}")
+
+
+def _map_index(rows, n_aps):
+    """(flat table index of each row, (ix_min, iy_min, nx, ny)) if the rows
+    form a map: every AP id in ``range(n_aps)``, every cell index below 2**63
+    in magnitude, a grid whose flat index fits int64 and no cell twice."""
     ap, ix, iy = rows["ap"], rows["ix"], rows["iy"]
-    if not rows.size or ((ap < 0) | (ap >= n_aps)).any():
+    if ((ap < 0) | (ap >= n_aps)).any():
         return None
     ix_min, iy_min = int(ix.min()), int(iy.min())
     nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
-    if n_aps * nx * ny >= 2**63:
+    if min(ix_min, iy_min) == -(2**63) or n_aps * nx * ny >= 2**63:
         return None
-    # (ap * nx + ix - ix_min) * ny + iy - iy_min, in one array
-    cell = ap * nx
-    cell += ix
-    cell -= ix_min
-    cell *= ny
-    cell += iy
-    cell -= iy_min
+    cell = (ap * nx + ix - ix_min) * ny + iy - iy_min  # numpy reuses the temporaries
     ordered = np.sort(cell)
     if (ordered[1:] == ordered[:-1]).any():
         return None
-    return cell, (ix_min, iy_min), (nx, ny)
+    return cell, (ix_min, iy_min, nx, ny)
 
 
-def _scan_map_rows(path, body, n_aps):
-    """The rows of ``body``, the open map file after its header, parsed one
-    by one; the first bad row in file order raises its error.
-
-    Besides the row rule, a row is bad for an AP id outside
-    ``range(n_aps)``, for a cell index or a grid so far grown whose flat
-    index passes int64, which no table could hold, and for a cell named by
-    an earlier row.
-    """
-    pathloss = {}  # (ap, ix, iy) -> pathloss_db, in file order
-    x_lo = y_lo = math.inf
-    x_hi = y_hi = -math.inf
-    for ln, row, (ap, cix, ciy, pl) in read_rows(
-        body, path, _MAP_FIELDS, (int, int, int, float), MapParseError, start=2
-    ):
-        if not 0 <= ap < n_aps:
-            raise MapParseError(f"{path}:{ln}: unknown AP id {ap}")
-        x_lo, x_hi, y_lo, y_hi = min(x_lo, cix), max(x_hi, cix), min(y_lo, ciy), max(y_hi, ciy)
-        if max(abs(cix), abs(ciy), n_aps * (x_hi - x_lo + 1) * (y_hi - y_lo + 1)) >= 2**63:
-            raise MapParseError(f"{path}:{ln}: cell index out of range in {row!r}")
-        if (ap, cix, ciy) in pathloss:
-            raise MapParseError(f"{path}:{ln}: duplicate cell ({ap}, {cix}, {ciy})")
-        pathloss[ap, cix, ciy] = pl
-    return np.fromiter(((*c, pl) for c, pl in pathloss.items()), dtype=_MAP_ROW, count=len(pathloss))
+def _scan_map_rows(path, body):
+    """``_MAP_ROW`` records of the rows of ``body``, the open map file after
+    its header, read by the row rule up to the first row it refuses, and that
+    refusal (or None). An integer that int64 cannot hold reads as -2**63."""
+    packed = bytearray()
+    try:
+        for _, _, (*ints, pl) in read_rows(body, path, _MAP_FIELDS, _MAP_TYPES, MapParseError, start=2):
+            packed += struct.pack("=qqqd", *[v if -(2**63) <= v < 2**63 else -(2**63) for v in ints], pl)
+    except MapParseError as refusal:
+        return np.frombuffer(packed, dtype=_MAP_ROW), refusal
+    return np.frombuffer(packed, dtype=_MAP_ROW), None
 
 
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:

@@ -457,7 +457,6 @@ class MetricsReport:
     n_mc: int
     se_per_block: np.ndarray  # (K, T)
     g_per_block: np.ndarray  # (K, T)
-    w_per_block: np.ndarray  # (M, T)
     rate_per_ue: np.ndarray  # (K,) mean over blocks
     sum_rate: float
     jain: float
@@ -501,7 +500,6 @@ def build_report(
         n_mc=n_mc,
         se_per_block=se_blocks,
         g_per_block=g_blocks,
-        w_per_block=w_blocks,
         rate_per_ue=rate_per_ue,
         sum_rate=float(rate_per_ue.sum()),
         jain=jain_index(rate_per_ue),

@@ -3,9 +3,9 @@
 One experiment = (topology, mobility trace, channel provider, selection
 algorithms) driven block by block: update UE positions, snapshot the
 channel, select each algorithm's serving sets, then evaluate SE for all of
-them on the block's shared Monte-Carlo draws; aggregate per algorithm. Every random stream derives from the master seed through a
-stable hash, so a (config, seed) pair reproduces byte-identical reports
-regardless of execution order.
+them on the block's shared Monte-Carlo draws; aggregate per algorithm.
+Every random stream derives from the master seed by a stable hash, so a
+(config, seed) pair reproduces byte-identical reports in any order.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError, open_text, read_rows
+from . import InputError, _check_ids, open_text, read_rows
 from .topology import AreaSpec
 
 
@@ -159,14 +159,8 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
             rows.append((t, x, y))
     if not tracks:
         raise TrackParseError(f"{path}: no track rows")
+    _check_ids(line_of, path, "UE", "tracks", TrackParseError)
     k = len(tracks)
-    stray = [ue for ue in tracks if not 0 <= ue < k]
-    if stray:
-        missing = min(set(range(k)) - tracks.keys())
-        raise TrackParseError(
-            f"{path}:{line_of[stray[0]]}: UE id {stray[0]} is outside 0..{k - 1}; "
-            f"the ids of {k} UE tracks must be 0..{k - 1}, and id {missing} is missing"
-        )
     for ue in range(k):
         if tracks[ue][0][0] > 1e-9:
             raise TrackParseError(f"{path}: UE {ue} track must start at t=0")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import InputError, open_text, read_rows
+from . import InputError, _check_ids, open_text, read_rows
 
 
 class TopologyParseError(InputError):
@@ -141,13 +141,6 @@ def load_topology(path) -> NetworkTopology:
             line_of[ap_id] = ln
     if not by_id:
         raise TopologyParseError(f"{path}: no AP rows")
-    m = len(by_id)
-    stray = [ap_id for ap_id in by_id if not 0 <= ap_id < m]
-    if stray:
-        missing = min(set(range(m)) - by_id.keys())
-        raise TopologyParseError(
-            f"{path}:{line_of[stray[0]]}: AP id {stray[0]} is outside 0..{m - 1}; "
-            f"the ids of {m} AP rows must be 0..{m - 1}, and id {missing} is missing"
-        )
-    pos = np.array([by_id[i] for i in range(m)], dtype=float)
+    _check_ids(line_of, path, "AP", "rows", TopologyParseError)
+    pos = np.array([by_id[i] for i in range(len(by_id))], dtype=float)
     return NetworkTopology(area=area, ap_positions=pos)

@@ -657,8 +657,11 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
     except ValueError:
         rows, bad = _scan_map_rows_reference(path, body, topo.n_aps)
-    bad_ap = np.flatnonzero((rows["ap"] < 0) | (rows["ap"] >= topo.n_aps))
-    n_ok = int(bad_ap[0]) if bad_ap.size else len(rows)
+    unknown = (rows["ap"] < 0) | (rows["ap"] >= topo.n_aps)
+    # a cell index of magnitude 2**63; of those, int64 holds only -2**63
+    huge = (rows["ix"] == -(2**63)) | (rows["iy"] == -(2**63))
+    stops = np.flatnonzero(unknown | huge)
+    n_ok = int(stops[0]) if stops.size else len(rows)
     ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
     if n_ok:
         ix_min, iy_min = int(ix.min()), int(iy.min())
@@ -671,10 +674,11 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
             raise MapParseError(
                 f"{path}:{_map_row_line_reference(body, i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})"
             )
-    if bad_ap.size:
-        raise MapParseError(
-            f"{path}:{_map_row_line_reference(body, n_ok)}: unknown AP id {rows['ap'][n_ok]}"
-        )
+    if stops.size:
+        ln = _map_row_line_reference(body, n_ok)
+        if unknown[n_ok]:
+            raise MapParseError(f"{path}:{ln}: unknown AP id {rows['ap'][n_ok]}")
+        raise MapParseError(f"{path}:{ln}: cell index out of range in {body[ln - 2]!r}")
     if bad is not None:
         raise bad
     missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()

@@ -530,8 +530,12 @@ def test_map_names_first_bad_row_in_file_order(tmp_path, order, blank):
         # 2 x (2**32 + 1) x 2**32 cells: the int64 index would wrap, and
         # line 3's cell would land on line 2's
         (f"0,0,0,90\n0,{2**32},0,91\n1,0,{2**32 - 1},92\n", 4),
+        # a cell index of magnitude 2**63, which int64 holds: loadtxt reads
+        # this map, and the whitespace-only line sends it to the row scanner
+        (f"0,{-2**63},0,90\n1,{-2**63},0,91\n", 2),
+        (f"0,{-2**63},0,90\n1,{-2**63},0,91\n \n", 2),
     ],
-    ids=["x-extent", "wrap"],
+    ids=["x-extent", "wrap", "min-int64", "min-int64-blank"],
 )
 def test_map_grid_past_int64_names_row(tmp_path, body, line):
     path = _write_map_text(tmp_path / "map.txt", body)
@@ -556,16 +560,19 @@ def test_map_header_without_rows_rejected(tmp_path, body):
             _load_two_ap_map(path)
 
 
-def test_map_load_peak_memory_per_row(tmp_path):
+@pytest.mark.parametrize("blank", [False, True], ids=["loadtxt", "scanner"])
+def test_map_load_peak_memory_per_row(tmp_path, blank):
     # the streamed loader holds the rows (32 B each), the cell index and its
     # sorted copy (8 B each) and then the table; a loader that keeps the
-    # file text and its line list needs ~150 B per row
+    # file text and its line list needs ~150 B per row, and so does a row
+    # scanner that keeps a Python object per row. A whitespace-only line
+    # after the header makes loadtxt refuse the file and the scanner read it
     n_aps, side = 4, 160
     ix, iy = np.divmod(np.arange(side * side), side)
     pl = np.round(np.random.default_rng(4).uniform(60.0, 140.0, side * side), 4)
     path = tmp_path / "map.txt"
     with open(path, "w") as f:
-        f.write("5,5,0,0\n")
+        f.write("5,5,0,0\n" + (" \n" if blank else ""))
         for ap in range(n_aps):
             f.writelines(f"{ap},{a},{b},{c}\n" for a, b, c in zip(ix.tolist(), iy.tolist(), pl.tolist()))
     topo = generate_ppp_topology(AreaSpec(800.0, 800.0), n_aps, seed=1)
@@ -612,6 +619,7 @@ _FUZZ_ODD_ROWS = [
     "0,1_0,0,90", "0,1,0,9_0.5", "0,9223372036854775808,0,90", "1,0,-9223372036854775809,90",
     "0,100000000000000000000,1,90", " 1 , 2 ,3, 95.5 ", "0,x,0,90", "0,0,0,nan", "0,0,0,-inf",
     "0,0,0,90\x1c", "\x1d1,0,0,90", "0, \x1e1,0,90\x1f", "0,0,-1\x1f\t,90", "0\x1c,0,0,9\x1d0",
+    "0,-9223372036854775808,0,90",
 ]
 # \x1c-\x1f, which np.loadtxt strips around a field and int and float refuse
 _FUZZ_FIELD_PADS = ["\x1c", "\x1d", "\x1e", "\x1f"]
@@ -645,33 +653,37 @@ def _fuzz_map_text(rng, n_aps):
 
 
 def _load_outcome(loader, path, topo):
+    """(error type, message), or the accepted table's shape and bytes (so
+    nan cells compare too) and the grid."""
     try:
         plmap = loader(path, topo)
     except Exception as e:  # every failure must match too
         return type(e), str(e)
-    return plmap._table, (plmap._dx, plmap._dy, plmap._origin, plmap._offset)
+    grid = (plmap._dx, plmap._dy, plmap._origin, plmap._offset)
+    return plmap._table.shape, plmap._table.tobytes(), grid
 
 
 def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
     # the streamed loader and its row-by-row re-read against the line-list
     # reference: the same table for every accepted file, the same error for
-    # every other
+    # every other. The same file with a whitespace-only line appended after
+    # a final line break, which loadtxt refuses, goes to the row scanner and
+    # must load to the same outcome
     rng = np.random.default_rng(2024)
     kinds = set()
     for n in range(300):
         n_aps = int(rng.integers(1, 4))
         topo = generate_ppp_topology(AreaSpec(100.0, 100.0), n_aps, seed=1)
         path = tmp_path / f"map{n}.txt"
-        path.write_bytes(_fuzz_map_text(rng, n_aps).encode("utf-8"))
+        text = _fuzz_map_text(rng, n_aps)
+        path.write_bytes(text.encode("utf-8"))
         got = _load_outcome(load_pathloss_map, path, topo)
         want = _load_outcome(oracles.load_pathloss_map_reference, path, topo)
-        if isinstance(want[0], type):
-            assert got == want, path.read_bytes()
-            kinds.add(want[1].split(": ", 1)[-1].split(" ")[0])
-        else:
-            # bytes, not array_equal, so nan cells compare too
-            same = got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
-            assert same and got[1] == want[1], path.read_bytes()
-            kinds.add("accepted")
+        assert got == want, path.read_bytes()
+        kinds.add(want[1].split(": ", 1)[-1].split(" ")[0] if isinstance(want[0], type) else "accepted")
+        if text:  # an empty file has no header for the line to follow
+            text += ("" if text.endswith(("\n", "\r")) else "\n") + " \n"
+            path.write_bytes(text.encode("utf-8"))
+            assert _load_outcome(load_pathloss_map, path, topo) == got, path.read_bytes()
     # the fuzz reaches acceptance and the main error kinds
     assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "expected"} <= kinds, kinds
