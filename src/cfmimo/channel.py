@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -195,6 +196,8 @@ class PathLossMap:
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
 _MAP_FIELDS = "ap_id,cell_ix,cell_iy,pathloss_db"
 _MAP_TYPES = (int, int, int, float)
+# names numpy opens through a decompressor when given them as a path
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -211,20 +214,32 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     The file is streamed: one ``np.loadtxt`` call reads the rows after the
     header into 32 B records, or, where it refuses a row, the row scanner
     does. ``_map_cells`` alone decides whether the rows form a map; only a
-    bad row is read once more, to quote it.
+    bad row is read once more, to quote it. ``np.loadtxt`` is given the
+    path, not the open file: it reads a path in chunks in C, but walks an
+    open file one Python line at a time, which takes about 1.5x as long.
+    numpy opens a path by its name, so a name it would decompress (``.gz``
+    and the like) is read through the open file instead.
     """
     with open_text(path, MapParseError) as f:
         first = f.readline()
         dx, dy, ox, oy = _parse_map_header(path, first.rstrip("\n") if first else None)
         body = f.tell()
+        # an absolute path, so numpy never reads a name like "http://..." as a URL
+        source, skip = (f, 0) if str(path).endswith(_COMPRESSED_SUFFIXES) else (os.path.abspath(path), 1)
         try:
             with warnings.catch_warnings():
                 # a header-only file is reported below as "no map rows"
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows, refusal = np.loadtxt(f, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1), None
+                rows = np.loadtxt(
+                    source, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1,
+                    skiprows=skip, encoding="utf-8",
+                )
+            refusal = None
         except ValueError:
             # loadtxt's message gives no file line, and loadtxt refuses
-            # some rows the row rule accepts (whitespace-only lines, "1_0")
+            # some rows the row rule accepts (whitespace-only lines, "1_0").
+            # A byte that is not UTF-8 lands here too: the scanner names a
+            # bad row before it, or meets the byte and open_text names it
             f.seek(body)
             rows, refusal = _scan_map_rows(path, f)
         if not rows.size:

@@ -132,10 +132,11 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
     beyond any UE's last waypoint: T = floor(min last timestamp / bd) + 1.
     Per-UE speed is estimated as the median displacement rate between
     consecutive waypoints. The UE ids of a file with K tracks must be
-    0..K-1, in any order; row i of the trace is UE i. A non-finite time,
-    sample gaps larger than 10x block_duration, (when ``area`` is given)
-    out-of-area points and an id outside 0..K-1 are parse errors; the last
-    names the first row of the first such id and the smallest missing id.
+    0..K-1, in any order; row i of the trace is UE i. A non-finite time or
+    coordinate, sample gaps larger than 10x block_duration, (when ``area``
+    is given) out-of-area points and an id outside 0..K-1 are parse errors;
+    the last names the first row of the first such id and the smallest
+    missing id.
     """
     if block_duration <= 0:
         raise ValueError("block_duration must be positive")
@@ -146,6 +147,8 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
         for ln, row, (ue, t, x, y) in parsed:
             if not math.isfinite(t):
                 raise TrackParseError(f"{path}:{ln}: non-finite time in {row!r}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TrackParseError(f"{path}:{ln}: non-finite point in {row!r}")
             if area is not None and not bool(area.contains((x, y))):
                 raise TrackParseError(f"{path}:{ln}: point ({x}, {y}) outside area")
             rows = tracks.setdefault(ue, [])
@@ -177,8 +180,10 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
         positions[i, :, 0] = np.interp(grid, t, x)
         positions[i, :, 1] = np.interp(grid, t, y)
         if len(t) > 1:
-            step = np.hypot(np.diff(x), np.diff(y)) / np.diff(t)
-            speeds[i] = float(np.median(step))
+            # the median as np.median takes it, without np.median's import of numpy.ma
+            step = np.sort(np.hypot(np.diff(x), np.diff(y)) / np.diff(t))
+            mid = len(step) // 2
+            speeds[i] = step[mid] if len(step) % 2 else (step[mid - 1] + step[mid]) / 2
         else:
             speeds[i] = 0.0
     return MobilityTrace(

@@ -660,7 +660,14 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
     unknown = (rows["ap"] < 0) | (rows["ap"] >= topo.n_aps)
     # a cell index of magnitude 2**63; of those, int64 holds only -2**63
     huge = (rows["ix"] == -(2**63)) | (rows["iy"] == -(2**63))
-    stops = np.flatnonzero(unknown | huge)
+    # a row that grows the grid of the rows up to it past an int64 flat
+    # index; the extents are Python ints, which do not wrap
+    nx, ny = (
+        np.maximum.accumulate(rows[f]).astype(object) - np.minimum.accumulate(rows[f]).astype(object) + 1
+        for f in ("ix", "iy")
+    )
+    wide = (topo.n_aps * nx * ny >= 2**63).astype(bool)
+    stops = np.flatnonzero(unknown | huge | wide)
     n_ok = int(stops[0]) if stops.size else len(rows)
     ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
     if n_ok:

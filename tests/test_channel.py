@@ -561,6 +561,30 @@ def test_map_header_without_rows_rejected(tmp_path, body):
 
 
 @pytest.mark.parametrize("blank", [False, True], ids=["loadtxt", "scanner"])
+def test_map_non_utf8_byte_deep_in_file_rejected(tmp_path, blank):
+    # a \xff on the last row, ~100 kB in, past the first chunk loadtxt reads
+    # of the path, so numpy's own reader meets the byte; a whitespace-only
+    # line after the header sends the file to the row scanner instead
+    rows = "".join(f"0,{i},0,90\n" for i in range(9000))
+    path = tmp_path / "map.txt"
+    path.write_bytes(("10,10,0,0\n" + (" \n" if blank else "") + rows).encode() + b"1,0,0,9\xff1\n")
+    assert path.stat().st_size > 100_000
+    with pytest.raises(MapParseError, match=r"map\.txt: not UTF-8 text$"):
+        _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize("name", ["map.gz", "file://localhost/map.txt"])
+def test_map_read_as_plain_text_whatever_its_name(tmp_path, monkeypatch, name):
+    # numpy opens a path by its name: given these, it would gunzip the first
+    # and take the second for a URL. Here both name plain local map files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / name).write_text("10,10,0,0\n0,0,0,90\n1,0,0,91\n")
+    out = _load_two_ap_map(name).pathloss_db(np.array([[0.0, 0.0]]))
+    assert out[:, 0].tolist() == [90.0, 91.0]
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["loadtxt", "scanner"])
 def test_map_load_peak_memory_per_row(tmp_path, blank):
     # the streamed loader holds the rows (32 B each), the cell index and its
     # sorted copy (8 B each) and then the table; a loader that keeps the
@@ -621,6 +645,7 @@ _FUZZ_ODD_ROWS = [
     "0,0,0,90\x1c", "\x1d1,0,0,90", "0, \x1e1,0,90\x1f", "0,0,-1\x1f\t,90", "0\x1c,0,0,9\x1d0",
     "0,-9223372036854775808,0,90",
 ]
+_FUZZ_FAR = (-(2**62), 2**62)
 # \x1c-\x1f, which np.loadtxt strips around a field and int and float refuse
 _FUZZ_FIELD_PADS = ["\x1c", "\x1d", "\x1e", "\x1f"]
 _FUZZ_HEADERS = ["10,10,0,0"] * 8 + [
@@ -641,6 +666,10 @@ def _fuzz_map_text(rng, n_aps):
             ap = rng.integers(0, n_aps + 1) if rng.uniform() < 0.1 else rng.integers(0, n_aps)
             ix, iy = rng.integers(-2, hi, size=2)
             fields = [str(ap), str(ix), str(iy), f"{rng.uniform(60.0, 140.0):.6g}"]
+            if rng.uniform() < 0.05:
+                # a cell 2**62 out: with a cell 2**62 out the other way, a
+                # second AP or a second cell_iy, the grid passes int64
+                fields[rng.integers(1, 3)] = str(rng.choice(_FUZZ_FAR))
             if rng.uniform() < 0.15:
                 f = rng.integers(4)
                 pad = _FUZZ_FIELD_PADS[rng.integers(len(_FUZZ_FIELD_PADS))]
@@ -680,10 +709,13 @@ def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
         got = _load_outcome(load_pathloss_map, path, topo)
         want = _load_outcome(oracles.load_pathloss_map_reference, path, topo)
         assert got == want, path.read_bytes()
-        kinds.add(want[1].split(": ", 1)[-1].split(" ")[0] if isinstance(want[0], type) else "accepted")
+        kind = want[1].split(": ", 1)[-1].split(" ")[0] if isinstance(want[0], type) else "accepted"
+        if kind == "cell" and any(str(v) in want[1] for v in _FUZZ_FAR):
+            kind = "grid"  # past int64 by the grid rule, not by one index of magnitude 2**63
+        kinds.add(kind)
         if text:  # an empty file has no header for the line to follow
             text += ("" if text.endswith(("\n", "\r")) else "\n") + " \n"
             path.write_bytes(text.encode("utf-8"))
             assert _load_outcome(load_pathloss_map, path, topo) == got, path.read_bytes()
     # the fuzz reaches acceptance and the main error kinds
-    assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "expected"} <= kinds, kinds
+    assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "expected", "grid"} <= kinds, kinds

@@ -31,6 +31,7 @@ from cfmimo.topology import AreaSpec, generate_ppp_topology, load_topology
 
 import mapgen
 import oracles
+from test_golden import GOLDEN, case_algorithms
 
 
 def mini_config(**kw) -> ExperimentConfig:
@@ -367,12 +368,12 @@ def test_cli_compare(tmp_path):
     assert (tmp_path / "out" / "full-cf" / "report.txt").exists()
 
 
-def run_python(code: str, *args) -> subprocess.CompletedProcess:
+def run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports cfmimo from this checkout."""
     src = os.path.dirname(os.path.dirname(cfmimo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
 _NUMPY_FREE_EXPORT = """
@@ -439,8 +440,8 @@ import cfmimo.cli
 if "numpy.ma" in sys.modules:
     print("numpy imports numpy.ma eagerly")
     sys.exit(0)
-cfg, out = sys.argv[1:]
-rc = cfmimo.cli.main(["compare", "--config", cfg, "--algorithms", "unifsrv-heu,full-cf,small-cell", "--out", out])
+cfg, out, algorithms = sys.argv[1:]
+rc = cfmimo.cli.main(["compare", "--config", cfg, "--algorithms", algorithms, "--out", out])
 if "numpy.ma" in sys.modules:
     sys.exit("compare imported numpy.ma")
 sys.exit(rc)
@@ -452,7 +453,18 @@ def test_cli_compare_leaves_numpy_ma_unloaded(tmp_path):
     # first call; a compare run calls none of them
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
-    proc = run_python(_NUMPY_MA_PROBE, cfg_path, tmp_path / "out")
+    proc = run_python(_NUMPY_MA_PROBE, cfg_path, tmp_path / "out", "unifsrv-heu,full-cf,small-cell")
+    assert proc.returncode == 0, proc.stderr
+    if "eagerly" in proc.stdout:
+        pytest.skip("this numpy imports numpy.ma on import")
+
+
+def test_cli_compare_on_input_files_leaves_numpy_ma_unloaded(tmp_path):
+    # the same for a run that reads topology, track and path-loss map files:
+    # the track loader's median speed calls no np.median, which imports it
+    case = GOLDEN / "map-tracks"
+    algorithms = ",".join(case_algorithms(case))
+    proc = run_python(_NUMPY_MA_PROBE, "config.txt", tmp_path / "out", algorithms, cwd=case)
     assert proc.returncode == 0, proc.stderr
     if "eagerly" in proc.stdout:
         pytest.skip("this numpy imports numpy.ma on import")

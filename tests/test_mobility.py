@@ -127,13 +127,41 @@ def test_tracks_nonincreasing_time_rejected(tmp_path):
         load_tracks(path, block_duration=0.02)
 
 
-@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-def test_tracks_non_finite_time_names_line(tmp_path, t):
-    # a nan time passed every time check and gave nan positions
+@pytest.mark.parametrize(
+    "row, what, area",
+    [
+        ("0,nan,11,10", "time", None),
+        ("0,inf,11,10", "time", None),
+        ("0,-inf,11,10", "time", None),
+        ("0,0.02,nan,10", "point", None),
+        ("0,0.02,11,-inf", "point", None),
+        ("0,0.02,nan,10", "point", AreaSpec(100.0, 100.0)),
+    ],
+    ids=["nan", "inf", "-inf", "x-nan", "y-inf", "x-nan-area"],
+)
+def test_tracks_non_finite_time_names_line(tmp_path, row, what, area):
+    # a nan time or coordinate passed every check and gave nan positions (and
+    # a nan speed); with an area, a nan point read as outside it
     path = tmp_path / "tracks.txt"
-    path.write_text(f"0,0,10,10\n0,{t},11,10\n0,0.04,12,10\n")
-    with pytest.raises(TrackParseError, match=rf"tracks\.txt:2: non-finite time in '0,{t},11,10'$"):
-        load_tracks(path, block_duration=0.02)
+    path.write_text(f"0,0,10,10\n{row}\n0,0.04,12,10\n")
+    with pytest.raises(TrackParseError, match=rf"tracks\.txt:2: non-finite {what} in '{row}'$"):
+        load_tracks(path, block_duration=0.02, area=area)
+
+
+@pytest.mark.parametrize("n_steps", [5, 6], ids=["odd", "even"])
+def test_tracks_speed_is_np_median_bit_for_bit(tmp_path, n_steps):
+    # the speed is the median step rate, taken by a sort rather than by
+    # np.median (which imports numpy.ma); it must give np.median's bits
+    rng = np.random.default_rng(n_steps)
+    k = 8
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.001, 0.05, n_steps))])
+    xy = rng.uniform(0.0, 100.0, size=(k, n_steps + 1, 2))
+    rows = [(u, *map(float, (t[j], *xy[u, j]))) for j in range(n_steps + 1) for u in range(k)]
+    path = tmp_path / "tracks.txt"  # repr reads back bit for bit
+    path.write_text("".join(f"{u},{tj!r},{x!r},{y!r}\n" for u, tj, x, y in rows))
+    trace = load_tracks(path, block_duration=0.02)
+    want = [np.median(np.hypot(*np.diff(xy[u], axis=0).T) / np.diff(t)) for u in range(k)]
+    assert trace.speed.tobytes() == np.array(want).tobytes()
 
 
 def test_tracks_non_finite_first_time_names_line(tmp_path):
