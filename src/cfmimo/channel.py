@@ -172,7 +172,8 @@ class LogDistanceProvider:
 class PathLossMap:
     """Grid-sampled path loss per AP with nearest-cell lookup.
 
-    Cells absent from the ingested file are outage (+inf loss, beta = 0).
+    Cells absent from the ingested file, or listed with an ``inf`` loss, are
+    outage (+inf loss, beta = 0).
     """
 
     def __init__(self, dx, dy, origin, table, index_offset):
@@ -206,10 +207,13 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     Format: header ``grid_dx,grid_dy,origin_x,origin_y`` then rows
     ``ap_id,cell_ix,cell_iy,pathloss_db``. Blank lines are skipped; ``#``
     starts no comment, so a ``#`` line is a malformed row. Every AP id must
-    belong to the topology and appear at least once. A repeated cell, a cell
-    index of magnitude 2**63, a grid too large for an int64 flat index, a
-    non-finite header field and non-positive grid spacing are errors, each
-    naming the file line (``path:line``) of the first offending row.
+    belong to the topology and appear at least once. A path loss is a number
+    or ``inf``, an explicit outage cell, as an absent cell is. A repeated
+    cell, a cell index of magnitude 2**63, a grid too large for an int64 flat
+    index, a path loss of ``nan`` or ``-inf``, a non-finite header field and
+    non-positive grid spacing are errors, each naming the file line
+    (``path:line``) of the first offending row. A table numpy cannot
+    allocate is an error naming its size.
 
     The file is streamed: one ``np.loadtxt`` call reads the rows after the
     header into 32 B records, or, where it refuses a row, the row scanner
@@ -256,7 +260,12 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     if missing:
         raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
 
-    table = np.full((topo.n_aps, *grid[2:]), np.inf)
+    try:
+        table = np.full((topo.n_aps, *grid[2:]), np.inf)
+    except (ValueError, MemoryError):
+        raise MapParseError(
+            f"{path}: a path-loss table of {topo.n_aps} x {grid[2]} x {grid[3]} cells is too large to allocate"
+        ) from None
     table.reshape(-1)[cell] = rows["pl"]
     return PathLossMap(dx, dy, (ox, oy), table, grid[:2])
 
@@ -284,7 +293,8 @@ def _map_cells(rows, n_aps):
     """(flat table index of each row, (ix_min, iy_min, nx, ny), None) if the
     non-empty ``rows`` form a map; else (None, None, (i, message template))
     for the first bad row i, the one after the longest prefix that does. A
-    repeated cell grows no grid, so no row is both a repeat and out of range.
+    repeated cell grows no grid, so no row is both a repeat and out of range;
+    a repeat whose path loss is ``nan`` or ``-inf`` is named for its loss.
     """
     index = _map_index(rows, n_aps)
     if index:
@@ -296,6 +306,8 @@ def _map_cells(rows, n_aps):
     cells = rows[["ap", "ix", "iy"]]
     if not 0 <= cells[lo]["ap"] < n_aps:
         return None, None, (lo, "unknown AP id {0}")
+    if not rows[lo]["pl"] > -np.inf:
+        return None, None, (lo, "non-finite path loss in {row!r}")
     if (cells[:lo] == cells[lo]).any():
         return None, None, (lo, "duplicate cell ({0}, {1}, {2})")
     return None, None, (lo, "cell index out of range in {row!r}")
@@ -303,10 +315,11 @@ def _map_cells(rows, n_aps):
 
 def _map_index(rows, n_aps):
     """(flat table index of each row, (ix_min, iy_min, nx, ny)) if the rows
-    form a map: every AP id in ``range(n_aps)``, every cell index below 2**63
-    in magnitude, a grid whose flat index fits int64 and no cell twice."""
+    form a map: every AP id in ``range(n_aps)``, every path loss a number or
+    ``inf``, every cell index below 2**63 in magnitude, a grid whose flat
+    index fits int64 and no cell twice."""
     ap, ix, iy = rows["ap"], rows["ix"], rows["iy"]
-    if ((ap < 0) | (ap >= n_aps)).any():
+    if ((ap < 0) | (ap >= n_aps)).any() or not (rows["pl"] > -np.inf).all():
         return None
     ix_min, iy_min = int(ix.min()), int(iy.min())
     nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1

@@ -57,9 +57,9 @@ def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         overrides["out_dir"] = args.out
-    if getattr(args, "mobility", None):
+    if args.mobility:
         overrides["mobility_source"] = args.mobility
     # replace() checks the overridden config again: --mobility rwp brings in
     # the rwp rules
@@ -140,21 +140,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cfmimo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one experiment")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--mobility", choices=("rwp", "file"), default=None,
-                       help="override the config's mobility source")
+    run = argparse.ArgumentParser(add_help=False)  # the options of simulate and compare
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--out", default=None)
+    run.add_argument("--mobility", choices=("rwp", "file"), default=None,
+                     help="override the config's mobility source")
+
+    p_sim = sub.add_parser("simulate", parents=[run], help="run one experiment")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", help="run several algorithms on shared realizations")
-    p_cmp.add_argument("--config", required=True)
+    p_cmp = sub.add_parser("compare", parents=[run], help="run several algorithms on shared realizations")
     p_cmp.add_argument("--algorithms", required=True, help="comma-separated algorithm keys")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--mobility", choices=("rwp", "file"), default=None,
-                       help="override the config's mobility source")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_cdf = sub.add_parser("export-cdf", help="emit the empirical SE CDF of a finished run")

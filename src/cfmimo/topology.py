@@ -115,7 +115,7 @@ def load_topology(path) -> NetworkTopology:
 
     The AP ids of M rows must be 0..M-1, in any order. Raises
     TopologyParseError naming the 1-based line number on any malformed row,
-    duplicate AP id, id outside 0..M-1, or out-of-area position.
+    duplicate AP id, id outside 0..M-1, non-finite or out-of-area position.
     """
     by_id: dict[int, tuple[float, float]] = {}
     line_of: dict[int, int] = {}
@@ -132,9 +132,11 @@ def load_topology(path) -> NetworkTopology:
             raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
 
         parsed = read_rows(f, path, "ap_id,x,y", (int, float, float), TopologyParseError, start=2)
-        for ln, _, (ap_id, x, y) in parsed:
+        for ln, row, (ap_id, x, y) in parsed:
             if ap_id in by_id:
                 raise TopologyParseError(f"{path}:{ln}: duplicate AP id {ap_id}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TopologyParseError(f"{path}:{ln}: non-finite point in {row!r}")
             if not bool(area.contains((x, y))):
                 raise TopologyParseError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
             by_id[ap_id] = (x, y)

@@ -658,6 +658,9 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
     except ValueError:
         rows, bad = _scan_map_rows_reference(path, body, topo.n_aps)
     unknown = (rows["ap"] < 0) | (rows["ap"] >= topo.n_aps)
+    # a nan or -inf loss (+inf is an outage cell) stops the map before the
+    # duplicate check, so a repeated cell with such a loss is named for it
+    non_finite = np.isnan(rows["pl"]) | (rows["pl"] == -np.inf)
     # a cell index of magnitude 2**63; of those, int64 holds only -2**63
     huge = (rows["ix"] == -(2**63)) | (rows["iy"] == -(2**63))
     # a row that grows the grid of the rows up to it past an int64 flat
@@ -667,7 +670,7 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         for f in ("ix", "iy")
     )
     wide = (topo.n_aps * nx * ny >= 2**63).astype(bool)
-    stops = np.flatnonzero(unknown | huge | wide)
+    stops = np.flatnonzero(unknown | non_finite | huge | wide)
     n_ok = int(stops[0]) if stops.size else len(rows)
     ap, ix, iy = rows["ap"][:n_ok], rows["ix"][:n_ok], rows["iy"][:n_ok]
     if n_ok:
@@ -685,6 +688,8 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         ln = _map_row_line_reference(body, n_ok)
         if unknown[n_ok]:
             raise MapParseError(f"{path}:{ln}: unknown AP id {rows['ap'][n_ok]}")
+        if non_finite[n_ok]:
+            raise MapParseError(f"{path}:{ln}: non-finite path loss in {body[ln - 2]!r}")
         raise MapParseError(f"{path}:{ln}: cell index out of range in {body[ln - 2]!r}")
     if bad is not None:
         raise bad
@@ -692,7 +697,12 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
     if missing:
         raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
 
-    table = np.full((topo.n_aps, nx, ny), np.inf)
+    try:
+        table = np.full((topo.n_aps, nx, ny), np.inf)
+    except (ValueError, MemoryError):
+        raise MapParseError(
+            f"{path}: a path-loss table of {topo.n_aps} x {nx} x {ny} cells is too large to allocate"
+        ) from None
     table.reshape(-1)[cell] = rows["pl"]
     return PathLossMap(dx, dy, (ox, oy), table, (ix_min, iy_min))
 

@@ -522,6 +522,21 @@ def test_map_names_first_bad_row_in_file_order(tmp_path, order, blank):
         _load_two_ap_map(path)
 
 
+@pytest.mark.parametrize("blank", [False, True], ids=["loadtxt", "scanner"])
+def test_map_path_loss_is_a_number_or_inf(tmp_path, blank):
+    # inf is an explicit outage cell; nan and -inf are errors, and a repeated
+    # cell with such a loss is named for its loss, by both loaders
+    lead = " \n" if blank else ""
+    path = _write_map_text(tmp_path / "map.txt", lead + "0,0,0,90\n1,0,0,inf\n")
+    assert _load_two_ap_map(path).pathloss_db(np.array([[0.0, 0.0]]))[:, 0].tolist() == [90.0, np.inf]
+    topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 2, seed=1)
+    for row in ("1,1,0,nan", "0,0,0,-inf", "0,0,0,nan"):
+        path = _write_map_text(tmp_path / "map.txt", lead + f"0,0,0,90\n1,0,0,91\n{row}\n")
+        for loader in (load_pathloss_map, oracles.load_pathloss_map_reference):
+            with pytest.raises(MapParseError, match=rf"map\.txt:{4 + blank}: non-finite path loss in '{row}'$"):
+                loader(path, topo)
+
+
 @pytest.mark.parametrize(
     "body, line",
     [
@@ -712,10 +727,12 @@ def test_map_loader_matches_reference_on_fuzzed_files(tmp_path):
         kind = want[1].split(": ", 1)[-1].split(" ")[0] if isinstance(want[0], type) else "accepted"
         if kind == "cell" and any(str(v) in want[1] for v in _FUZZ_FAR):
             kind = "grid"  # past int64 by the grid rule, not by one index of magnitude 2**63
+        if kind == "non-finite" and "path loss" in want[1]:
+            kind = "loss"  # a nan or -inf row, not a header field
         kinds.add(kind)
         if text:  # an empty file has no header for the line to follow
             text += ("" if text.endswith(("\n", "\r")) else "\n") + " \n"
             path.write_bytes(text.encode("utf-8"))
             assert _load_outcome(load_pathloss_map, path, topo) == got, path.read_bytes()
     # the fuzz reaches acceptance and the main error kinds
-    assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "expected", "grid"} <= kinds, kinds
+    assert {"accepted", "duplicate", "unknown", "non-numeric", "non-finite", "loss", "expected", "grid"} <= kinds, kinds

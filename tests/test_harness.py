@@ -12,6 +12,7 @@ import cfmimo
 from cfmimo import channel as ch
 from cfmimo import cli
 from cfmimo import evaluation as ev
+from cfmimo import selection as sel
 from cfmimo.channel import RadioConfig
 from cfmimo.evaluation import write_report
 from cfmimo.harness import (
@@ -21,7 +22,6 @@ from cfmimo.harness import (
     comparison_table,
     config_hash,
     derive_seed,
-    load_config,
     parse_config,
     run_experiment,
     serialize_config,
@@ -181,9 +181,9 @@ def map_config(tmp_path) -> ExperimentConfig:
     )
 
 
-def _assert_compare_matches_lone_run(cfg, tmp_path):
+def _assert_compare_matches_lone_run(cfg, tmp_path, algorithms=("small-cell", "full-cf")):
     # every algorithm, not just the first, since later ones reuse the block's draws
-    reports = compare_algorithms(cfg, ["small-cell", "full-cf"])
+    reports = compare_algorithms(cfg, algorithms)
     for algo, inside in reports.items():
         outside = run_experiment(cfg, algorithm=algo)
         d1, d2 = tmp_path / "in" / algo, tmp_path / "out" / algo
@@ -201,6 +201,18 @@ def test_compare_shares_realizations(tmp_path):
 
 def test_compare_shares_realizations_map(tmp_path):
     _assert_compare_matches_lone_run(map_config(tmp_path), tmp_path)
+
+
+@pytest.mark.parametrize("shape", [(16, 5, 40), (64, 16, 577)], ids=["m16", "m64"])
+@pytest.mark.parametrize("estimator", ev.SINR_ESTIMATORS)
+def test_compare_shares_realizations_every_algorithm(tmp_path, estimator, shape):
+    # the 2 x 2 cluster grid lets cuc run. At M = 64, K = 16, n_mc = 577 a
+    # block has three draw chunks and full-CF precodes in 18 sub-chunks of 32
+    # draws and one of a single draw, so state leaking between algorithms shows
+    m, k, n_mc = shape
+    cfg = ExperimentConfig(topology_m=m, area_width=200.0, area_height=200.0, ue_count=k, blocks=3, n_mc=n_mc,
+                           g_max=8, clusters_per_side=2, sinr_estimator=estimator, seed=11)
+    _assert_compare_matches_lone_run(cfg, tmp_path, sel.ALGORITHMS)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -288,29 +300,6 @@ def test_export_cdf_equals_numpy_reference_on_goldens(tmp_path, se_blocks):
     assert cli.main(["export-cdf", "--run", str(tmp_path / "cli")]) == 0
     oracles.export_cdf_reference(tmp_path / "reference")
     assert (tmp_path / "cli" / "cdf.csv").read_bytes() == (tmp_path / "reference" / "cdf.csv").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (None, "no raw SE file at {raw}"),
-        ("block,ue_id,se,g\n", "{raw}: no SE rows"),
-        ("block,ue_id,se,g\n\n", "{raw}: no SE rows"),
-        ("block,ue_id,se,g\n0,0,1.5,1\n0,1,nan,1\n", "{raw}:3: non-finite SE in '0,1,nan,1'"),
-        ("block,ue_id,se,g\n0,0,-inf,1\n", "{raw}:2: non-finite SE in '0,0,-inf,1'"),
-        ("block,ue_id,se,g\n0,0,abc,1\n", "{raw}:2: non-numeric field in '0,0,abc,1'"),
-        ("block,ue_id,se,g\n0,0,1.5\n", "{raw}:2: expected 'block,ue_id,se,g', got '0,0,1.5'"),
-        ("ue_id,se\n0,1.5\n", "{raw}:1: expected header 'block,ue_id,se,g'"),
-        ("", "{raw}:1: expected header 'block,ue_id,se,g'"),
-    ],
-)
-def test_cli_export_cdf_bad_input_exits_2(tmp_path, capsys, text, message):
-    raw = tmp_path / "se_blocks.csv"
-    if text is not None:
-        raw.write_text(text)
-    assert cli.main(["export-cdf", "--run", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "config error: " + message.format(raw=raw) + "\n"
-    assert not (tmp_path / "cdf.csv").exists()
 
 
 def test_report_hash_tracks_config():
@@ -470,13 +459,6 @@ def test_cli_compare_on_input_files_leaves_numpy_ma_unloaded(tmp_path):
         pytest.skip("this numpy imports numpy.ma on import")
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text("blocks = banana\n")
-    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
-    assert cli.main(["simulate", "--config", str(tmp_path / "missing.txt")]) == 2
-
-
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
@@ -486,83 +468,6 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr("cfmimo.harness.run_experiment", boom)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "n_mc = 0", "blocks = 0", "ue_count = 0", "sinr_estimator = foo",
-        "estimate_form = xx", "estimate_form = raw", "pilot_method = bogus", "tau_p = 300",
-        "tx_power_w = 0", "delta = 1.5", "g_max = 0", "mdp_round_budget = 0",
-        "area_width = 0", "topology_m = 0", "speed_mps = 0", "mean_transition_m = 0", "tau_p = 0",
-        "tx_power_w = nan", "area_height = nan", "shadowing_sigma_db = nan", "beta0_db = nan",
-        "beta0_db = inf", "topology_source = grid", "mobility_source = walk",
-        "channel_provider = raytrace",
-    ],
-)
-def test_cli_bad_run_setting_exits_2_before_block_0(tmp_path, monkeypatch, line):
-    out = tmp_path / "out"
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))) + line + "\n")
-
-    def no_block(*args, **kwargs):
-        raise AssertionError("a block ran")
-
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
-    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
-    assert not out.exists()
-
-
-_FILE_INPUTS = {
-    "topology": "100,100\n0,20,20\n1,70,70\n",
-    "tracks": "0,0,1,1\n1,0,2,2\n0,0.02,1.5,1\n1,0.02,2.5,2\n",
-    "map": "10,10,0,0\n0,0,0,90\n1,0,0,91\n",
-}
-
-
-@pytest.mark.parametrize("bad", ["config", "topology", "tracks", "map", "se_blocks"])
-def test_cli_non_utf8_byte_exits_2_before_block_0(tmp_path, monkeypatch, capsys, bad):
-    # a \xff on the second line of any input file is an input error naming
-    # the file: exit 2, one stderr line, no run directory and no cdf.csv
-    out = tmp_path / "out"
-    paths = {name: tmp_path / f"{name}.txt" for name in _FILE_INPUTS}
-    for name, text in _FILE_INPUTS.items():
-        paths[name].write_text(text)
-    paths["config"] = tmp_path / "cfg.txt"
-    paths["config"].write_text(serialize_config(mini_config(
-        out_dir=str(out), ue_count=2, e_best=1,
-        topology_source="file", topology_file=str(paths["topology"]),
-        mobility_source="file", tracks_file=str(paths["tracks"]),
-        channel_provider="map", pathloss_map_file=str(paths["map"]),
-    )))
-    paths["se_blocks"] = tmp_path / "run" / "se_blocks.csv"
-    paths["se_blocks"].parent.mkdir()
-    paths["se_blocks"].write_text("block,ue_id,se,g\n0,0,1.5,1\n0,1,2.5,1\n")
-    first, second, rest = paths[bad].read_bytes().split(b"\n", 2)
-    paths[bad].write_bytes(first + b"\n" + second + b"\xff\n" + rest)
-
-    def no_block(*args, **kwargs):
-        raise AssertionError("a block ran")
-
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
-    if bad == "se_blocks":
-        rc = cli.main(["export-cdf", "--run", str(paths[bad].parent)])
-    else:
-        rc = cli.main(["simulate", "--config", str(paths["config"])])
-    assert rc == 2
-    assert capsys.readouterr().err == f"config error: {paths[bad]}: not UTF-8 text\n"
-    assert not out.exists()
-    assert not (paths["se_blocks"].parent / "cdf.csv").exists()
-
-
-def test_cli_mobility_override_is_checked(tmp_path, monkeypatch):
-    # speed 0 is fine for a track file; --mobility rwp makes it a config error
-    out = tmp_path / "out"
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out), mobility_source="file", speed_mps=0.0)))
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", None)  # a block would exit 3
-    assert cli.main(["simulate", "--config", str(cfg_path), "--mobility", "rwp"]) == 2
-    assert not out.exists()
 
 
 def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys):
@@ -586,43 +491,6 @@ def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
     assert "block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
     assert not (out / "small-cell" / "report.txt").exists()
-
-
-def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
-
-    def no_block(*args, **kwargs):
-        raise AssertionError("a block ran")
-
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
-    rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
-    assert rc == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "clusters, algorithms, message",
-    [
-        (0, "small-cell,cuc", "cuc needs a cluster grid: set clusters_per_side to at least 1"),
-        (-3, "small-cell", "clusters_per_side must be at least 0, got -3"),
-    ],
-)
-def test_cli_cluster_grid_errors_exit_2_before_block_0(tmp_path, monkeypatch, capsys, clusters, algorithms, message):
-    out = tmp_path / "out"
-    cfg_path = tmp_path / "cfg.txt"
-    text = serialize_config(mini_config(out_dir=str(out)))
-    cfg_path.write_text(text.replace("clusters_per_side = 2", f"clusters_per_side = {clusters}"))
-
-    def no_block(*args, **kwargs):
-        raise AssertionError("a block ran")
-
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
-    rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", algorithms])
-    assert rc == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
 
 
 def test_cli_compare_empty_out_dir_writes_current_dir(tmp_path, monkeypatch):

@@ -85,7 +85,8 @@ def test_load_smoke(tmp_path):
 def test_load_out_of_bounds_names_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("750,750\n0,10,20\n1,900,0\n")
-    with pytest.raises(TopologyParseError, match=":3:"):
+    # a finite point outside the area; a nan or inf one is a non-finite point
+    with pytest.raises(TopologyParseError, match=r"t\.txt:3: AP 1 at \(900\.0, 0\.0\) outside area$"):
         load_topology(path)
 
 
