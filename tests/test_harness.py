@@ -459,6 +459,13 @@ def test_cli_compare_on_input_files_leaves_numpy_ma_unloaded(tmp_path):
         pytest.skip("this numpy imports numpy.ma on import")
 
 
+def test_cli_config_error_exit_code(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("blocks = banana\n")
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert cli.main(["simulate", "--config", str(tmp_path / "missing.txt")]) == 2
+
+
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
@@ -491,6 +498,30 @@ def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
     assert "block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
     assert not (out / "small-cell" / "report.txt").exists()
+
+
+def test_cli_mobility_override_is_checked(tmp_path, monkeypatch):
+    # speed 0 is fine for a track file; --mobility rwp makes it a config error
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out), mobility_source="file", speed_mps=0.0)))
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", None)  # a block would exit 3
+    assert cli.main(["simulate", "--config", str(cfg_path), "--mobility", "rwp"]) == 2
+    assert not out.exists()
+
+
+def test_cli_compare_unknown_algorithm_exits_2_before_block_0(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--algorithms", "small-cell,bogus"])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_cli_compare_empty_out_dir_writes_current_dir(tmp_path, monkeypatch):
