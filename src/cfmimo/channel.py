@@ -65,9 +65,9 @@ class RadioConfig:
             "ap_height_m", "ue_height_m", "d0_m", "dc_m",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.shadowing_sigma_db < 0:
-            raise ValueError("shadowing_sigma_db must be >= 0")
+            raise ValueError(f"shadowing_sigma_db must be at least 0, got {self.shadowing_sigma_db}")
         if self.estimate_form not in ESTIMATE_FORMS:
             why = "was removed" if self.estimate_form == "raw" else "is unknown"
             raise ValueError(f"estimate_form {self.estimate_form!r} {why}; known: {list(ESTIMATE_FORMS)}")
@@ -210,8 +210,9 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     belong to the topology and appear at least once. A path loss is a number
     or ``inf``, an explicit outage cell, as an absent cell is. A repeated
     cell, a cell index of magnitude 2**63, a grid too large for an int64 flat
-    index, a path loss of ``nan`` or ``-inf``, a non-finite header field and
-    non-positive grid spacing are errors, each naming the file line
+    index, a path loss of ``nan`` or ``-inf``, a non-finite header field,
+    non-positive grid spacing and a grid on which a point of ``topo.area``
+    has a cell index past int64 are errors, each naming the file line
     (``path:line``) of the first offending row. A table numpy cannot
     allocate is an error naming its size.
 
@@ -227,6 +228,10 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     with open_text(path, MapParseError) as f:
         first = f.readline()
         dx, dy, ox, oy = _parse_map_header(path, first.rstrip("\n") if first else None)
+        w, h = topo.area.width, topo.area.height
+        # a position's cell index is cast to int64 at lookup
+        if not all(abs(i) < 2**63 for i in (ox / dx, (w - ox) / dx, oy / dy, (h - oy) / dy)):
+            raise MapParseError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
         body = f.tell()
         # an absolute path, so numpy never reads a name like "http://..." as a URL
         source, skip = (f, 0) if str(path).endswith(_COMPRESSED_SUFFIXES) else (os.path.abspath(path), 1)

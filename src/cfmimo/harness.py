@@ -155,21 +155,23 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, path=None) -> ExperimentConfig:
     """Parse the key = value format, whose lines end only at ``\\n``,
-    ``\\r\\n`` or ``\\r``; unknown keys and bad values are errors."""
+    ``\\r\\n`` or ``\\r``; unknown keys and bad values are errors, each
+    naming ``<path>:<line>`` (``line <line>`` without a path)."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     defaults = ExperimentConfig()
     values = {}
     for ln, line in enumerate(io.StringIO(text, newline=None), start=1):
+        where = f"line {ln}" if path is None else f"{path}:{ln}"
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in types:
-            raise ConfigError(f"line {ln}: unknown config key {key!r}")
+            raise ConfigError(f"{where}: unknown config key {key!r}")
         current = getattr(defaults, key)
         try:
             if isinstance(current, bool):
@@ -183,7 +185,7 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 values[key] = raw
         except ValueError as e:
-            raise ConfigError(f"line {ln}: bad value for {key}: {e}") from e
+            raise ConfigError(f"{where}: bad value for {key}: {e}") from e
     try:
         return ExperimentConfig(**values)
     except ValueError as e:
@@ -193,7 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open_text(path, ConfigError) as f:
-            return parse_config(f.read())
+            return parse_config(f.read(), path)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
@@ -267,11 +269,13 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
 
     Every algorithm name, and cuc's cluster grid, is checked before any
     work. The run is block-major: the topology, trace, path-loss provider
-    and pilots are built once. Per block: advance UE positions, take one
-    channel snapshot, select every algorithm's serving sets on it, then
-    evaluate them all on one walk over the block's Monte-Carlo draws for
-    cfg.sinr_estimator (evaluation.evaluate_matrices), so that the draws
-    live one chunk at a time, whatever n_mc and the number of algorithms.
+    and pilots are built once, and a path-loss map that covers none of the
+    run's UE positions is refused before block 0. Per block: advance UE
+    positions, take one channel snapshot, select every algorithm's serving
+    sets on it, then evaluate them all on one walk over the block's
+    Monte-Carlo draws for cfg.sinr_estimator (evaluation.evaluate_matrices),
+    so that the draws live one chunk at a time, whatever n_mc and the
+    number of algorithms.
     Module errors, and a non-finite SE, raise RuntimeError naming the block,
     and the algorithm where the error is its own.
     """
@@ -287,6 +291,11 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     trace = _build_trace(cfg, topo.area)
     cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
     provider = _build_provider(cfg, topo, radio, cfg_k)
+    if cfg.channel_provider == "map":
+        # a map that covers no UE would run to SE 0 for all and a Jain index of 1
+        losses = provider.pathloss_db(trace.positions[:, : cfg.blocks].reshape(-1, 2))
+        if (losses == np.inf).all():
+            raise ConfigError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
     pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
     se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     rate_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}

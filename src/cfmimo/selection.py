@@ -65,9 +65,10 @@ class SelectionConstraints:
 
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-        if self.g_max < 1 or self.tau_p < 0 or self.e_best < 1:
-            raise ValueError("g_max and e_best must be >= 1, tau_p >= 0")
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        for key, least in (("g_max", 1), ("tau_p", 0), ("e_best", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
 
 def candidate_beta(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> np.ndarray:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import ChannelSnapshot, RadioConfig
-from cfmimo.selection import SelectionConstraints
-from cfmimo.topology import AreaSpec, generate_ppp_topology
+from cfmimo.evaluation import evaluate_block, precode_pmmse, received_gains
+from cfmimo.selection import CooperationMatrix, SelectionConstraints
+from cfmimo.topology import AreaSpec
 
 
 @pytest.fixture
@@ -38,6 +39,24 @@ def random_snapshot(m, k, seed, spread_db=25.0) -> ChannelSnapshot:
     return make_snapshot(beta)
 
 
-@pytest.fixture
-def ppp_topo(area):
-    return generate_ppp_topology(area, 30, seed=11)
+def block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed, estimator):
+    """The estimates one evaluate_block run under full-CF precodes and the
+    channels its received_gains forms gains on (h_t for per-draw; for
+    hardening, whose moments are formed on the estimates, the estimates
+    again), each (n, M, K) in draw order."""
+    est, gain_channels = [], []
+
+    def precode_spy(ctx, estimates, *args):
+        est.append(estimates.copy())
+        return precode_pmmse(ctx, estimates, *args)
+
+    def gains_spy(h, *args, **kwargs):
+        gain_channels.append(h.copy())
+        return received_gains(h, *args, **kwargs)
+
+    monkeypatch.setattr("cfmimo.evaluation.precode_pmmse", precode_spy)
+    monkeypatch.setattr("cfmimo.evaluation.received_gains", gains_spy)
+    coop = CooperationMatrix(np.ones((snap.n_aps, snap.n_ues), dtype=int))
+    evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=n, seed=seed, estimator=estimator)
+    monkeypatch.undo()
+    return np.concatenate(est), np.concatenate(gain_channels)

@@ -1,35 +1,36 @@
-"""Independent reference implementations used as test oracles.
+"""References that the tests compare the package against.
 
-Everything here is written straight from the algorithm step lists with plain
-Python loops and lists, deliberately avoiding the vectorized package code
-paths. The selection oracles share the package's documented tie-breaks
-(descending beta, lowest AP id first; ascending UE order) and its outage
-masking, but none of its code. The precoder and gain oracles loop over draws
-and UEs and call numpy only for one dense linear solve per UE and draw.
-evaluate_block_reference is the exception: it pins the Monte-Carlo draw
-arithmetic bit for bit, so it redraws the package's stream in whole-array
-form.
+Each public function here is a reference for a package function or a closed
+form of its physics, and some test calls both and compares them. Names with
+a leading underscore are the references' own helpers. Each is written from
+the algorithm's step list or the closed form with plain Python loops and
+lists, deliberately avoiding the vectorized package code paths:
 
-The channel and selection references at the end (fading state and aged
-channel, shadowing, scalar estimate variance, simplified SINR, estimate
-draws) are the per-link forms the package replaced with its matrix and
-block forms; the tests check the statistics and closed forms on them. The
-line-list map loader is the form the streaming loader replaced; the parser
-fuzz holds the two to the same tables and messages. The numpy CDF export is
-the form the CLI's text-only export replaced; the two must write the same
-bytes.
+- The selection oracles, brute_force_selection and the episode references
+  share the package's documented tie-breaks (descending beta, lowest AP id
+  first; ascending UE order) and its outage masking, but none of its code.
+- The precoder and gain oracles loop over draws and UEs and call numpy only
+  for one dense linear solve per UE and draw.
+- evaluate_block_reference is the exception: it pins the Monte-Carlo draw
+  arithmetic bit for bit, so it redraws the package's stream in whole-array
+  form and reuses the package's precoding, gain and SINR functions.
+- j0_series, estimate_variance, hardening_one_link_sinr and
+  per_draw_one_link_se are closed forms: the aging factor, one link's
+  estimate variance, and one link's SINR and SE.
+- load_pathloss_map_reference is the line-list form of the streaming map
+  loader; the parser fuzz holds the two to the same tables and messages.
+- export_cdf_reference is the numpy form of the CLI's text-only CDF export;
+  the two must write the same bytes.
 """
 
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from cfmimo.channel import (
-    ChannelSnapshot,
     MapParseError,
     PathLossMap,
     RadioConfig,
@@ -49,23 +50,23 @@ def j0_series(x, terms=60):
     return total
 
 
-def masked(beta, beta0):
+def _masked(beta, beta0):
     return [[b if b >= beta0 else 0.0 for b in row] for row in beta]
 
 
-def descending_aps(beta, k):
+def _descending_aps(beta, k):
     m = len(beta)
     return sorted(range(m), key=lambda ap: (-beta[ap][k], ap))
 
 
-def sinr_simple(beta, d, k):
+def _sinr_simple(beta, d, k):
     m = len(beta)
     served = sum(d[ap][k] * beta[ap][k] for ap in range(m))
     total = sum(beta[ap][k] for ap in range(m))
     return served / (total - served + 1.0)
 
 
-def jain(values):
+def _jain(values):
     ssq = sum(v * v for v in values)
     if ssq == 0.0:
         return 1.0
@@ -74,11 +75,11 @@ def jain(values):
 
 def unifsrv_heu_oracle(beta, tau_p, g_max, delta, beta0=0.0, allow_tau_p_equality=False):
     """Fairness-threshold heuristic, executed step by step."""
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
-    orders = [descending_aps(beta, k) for k in range(k_ues)]
+    orders = [_descending_aps(beta, k) for k in range(k_ues)]
 
     def load_ok(ap):
         load = sum(d[ap][i] for i in range(k_ues))
@@ -94,9 +95,9 @@ def unifsrv_heu_oracle(beta, tau_p, g_max, delta, beta0=0.0, allow_tau_p_equalit
             if load_ok(ap):
                 d[ap][k] = 1
                 break
-        s[k] = sinr_simple(beta, d, k)
+        s[k] = _sinr_simple(beta, d, k)
     for rank in range(1, m):
-        phi = jain(s)
+        phi = _jain(s)
         idx = math.ceil((1.0 - phi) * k_ues)
         idx = min(max(idx, 1), k_ues)
         alpha = sorted(s)[idx - 1]
@@ -108,18 +109,18 @@ def unifsrv_heu_oracle(beta, tau_p, g_max, delta, beta0=0.0, allow_tau_p_equalit
                 total = sum(beta[a][k] for a in range(m))
                 if s[k] < alpha and load_ok(ap) and g_k < g_max and served < delta * total:
                     d[ap][k] = 1
-            s[k] = sinr_simple(beta, d, k)
+            s[k] = _sinr_simple(beta, d, k)
     return d
 
 
 def puc_oracle(beta, delta, beta0=0.0):
     """Best-SNR growth until the delta fraction of the total SNR is served."""
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
     for k in range(k_ues):
-        ranked = descending_aps(beta, k)
+        ranked = _descending_aps(beta, k)
         # both sums run in rank order, as the package adds them (a loop, not
         # sum(), which compensates its rounding from Python 3.12)
         total = 0.0
@@ -136,12 +137,12 @@ def puc_oracle(beta, delta, beta0=0.0):
 
 def puc_const_oracle(beta, tau_p, beta0=0.0):
     """Full walk over APs with weakest-UE eviction at loaded APs."""
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
     for k in range(k_ues):
-        for ap in descending_aps(beta, k):
+        for ap in _descending_aps(beta, k):
             if beta[ap][k] <= 0.0:
                 break
             served = [i for i in range(k_ues) if d[ap][i] == 1]
@@ -157,12 +158,12 @@ def puc_const_oracle(beta, tau_p, beta0=0.0):
 
 def cuc_oracle(beta, cluster_of_ap, e_best, beta0=0.0):
     """Serve with the complete clusters of the e_best strongest APs."""
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
     for k in range(k_ues):
-        order = descending_aps(beta, k)
+        order = _descending_aps(beta, k)
         for ap in order[:e_best]:
             if beta[ap][k] <= 0.0:
                 break
@@ -173,25 +174,25 @@ def cuc_oracle(beta, cluster_of_ap, e_best, beta0=0.0):
 
 
 def small_cell_oracle(beta, beta0=0.0):
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
     for k in range(k_ues):
-        best = descending_aps(beta, k)[0]
+        best = _descending_aps(beta, k)[0]
         if beta[best][k] > 0.0:
             d[best][k] = 1
     return d
 
 
 def full_cf_oracle(beta, beta0=0.0):
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     return [[1 if b > 0.0 else 0 for b in row] for row in beta]
 
 
 def mdp_greedy_oracle(beta, tau_p, g_max, u_m, beta0=0.0):
     """Greedy rollout of the per-UE connection rounds, loops only."""
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
@@ -222,7 +223,7 @@ def brute_force_selection(beta, tau_p, g_max, weights, beta0=0.0):
     M*K > 20. Ties keep the first maximizer in lexicographic enumeration
     order of the flattened matrix.
     """
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     if m * k_ues > 20:
@@ -238,8 +239,8 @@ def brute_force_selection(beta, tau_p, g_max, weights, beta0=0.0):
             continue
         if any(sum(d[ap][k] for ap in range(m)) > g_max for k in range(k_ues)):
             continue
-        s = [sinr_simple(beta, d, k) for k in range(k_ues)]
-        obj = w_rate * sum(s) + w_fair * jain(s) - w_conn * sum(bits)
+        s = [_sinr_simple(beta, d, k) for k in range(k_ues)]
+        obj = w_rate * sum(s) + w_fair * _jain(s) - w_conn * sum(bits)
         if obj > best_obj:
             best_obj = obj
             best_d = d
@@ -254,7 +255,7 @@ def replay_episode(beta, tau_p, g_max, u_m, weights, actions_per_ue, beta0=0.0):
     (total return, r1 list, r2 list, r3, D).
     """
     w1, w2, w3 = weights
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
     d = [[0] * k_ues for _ in range(m)]
@@ -275,7 +276,7 @@ def replay_episode(beta, tau_p, g_max, u_m, weights, actions_per_ue, beta0=0.0):
                 break
         g_k = sum(d[a][k] for a in range(m))
         r2_list.append(w2 * (1.0 - g_k / m))
-    s = [sinr_simple(beta, d, k) for k in range(k_ues)]
+    s = [_sinr_simple(beta, d, k) for k in range(k_ues)]
     ssum = sum(s)
     ssq = sum(v * v for v in s)
     r3 = 0.0 if ssq == 0.0 else w3 * ssum**3 / (k_ues * ssq)
@@ -290,12 +291,12 @@ def best_episode_return(beta, tau_p, g_max, u_m, weights, beta0=0.0):
     (or stopping early) at every step of every round.
     """
     w1, w2, w3 = weights
-    beta = masked(beta, beta0)
+    beta = _masked(beta, beta0)
     m = len(beta)
     k_ues = len(beta[0])
 
     def finish(d):
-        s = [sinr_simple(beta, d, k) for k in range(k_ues)]
+        s = [_sinr_simple(beta, d, k) for k in range(k_ues)]
         ssum = sum(s)
         ssq = sum(v * v for v in s)
         return 0.0 if ssq == 0.0 else w3 * ssum**3 / (k_ues * ssq)
@@ -506,20 +507,6 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
     return gamma, se, rate
 
 
-def draw_estimates(h0, r_gain, z, rng):
-    """MMSE channel estimates est = c h0 + sqrt(Z (1 - c)) eps, c = Z/R.
-
-    eps ~ CN(0, 1) is drawn from ``rng``, and c = 0 where R = 0. Then
-    E|est|^2 = c^2 R + Z (1 - c) = Z and E{est conj(h0)} = c R = Z, which
-    needs Z <= R. h0 may be (M, K) or batched (N, M, K).
-    """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(r_gain > 0, z / np.where(r_gain > 0, r_gain, 1.0), 0.0)
-    eps = rng.standard_normal(h0.shape) + 1j * rng.standard_normal(h0.shape)
-    return c * h0 + np.sqrt(z * (1.0 - c) / 2.0) * eps
-
-
 def hardening_one_link_sinr(gamma_bar, p, tau_p):
     """Use-and-forget SINR of one static UE served by one AP with MMSE CSI.
 
@@ -534,7 +521,7 @@ def hardening_one_link_sinr(gamma_bar, p, tau_p):
     return q * gamma_bar / ((1.0 - q) * gamma_bar + 1.0)
 
 
-def exp_integral_e1(x, terms=80):
+def _exp_integral_e1(x, terms=80):
     """E1(x) = -gamma_Euler - ln x - sum_{k>=1} (-x)^k / (k k!), for 0 < x <= 5."""
     euler_gamma = 0.5772156649015329
     term, parts = 1.0, []
@@ -548,50 +535,7 @@ def per_draw_one_link_se(gamma_bar):
     """Mean log2(1 + gamma_bar |h|^2) over Rayleigh h, in bit/s/Hz before
     the pilot overhead: e^{1/gamma_bar} E1(1/gamma_bar) / ln 2. One AP's
     unit-norm precoder passes |h| whatever the estimate, so CSI drops out."""
-    return math.exp(1.0 / gamma_bar) * exp_integral_e1(1.0 / gamma_bar) / math.log(2.0)
-
-
-@dataclass(frozen=True)
-class FadingState:
-    """Block-start Rayleigh state h0 ~ CN(0, R) plus the draw stream."""
-
-    h0: np.ndarray
-    r_gain: np.ndarray
-    rng: np.random.Generator
-
-
-def draw_fading(snap: ChannelSnapshot, seed) -> FadingState:
-    """Draw the block-start channel matrix for one block."""
-    rng = np.random.default_rng(seed)
-    r = snap.channel_gain()
-    h0 = np.sqrt(r / 2.0) * (
-        rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
-    )
-    return FadingState(h0=h0, r_gain=r, rng=rng)
-
-
-def realize_channel(state: FadingState, t, v, cfg: RadioConfig) -> np.ndarray:
-    """Aged channel h[t] = rho*h0 + sqrt(1-rho^2)*g with fresh g ~ CN(0, R).
-
-    ``v`` may be scalar or per-UE (K,); the per-draw innovation g comes from
-    the state's stream, so consecutive calls yield independent realizations.
-    """
-    rho = np.atleast_1d(aging_coefficient(t, v, cfg))[None, :]
-    r = state.r_gain
-    g = np.sqrt(r / 2.0) * (
-        state.rng.standard_normal(r.shape) + 1j * state.rng.standard_normal(r.shape)
-    )
-    return rho * state.h0 + np.sqrt(np.maximum(0.0, 1.0 - rho**2)) * g
-
-
-def apply_shadowing(pl_db: np.ndarray, sigma: float, seed) -> np.ndarray:
-    """Add i.i.d. log-normal shadowing, one fixed draw per AP-UE pair."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return np.array(pl_db, dtype=float, copy=True)
-    rng = np.random.default_rng(seed)
-    return np.asarray(pl_db, dtype=float) + sigma * rng.standard_normal(np.shape(pl_db))
+    return math.exp(1.0 / gamma_bar) * _exp_integral_e1(1.0 / gamma_bar) / math.log(2.0)
 
 
 def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig):
@@ -610,15 +554,6 @@ def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig):
     r_gain = beta_mk * n0 / p
     tp = cfg.pilot_len_slots
     return rho**2 * r_gain * (beta_mk * p * tp) / (csum * p * tp + 1.0)
-
-
-def simplified_sinr(d_col: np.ndarray, beta_col: np.ndarray) -> float:
-    """Selection-time SINR proxy: served SNR over unserved SNR plus one."""
-    d_col = np.asarray(d_col, dtype=float)
-    beta_col = np.asarray(beta_col, dtype=float)
-    served = float(np.dot(d_col, beta_col))
-    total = float(beta_col.sum())
-    return served / (total - served + 1.0)
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
@@ -648,6 +583,9 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         raise MapParseError(f"{path}:1: non-finite header field")
     if dx <= 0 or dy <= 0:
         raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
+    w, h = topo.area.width, topo.area.height
+    if max(abs(ox), abs(w - ox)) / dx >= 2**63 or max(abs(oy), abs(h - oy)) / dy >= 2**63:
+        raise MapParseError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
 
     body = lines[1:]
     if not any(line.strip() for line in body):

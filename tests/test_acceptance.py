@@ -27,13 +27,12 @@ from cfmimo.channel import (
 )
 from cfmimo.evaluation import evaluate_block, write_report
 from cfmimo.harness import ExperimentConfig, compare_algorithms, run_experiment
-from cfmimo.selection import SelectionConstraints, jain_index, run_algorithm
+from cfmimo.selection import SelectionConstraints, jain_index, run_algorithm, simplified_sinr_all
 from cfmimo.topology import AreaSpec, build_square_clusters, generate_ppp_topology
 
-from conftest import make_snapshot, random_snapshot
+from conftest import block_draws, make_snapshot, random_snapshot
 import mapgen
 import oracles
-from oracles import draw_fading, realize_channel, simplified_sinr
 
 
 def _report(num: int, detail: str, ok: bool) -> None:
@@ -208,7 +207,7 @@ def test_criterion_6_oracle_equivalence():
     _report(6, f"pseudocode-oracle equivalence on all M*K <= 12 instances ({len(mismatches)} mismatches)", not mismatches)
 
 
-def test_criterion_7_numerical_invariants(tmp_path):
+def test_criterion_7_numerical_invariants(tmp_path, monkeypatch):
     cfg = RadioConfig()
     checks = {}
 
@@ -231,13 +230,13 @@ def test_criterion_7_numerical_invariants(tmp_path):
         and abs(rho_zero - oracles.j0_series(z1)) < 1e-6
     )
 
-    # fading variance preservation over 1e4 draws
+    # fading variance preservation over 1e4 per-draw h_t of the package
     pl = np.array([[90.0, 100.0], [95.0, 105.0]])
     snap = make_snapshot(cfg.tx_power_w * 10 ** (-pl / 10) / 1.0)
-    state = draw_fading(snap, seed=3)
-    draws = np.stack([realize_channel(state, 150, 40.0, cfg) for _ in range(10_000)])
+    _, h_t = block_draws(monkeypatch, snap, np.arange(2), np.full(2, 40.0), cfg, 10_000, seed=3,
+                         estimator="per-draw")
     checks["fading-variance"] = bool(
-        np.all(np.abs(draws.var(axis=0) - snap.channel_gain()) / snap.channel_gain() < 0.05)
+        np.all(np.abs(h_t.var(axis=0) - snap.channel_gain()) / snap.channel_gain() < 0.05)
     )
 
     # fairness index bounds and scale invariance
@@ -261,7 +260,8 @@ def test_criterion_7_numerical_invariants(tmp_path):
             continue
         d2 = d.copy()
         d2[rng.choice(off)] = 1
-        ok &= simplified_sinr(d2, beta) > simplified_sinr(d, beta)
+        before, after = simplified_sinr_all(np.stack([d, d2], axis=1), np.stack([beta, beta], axis=1))
+        ok &= after > before
     checks["sinr-monotone"] = ok
 
     # Monte-Carlo stability: doubling the draws moves the median SE < 3%

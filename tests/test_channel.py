@@ -25,10 +25,10 @@ from cfmimo.channel import (
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, generate_ppp_topology
 
-from conftest import random_snapshot
+from conftest import block_draws, make_snapshot, random_snapshot
 import oracles
 from mapgen import save_pathloss_map
-from oracles import apply_shadowing, draw_fading, estimate_variance, j0_series, realize_channel
+from oracles import estimate_variance, j0_series
 
 # fixed-offset term checked against an independent hand evaluation of the
 # constants at f_c = 2000 MHz, a_AP = 12.5 m, a_UE = 1.65 m
@@ -70,25 +70,41 @@ def test_pathloss_monotone(radio):
     assert np.all(np.diff(pl) >= -1e-12)
 
 
+def _shadow_field(topo, provider, pos, cfg):
+    """The provider's path loss less the three-slope loss of the AP-UE
+    distances: the shadow field it adds."""
+    diff = topo.ap_positions[:, None, :] - pos[None, :, :]
+    return provider.pathloss_db(pos) - pathloss_three_slope(np.hypot(diff[..., 0], diff[..., 1]), cfg)
+
+
 def test_shadowing_zero_sigma_identity():
-    pl = np.arange(12.0).reshape(3, 4)
-    out = apply_shadowing(pl, 0.0, seed=1)
-    assert np.array_equal(out, pl)
+    topo = generate_ppp_topology(AreaSpec(1000.0, 1000.0), 3, seed=1)
+    cfg = RadioConfig(shadowing_sigma_db=0.0)
+    pos = np.random.default_rng(2).uniform(0.0, 1000.0, size=(4, 2))
+    field = _shadow_field(topo, LogDistanceProvider(topo, cfg, 4, seed=1), pos, cfg)
+    assert np.array_equal(field, np.zeros((3, 4)))
 
 
 def test_shadowing_variance():
-    pl = np.zeros((500, 200))
+    # the shadow field over 500 x 200 links has variance sigma^2 within 3%
     sigma = 8.0
-    out = apply_shadowing(pl, sigma, seed=42)
-    var = (out - pl).var()
-    assert abs(var - sigma**2) / sigma**2 < 0.03
+    topo = generate_ppp_topology(AreaSpec(1000.0, 1000.0), 500, seed=3)
+    cfg = RadioConfig(shadowing_sigma_db=sigma)
+    pos = np.random.default_rng(4).uniform(0.0, 1000.0, size=(200, 2))
+    field = _shadow_field(topo, LogDistanceProvider(topo, cfg, 200, seed=42), pos, cfg)
+    assert abs(field.var() - sigma**2) / sigma**2 < 0.03
 
 
 def test_shadowing_determinism():
-    pl = np.zeros((10, 10))
-    a = apply_shadowing(pl, 4.0, seed=5)
-    b = apply_shadowing(pl, 4.0, seed=5)
-    assert np.array_equal(a, b)
+    # one seed gives one field, and the field stays fixed for the run: two
+    # position sets see the same per-link shadow
+    topo = generate_ppp_topology(AreaSpec(1000.0, 1000.0), 10, seed=5)
+    cfg = RadioConfig(shadowing_sigma_db=4.0)
+    a, b = (LogDistanceProvider(topo, cfg, 10, seed=5) for _ in range(2))
+    pos1, pos2 = np.random.default_rng(6).uniform(0.0, 1000.0, size=(2, 10, 2))
+    field = _shadow_field(topo, a, pos1, cfg)
+    assert np.array_equal(field, _shadow_field(topo, b, pos1, cfg))
+    assert np.allclose(_shadow_field(topo, a, pos2, cfg), field, rtol=0, atol=1e-9)
 
 
 def test_noise_power_matches_link_budget(radio):
@@ -217,82 +233,51 @@ def _fading_snapshot(m=2, k=3):
     return ChannelSnapshot(beta=beta, pathloss_db=pl, noise_power=n0)
 
 
-def test_fading_full_correlation_identity(radio):
-    snap = _fading_snapshot()
-    state = draw_fading(snap, seed=1)
-    h = realize_channel(state, radio.pilot_len_slots + 1, 3.0, radio)
-    assert np.allclose(h, state.h0)
-
-
-def test_fading_zero_correlation_independent(radio):
+def test_fading_marginal_ks(radio, monkeypatch):
+    # the package's per-draw |h_t| and a fresh |h0| share the Rayleigh
+    # marginal at the 1% level
     snap = _fading_snapshot(1, 1)
-    z1 = 2.404825557695773
-    lag = 100
-    v = z1 * LIGHT_SPEED / (2 * np.pi * radio.carrier_freq_hz * radio.slot_duration_s * lag)
-    t = radio.pilot_len_slots + 1 + lag
-    state = draw_fading(snap, seed=2)
-    draws = np.array([realize_channel(state, t, v, radio)[0, 0] for _ in range(10_000)])
-    h0 = state.h0[0, 0]
-    corr = np.mean(draws * np.conj(h0)) / (np.std(draws) * abs(h0))
-    assert abs(corr) < 0.05
-
-
-def test_fading_variance_preserved(radio):
-    snap = _fading_snapshot(2, 3)
-    state = draw_fading(snap, seed=3)
-    t = 150
-    draws = np.stack([realize_channel(state, t, 40.0, radio) for _ in range(10_000)])
-    var = draws.var(axis=0)
-    r = snap.channel_gain()
-    assert np.all(np.abs(var - r) / r < 0.05)
-
-
-def test_fading_marginal_ks(radio):
-    # |h[t]| and |h0| share the Rayleigh marginal at the 1% level
-    snap = _fading_snapshot(1, 1)
-    state = draw_fading(snap, seed=4)
-    t = 120
-    aged = np.abs([realize_channel(state, t, 25.0, radio)[0, 0] for _ in range(10_000)])
+    _, h_t = block_draws(monkeypatch, snap, np.zeros(1, dtype=int), np.full(1, 25.0), radio, 10_000, seed=4,
+                         estimator="per-draw")
     rng = np.random.default_rng(7)
     r = snap.channel_gain()[0, 0]
-    fresh = np.abs(
-        np.sqrt(r / 2) * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000))
-    )
-    assert ks_2samp(aged, fresh).pvalue > 0.01
+    fresh = np.abs(np.sqrt(r / 2) * (rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)))
+    assert ks_2samp(np.abs(h_t[:, 0, 0]), fresh).pvalue > 0.01
 
 
 def test_estimate_variance_hand_value():
     # rho = 1 (static UE), beta = 10, copilot betas {10, 5}, pilot power
-    # p = 0.2 W and tau_p = 10: R = 10 n0 / 0.2 = 50 n0, and the MMSE factor
-    # is (10 * 0.2 * 10) / (15 * 0.2 * 10 + 1) = 20 / 31
+    # p = 0.2 W and tau_p = 10: R = 10 n0 / 0.2 = 50 (make_snapshot's
+    # n0 = 1), and the MMSE factor is (10 * 0.2 * 10) / (15 * 0.2 * 10 + 1) = 20 / 31
     cfg = RadioConfig()
-    n0 = noise_power_w(cfg)
-    expected = 50.0 * n0 * 20.0 / 31.0
-    z = estimate_variance(10.0, [10.0, 5.0], t=cfg.pilot_len_slots + 1, v=0.0, cfg=cfg)
-    assert z == pytest.approx(expected, rel=1e-12)
+    z = estimate_variance_matrix(make_snapshot([[10.0, 5.0]]), [0, 0], cfg.pilot_len_slots + 1, np.zeros(2), cfg)
+    assert z[0, 0] == pytest.approx(50.0 * 20.0 / 31.0, rel=1e-12)
 
 
 def test_estimate_variance_max_at_first_data_slot(radio):
+    snap = make_snapshot([[5.0]])
     zs = [
-        estimate_variance(5.0, [5.0], t=t, v=3.6, cfg=radio)
+        estimate_variance_matrix(snap, [0], t=t, speeds=[3.6], cfg=radio)[0, 0]
         for t in range(radio.pilot_len_slots + 1, radio.block_len_slots + 1)
     ]
     assert np.argmax(zs) == 0
 
 
 def test_estimate_variance_contamination_decreases(radio):
-    z_lone = estimate_variance(5.0, [5.0], t=60, v=1.0, cfg=radio)
-    z_shared = estimate_variance(5.0, [5.0, 2.0], t=60, v=1.0, cfg=radio)
+    # UE 0 alone on its pilot, then sharing it with UE 1
+    snap = make_snapshot([[5.0, 2.0]])
+    z_lone, z_shared = (
+        estimate_variance_matrix(snap, pilots, t=60, speeds=np.ones(2), cfg=radio)[0, 0]
+        for pilots in ([0, 1], [0, 0])
+    )
     assert z_shared < z_lone
 
 
 def test_estimate_variance_mmse_form_bounded(radio):
     cfg = RadioConfig(estimate_form="mmse")
-    n0 = noise_power_w(cfg)
-    beta = 50.0
-    r = beta * n0 / cfg.tx_power_w
-    z = estimate_variance(beta, [beta], t=cfg.pilot_len_slots + 1, v=0.0, cfg=cfg)
-    assert 0 < z <= r + 1e-18
+    snap = make_snapshot([[50.0]])
+    z = estimate_variance_matrix(snap, [0], t=cfg.pilot_len_slots + 1, speeds=[0.0], cfg=cfg)
+    assert 0 < z[0, 0] <= snap.channel_gain()[0, 0] + 1e-18
 
 
 def test_estimate_variance_matrix_matches_scalar(radio):
@@ -557,6 +542,24 @@ def test_map_grid_past_int64_names_row(tmp_path, body, line):
     row = body.splitlines()[line - 2]
     with pytest.raises(MapParseError, match=rf"map\.txt:{line}: cell index out of range in '{row}'$"):
         _load_two_ap_map(path)
+
+
+@pytest.mark.parametrize(
+    "header, ok", [("1e-300,1e-300,0,0", False), ("10,10,1e300,0", False), ("10,1e-17,0,0", False), ("10,1e-16,0,0", True)]
+)
+def test_map_grid_must_index_the_area_in_int64(tmp_path, header, ok):
+    # a position's cell index is cast to int64 at lookup, so both loaders
+    # refuse a grid on which a point of the 100 x 100 m area has none (at
+    # y = 100 m, 1e19 is past int64 and 1e18 is not)
+    path = tmp_path / "map.txt"
+    path.write_text(header + "\n0,0,0,90\n1,0,0,91\n")
+    topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 2, seed=1)
+    for loader in (load_pathloss_map, oracles.load_pathloss_map_reference):
+        if ok:
+            assert loader(path, topo).pathloss_db(np.array([[0.0, 0.0], [0.0, 100.0]]))[0].tolist() == [90.0, np.inf]
+        else:
+            with pytest.raises(MapParseError, match=r"map\.txt:1: the 100 x 100 m area's cell indices pass int64"):
+                loader(path, topo)
 
 
 def test_map_blank_lines_skipped(tmp_path):

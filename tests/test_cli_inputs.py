@@ -46,9 +46,10 @@ _BAD_SETTINGS = {
     "estimate_form = raw": "estimate_form 'raw' was removed; known: ['mmse']",
     "pilot_method = bogus": "unknown pilot_method 'bogus'; known: ['random', 'sequential']",
     "tau_p = 300": "tau_p (300) must be shorter than tau_c (200)",
-    "tx_power_w = 0": "tx_power_w must be positive",
-    "delta = 1.5": "delta must lie in (0, 1]",
-    "g_max = 0": "g_max and e_best must be >= 1, tau_p >= 0",
+    "tx_power_w = 0": "tx_power_w must be positive, got 0.0",
+    "delta = 1.5": "delta must lie in (0, 1], got 1.5",
+    "g_max = 0": "g_max must be at least 1, got 0",
+    "e_best = 0": "e_best must be at least 1, got 0",
     "mdp_round_budget = 0": "mdp_round_budget must be at least 1, got 0",
     "area_width = 0": "area_width must be positive, got 0.0",
     "topology_m = 0": "topology_m must be at least 1, got 0",
@@ -69,8 +70,10 @@ _MIN_INT64_MAP = f"10,10,0,0\n0,{-2**63},0,90\n1,{-2**63},0,91\n"
 
 ROWS = [
     *(_row("setting-" + line.replace(" = ", "="), message, config=[line]) for line, message in _BAD_SETTINGS.items()),
-    _row("config-not-a-number", "line 8: bad value for blocks: invalid literal for int() with base 10: 'banana'",
+    _row("config-not-a-number", "{config}:8: bad value for blocks: invalid literal for int() with base 10: 'banana'",
          config=["blocks = banana"]),
+    _row("config-unknown-key", "{config}:8: unknown config key 'bogus'", config=["bogus = 1"]),
+    _row("config-no-equals", "{config}:8: expected 'key = value', got 'blocks 3'", config=["blocks 3"]),
     _row("config-missing", "cannot read config {config}: [Errno 2] No such file or directory: '{config}'",
          files={"config": None}),
     _row("config-not-utf8", "{config}: not UTF-8 text", config=["n_mc = 8" + _NOT_UTF8]),
@@ -113,6 +116,11 @@ ROWS = [
         ("min-int64", _MIN_INT64_MAP, f":2: cell index out of range in '0,{-2**63},0,90'"),
         ("min-int64-blank", _MIN_INT64_MAP + " \n", f":2: cell index out of range in '0,{-2**63},0,90'"),
         ("nan-loss", "10,10,0,0\n0,0,0,90\n1,0,0,nan\n", ":3: non-finite path loss in '1,0,0,nan'"),
+        # the cell index of x = 100 m is 1e302
+        ("grid-too-fine", "1e-300,1e-300,0,0\n0,0,0,90\n1,0,0,91\n",
+         ":1: the 100 x 100 m area's cell indices pass int64 on this grid"),
+        # the one covered cell lies at (5000, 5000), outside the 100 x 100 m area
+        ("covers-no-ue", "10,10,5000,5000\n0,0,0,90\n1,0,0,91\n", ": no UE position of the run lies in a covered cell"),
     ]),
     # 8 * (2**62 + 1) bytes overflows, so numpy refuses the table before it allocates
     _row("map-table-too-large", f"{{map}}: a path-loss table of 1 x {2**62 + 1} x 1 cells is too large to allocate",

@@ -5,6 +5,7 @@ import pytest
 
 from cfmimo.channel import (
     ESTIMATE_FORMS,
+    LIGHT_SPEED,
     ChannelSnapshot,
     RadioConfig,
     aging_coefficient,
@@ -34,9 +35,8 @@ from cfmimo.selection import (
 from cfmimo.topology import AreaSpec, generate_ppp_topology
 from cfmimo.channel import LogDistanceProvider, snapshot as make_channel_snapshot
 
-from conftest import make_snapshot, no_outage, random_snapshot
+from conftest import block_draws, make_snapshot, no_outage, random_snapshot
 import oracles
-from oracles import draw_estimates
 
 
 def _sw(w, powers):
@@ -405,46 +405,12 @@ def test_objective_pf_floors_zero_rates():
     assert rep.pf_objective == pytest.approx(np.log(2e6))
 
 
-def test_draw_estimates_variance_and_correlation():
-    rng = np.random.default_rng(4)
-    n = 20_000
-    r = np.full((1, 1), 2.0e-10)
-    z = np.full((1, 1), 0.5e-10)
-    h0 = np.sqrt(r / 2) * (rng.standard_normal((n, 1, 1)) + 1j * rng.standard_normal((n, 1, 1)))
-    est = draw_estimates(h0, r, z, rng)
-    assert est.var() == pytest.approx(z[0, 0], rel=0.05)
-    cov = np.mean(est * np.conj(h0))
-    assert abs(cov) == pytest.approx(z[0, 0], rel=0.05)
-
-
-def _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed, estimator):
-    """The estimates one evaluate_block run precodes and the channels its
-    received_gains forms gains on (h_t for per-draw; for hardening, whose
-    moments are formed on the estimates, the estimates again), in draw order."""
-    est, gain_channels = [], []
-
-    def precode_spy(ctx, estimates, *args):
-        est.append(estimates.copy())
-        return precode_pmmse(ctx, estimates, *args)
-
-    def gains_spy(h, *args, **kwargs):
-        gain_channels.append(h.copy())
-        return received_gains(h, *args, **kwargs)
-
-    monkeypatch.setattr("cfmimo.evaluation.precode_pmmse", precode_spy)
-    monkeypatch.setattr("cfmimo.evaluation.received_gains", gains_spy)
-    coop = CooperationMatrix(np.ones((snap.n_aps, snap.n_ues), dtype=int))
-    evaluate_block(snap, coop, pilots, speeds, cfg, n_mc=n, seed=seed, estimator=estimator)
-    monkeypatch.undo()
-    return np.concatenate(est), np.concatenate(gain_channels)
-
-
 def test_draw_block_estimate_moments_at_speed_0(monkeypatch):
     # static UEs (rho = 1, so h_t = h0): E|est|^2 = Z and E{est conj(h_t)} = Z
     # on every link, copilot links included, within five standard errors
     snap, cfg = _desk_instance(m=6, k=4, seed=9)
     pilots, speeds, n = np.array([0, 1, 0, 1]), np.zeros(4), 4000
-    est, h_t = _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
+    est, h_t = block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
     assert np.all(aging_coefficient(cfg.block_len_slots, speeds, cfg) == 1.0)
     for sample in (np.abs(est) ** 2, est * np.conj(h_t)):
@@ -456,15 +422,18 @@ def test_draw_block_joint_law_with_moving_ues(monkeypatch):
     # the estimate-then-residual stream has the joint law of the block-start
     # draw h0 ~ CN(0, R), est = E[h0 | est] and h_t = rho h0 + sqrt(1 - rho^2) g:
     # E|est|^2 = Z, E|h_t|^2 = R and E{est conj(h_t)} = rho Z, within five
-    # standard errors on every link. n = 4000 takes 1,639-draw chunks, so the
-    # law holds across chunk seeds.
-    snap, cfg = _desk_instance(m=6, k=4, seed=9)
-    pilots, speeds, n = np.array([0, 1, 0, 1]), np.array([0.8, 3.0, 12.0, 30.0]), 4000
-    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1639 * 24)
-    est, h_t = _block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
+    # standard errors on every link. The last UE's speed puts the block-end
+    # rho at J0's first zero, where h_t is uncorrelated with the estimate.
+    # n = 4000 takes 1,639-draw chunks, so the law holds across chunk seeds.
+    snap, cfg = _desk_instance(m=6, k=5, seed=9)
+    lag = cfg.block_len_slots - cfg.pilot_len_slots - 1
+    v_zero = 2.404825557695773 * LIGHT_SPEED / (2 * np.pi * cfg.carrier_freq_hz * cfg.slot_duration_s * lag)
+    pilots, speeds, n = np.array([0, 1, 0, 1, 0]), np.array([0.8, 3.0, 12.0, 30.0, v_zero]), 4000
+    monkeypatch.setattr("cfmimo.evaluation._CHUNK_ELEMS", 1639 * 30)
+    est, h_t = block_draws(monkeypatch, snap, pilots, speeds, cfg, n, seed=13, estimator="per-draw")
     z = estimate_variance_matrix(snap, pilots, cfg.block_len_slots, speeds, cfg)
     rho = aging_coefficient(cfg.block_len_slots, speeds, cfg)
-    assert np.all(rho < 1.0)
+    assert np.all(rho < 1.0) and abs(rho[-1]) < 1e-6
     cases = (
         (np.abs(est) ** 2, z),
         (np.abs(h_t) ** 2, snap.channel_gain()),
@@ -481,8 +450,8 @@ def test_draw_block_hardening_draws_the_estimates_only(monkeypatch):
     # unknown estimator is refused
     snap, pilots, speeds = _outage_instance()
     cfg = RadioConfig()
-    hard = _block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="hardening")
-    full = _block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="per-draw")
+    hard = block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="hardening")
+    full = block_draws(monkeypatch, snap, pilots, speeds, cfg, 8, seed=5, estimator="per-draw")
     assert np.array_equal(hard[0], full[0]) and np.array_equal(hard[1], hard[0])
     assert not np.array_equal(full[1], full[0])
     coop = select_small_cell(snap, no_outage(snap))

@@ -13,12 +13,12 @@ from cfmimo.selection import (
     select_small_cell,
     select_unifsrv_heu,
     run_algorithm,
+    simplified_sinr_all,
 )
 from cfmimo.topology import AreaSpec, NetworkTopology, build_square_clusters, generate_ppp_topology
 
 from conftest import make_snapshot, no_outage, random_snapshot
 import oracles
-from oracles import simplified_sinr
 
 
 def loose(g_max=100, tau_p=100, delta=0.95, e_best=1, beta0=0.0):
@@ -29,18 +29,23 @@ def loose(g_max=100, tau_p=100, delta=0.95, e_best=1, beta0=0.0):
 # simplified SINR and fairness index
 # ---------------------------------------------------------------------------
 
+def _sinr(d_col, beta_col):
+    """simplified_sinr_all of one UE's column."""
+    return simplified_sinr_all(np.asarray(d_col)[:, None], np.asarray(beta_col, dtype=float)[:, None])[0]
+
+
 def test_sinr_full_service_equals_total():
     beta = np.array([4.0, 2.0, 1.0])
-    assert simplified_sinr(np.ones(3), beta) == pytest.approx(beta.sum())
+    assert _sinr(np.ones(3), beta) == pytest.approx(beta.sum())
 
 
 def test_sinr_no_service_zero():
-    assert simplified_sinr(np.zeros(3), np.array([4.0, 2.0, 1.0])) == 0.0
+    assert _sinr(np.zeros(3), [4.0, 2.0, 1.0]) == 0.0
 
 
 def test_sinr_hand_value():
     # served 4 over unserved 3 plus one: 4 / (7 - 4 + 1) = 1.0
-    assert simplified_sinr(np.array([1, 0, 0]), np.array([4.0, 2.0, 1.0])) == pytest.approx(1.0)
+    assert _sinr([1, 0, 0], [4.0, 2.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_sinr_monotone_in_serving_set():
@@ -55,7 +60,7 @@ def test_sinr_monotone_in_serving_set():
         add = rng.choice(off)
         grown = d.copy()
         grown[add] = 1.0
-        assert simplified_sinr(grown, beta) > simplified_sinr(d, beta)
+        assert _sinr(grown, beta) > _sinr(d, beta)
 
 
 def test_jain_equal_values():
@@ -535,8 +540,6 @@ def test_unifsrv_gap_to_brute_force_recorded():
         opt = oracles.brute_force_selection(snap.beta.tolist(), 2, 3, (1.0, 1.0, 0.01))
 
         def scalarized(d):
-            from cfmimo.selection import simplified_sinr_all
-
             s = simplified_sinr_all(d, snap.beta)
             return s.sum() + jain_index(s) - 0.01 * np.sum(d)
 
