@@ -20,18 +20,23 @@ class InputError(ValueError):
 
 
 @contextmanager
-def open_text(path, error):
+def open_text(path):
     """Open an input file as UTF-8 text whose lines end only at ``\\n``,
-    ``\\r\\n`` or ``\\r`` (each read as ``\\n``). A byte that is not UTF-8,
-    met anywhere in the ``with`` block, raises ``error`` naming the file."""
-    with open(path, encoding="utf-8") as f:
+    ``\\r\\n`` or ``\\r`` (each read as ``\\n``). A path open refuses raises
+    InputError ``<path>: cannot read: <reason>``, and a byte that is not
+    UTF-8, met anywhere in the ``with`` block, ``<path>: not UTF-8 text``."""
+    try:
+        f = open(path, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"{path}: cannot read: {e.strerror}") from None
+    with f:
         try:
             yield f
         except UnicodeDecodeError:
-            raise error(f"{path}: not UTF-8 text") from None
+            raise InputError(f"{path}: not UTF-8 text") from None
 
 
-def read_rows(f, path, fields, types, error, start=1):
+def read_rows(f, path, fields, types, start=1):
     """Yield (line number, row, values) for each non-blank line of ``f``.
 
     Line numbers count from ``start`` and include blank or whitespace-only
@@ -41,8 +46,8 @@ def read_rows(f, path, fields, types, error, start=1):
     ``str.strip``. That strip also takes \\x1c-\\x1f, as ``np.loadtxt`` does
     and ``int`` and ``float`` do not, so both parsers of the path-loss map
     read a number alike. A row of another field count, or a field a type
-    refuses, raises ``error`` naming the line and quoting the row; ``fields``
-    names the columns.
+    refuses, raises InputError naming the line and quoting the row;
+    ``fields`` names the columns.
     """
     for ln, line in enumerate(f, start):
         row = line.rstrip("\n")
@@ -50,22 +55,22 @@ def read_rows(f, path, fields, types, error, start=1):
             continue
         parts = row.split(",")
         if len(parts) != len(types):
-            raise error(f"{path}:{ln}: expected '{fields}', got {row!r}")
+            raise InputError(f"{path}:{ln}: expected '{fields}', got {row!r}")
         try:
             values = [convert(part.strip()) for convert, part in zip(types, parts)]
         except ValueError:
-            raise error(f"{path}:{ln}: non-numeric field in {row!r}") from None
+            raise InputError(f"{path}:{ln}: non-numeric field in {row!r}") from None
         yield ln, row, values
 
 
-def _check_ids(line_of, path, kind, rows, error):
-    """Raise ``error`` unless the ids of ``line_of`` (id -> first line, in file
+def _check_ids(line_of, path, kind, rows):
+    """Raise InputError unless the ids of ``line_of`` (id -> first line, in file
     order) are 0..N-1, naming the first stray id's line and the smallest missing id."""
     n = len(line_of)
     stray = next((i for i in line_of if not 0 <= i < n), None)
     if stray is not None:
         missing = min(set(range(n)) - line_of.keys())
-        raise error(
+        raise InputError(
             f"{path}:{line_of[stray]}: {kind} id {stray} is outside 0..{n - 1}; "
             f"the ids of {n} {kind} {rows} must be 0..{n - 1}, and id {missing} is missing"
         )

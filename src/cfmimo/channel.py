@@ -28,10 +28,6 @@ ESTIMATE_FORMS = ("mmse",)
 PILOT_METHODS = ("random", "sequential")
 
 
-class MapParseError(InputError):
-    """Malformed path-loss map file; message names the offending line."""
-
-
 @dataclass(frozen=True)
 class RadioConfig:
     """Physical-layer constants shared by channel and evaluation.
@@ -225,13 +221,13 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     numpy opens a path by its name, so a name it would decompress (``.gz``
     and the like) is read through the open file instead.
     """
-    with open_text(path, MapParseError) as f:
+    with open_text(path) as f:
         first = f.readline()
         dx, dy, ox, oy = _parse_map_header(path, first.rstrip("\n") if first else None)
         w, h = topo.area.width, topo.area.height
         # a position's cell index is cast to int64 at lookup
         if not all(abs(i) < 2**63 for i in (ox / dx, (w - ox) / dx, oy / dy, (h - oy) / dy)):
-            raise MapParseError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
+            raise InputError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
         body = f.tell()
         # an absolute path, so numpy never reads a name like "http://..." as a URL
         source, skip = (f, 0) if str(path).endswith(_COMPRESSED_SUFFIXES) else (os.path.abspath(path), 1)
@@ -252,23 +248,23 @@ def load_pathloss_map(path, topo) -> PathLossMap:
             f.seek(body)
             rows, refusal = _scan_map_rows(path, f)
         if not rows.size:
-            raise refusal or MapParseError(f"{path}: no map rows")
+            raise refusal or InputError(f"{path}: no map rows")
         cell, grid, bad = _map_cells(rows, topo.n_aps)
         if bad:
             f.seek(body)
-            parsed = read_rows(f, path, _MAP_FIELDS, _MAP_TYPES, MapParseError, start=2)
+            parsed = read_rows(f, path, _MAP_FIELDS, _MAP_TYPES, start=2)
             ln, row, values = next(itertools.islice(parsed, bad[0], None))
-            raise MapParseError(f"{path}:{ln}: " + bad[1].format(*values, row=row))
+            raise InputError(f"{path}:{ln}: " + bad[1].format(*values, row=row))
     if refusal:
         raise refusal
     missing = np.flatnonzero(np.bincount(rows["ap"], minlength=topo.n_aps) == 0).tolist()
     if missing:
-        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+        raise InputError(f"{path}: no coverage rows for AP ids {missing}")
 
     try:
         table = np.full((topo.n_aps, *grid[2:]), np.inf)
     except (ValueError, MemoryError):
-        raise MapParseError(
+        raise InputError(
             f"{path}: a path-loss table of {topo.n_aps} x {grid[2]} x {grid[3]} cells is too large to allocate"
         ) from None
     table.reshape(-1)[cell] = rows["pl"]
@@ -279,18 +275,18 @@ def _parse_map_header(path, line):
     """(dx, dy, origin_x, origin_y) from the first line; ``line`` is None
     for an empty file."""
     if line is None:
-        raise MapParseError(f"{path}: empty map file")
+        raise InputError(f"{path}: empty map file")
     head = line.split(",")
     if len(head) != 4:
-        raise MapParseError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
+        raise InputError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
     try:
         dx, dy, ox, oy = (float(v) for v in head)
     except ValueError:
-        raise MapParseError(f"{path}:1: non-numeric header field") from None
+        raise InputError(f"{path}:1: non-numeric header field") from None
     if not all(map(math.isfinite, (dx, dy, ox, oy))):
-        raise MapParseError(f"{path}:1: non-finite header field")
+        raise InputError(f"{path}:1: non-finite header field")
     if dx <= 0 or dy <= 0:
-        raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
+        raise InputError(f"{path}:1: grid spacing must be positive and uniform per axis")
     return dx, dy, ox, oy
 
 
@@ -343,9 +339,9 @@ def _scan_map_rows(path, body):
     refusal (or None). An integer that int64 cannot hold reads as -2**63."""
     packed = bytearray()
     try:
-        for _, _, (*ints, pl) in read_rows(body, path, _MAP_FIELDS, _MAP_TYPES, MapParseError, start=2):
+        for _, _, (*ints, pl) in read_rows(body, path, _MAP_FIELDS, _MAP_TYPES, start=2):
             packed += struct.pack("=qqqd", *[v if -(2**63) <= v < 2**63 else -(2**63) for v in ints], pl)
-    except MapParseError as refusal:
+    except InputError as refusal:
         return np.frombuffer(packed, dtype=_MAP_ROW), refusal
     return np.frombuffer(packed, dtype=_MAP_ROW), None
 

@@ -16,10 +16,6 @@ from . import InputError, open_text, read_rows
 SE_BLOCKS_HEADER = "block,ue_id,se,g"
 
 
-class RunFileError(InputError):
-    """Malformed file of a finished run; the message names the file and line."""
-
-
 def _pin_malloc_thresholds() -> None:
     """Fix glibc malloc's mmap threshold at 32 MB and its trim threshold at 64 MB.
 
@@ -85,7 +81,7 @@ def _cmd_compare(args) -> int:
     cfg = _load(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
-        raise hn.ConfigError("--algorithms must name at least one algorithm")
+        raise InputError("--algorithms must name at least one algorithm")
     reports = hn.compare_algorithms(cfg, algorithms)
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
@@ -103,24 +99,22 @@ def export_cdf(run_dir) -> list[float]:
 
     Reads the SE column of the run's ``se_blocks.csv`` and writes rows
     ``se,cdf`` in ascending SE, the i-th of n at ordinate i/n. Returns the
-    sorted SE values. A file that is not UTF-8 text, a header other than
-    ``block,ue_id,se,g``, no rows, or a row that is not four fields with a
-    finite SE raises RunFileError, and nothing is written.
+    sorted SE values. A file that cannot be read or is not UTF-8 text, a
+    header other than ``block,ue_id,se,g``, no rows, or a row that is not
+    four fields with a finite SE raises InputError, and nothing is written.
     """
     raw = os.path.join(run_dir, "se_blocks.csv")
-    if not os.path.exists(raw):
-        raise FileNotFoundError(f"no raw SE file at {raw}")
     values = []
-    with open_text(raw, RunFileError) as f:
+    with open_text(raw) as f:
         if f.readline().strip() != SE_BLOCKS_HEADER:
-            raise RunFileError(f"{raw}:1: expected header '{SE_BLOCKS_HEADER}'")
-        rows = read_rows(f, raw, SE_BLOCKS_HEADER, (str, str, float, str), RunFileError, start=2)
+            raise InputError(f"{raw}:1: expected header '{SE_BLOCKS_HEADER}'")
+        rows = read_rows(f, raw, SE_BLOCKS_HEADER, (str, str, float, str), start=2)
         for ln, row, (_, _, se, _) in rows:
             if not math.isfinite(se):
-                raise RunFileError(f"{raw}:{ln}: non-finite SE in {row!r}")
+                raise InputError(f"{raw}:{ln}: non-finite SE in {row!r}")
             values.append(se)
     if not values:
-        raise RunFileError(f"{raw}: no SE rows")
+        raise InputError(f"{raw}: no SE rows")
     values.sort()
     n = len(values)
     with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
@@ -161,10 +155,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InputError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:
-        if isinstance(e, (InputError, FileNotFoundError)):
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
 

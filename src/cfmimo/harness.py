@@ -25,10 +25,6 @@ from . import selection as sel
 from . import topology as tp
 
 
-class ConfigError(InputError):
-    """Invalid experiment configuration or config file."""
-
-
 def derive_seed(master: int, *tags) -> np.random.SeedSequence:
     """Stable per-stream seed: SHA-256 over the master seed and stream tags."""
     digest = hashlib.sha256(repr((int(master),) + tags).encode()).digest()
@@ -85,20 +81,20 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise InputError(f"{f.name} must be finite, got {value}")
         for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget", "tau_p"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+                raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.clusters_per_side < 0:
-            raise ConfigError(f"clusters_per_side must be at least 0, got {self.clusters_per_side}")
+            raise InputError(f"clusters_per_side must be at least 0, got {self.clusters_per_side}")
         positive = ["area_width", "area_height"]
         if self.mobility_source == "rwp":
             positive += ["speed_mps", "mean_transition_m"]
         for key in positive:
             if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+                raise InputError(f"{key} must be positive, got {getattr(self, key)}")
         if self.topology_source == "ppp" and self.topology_m < 1:
-            raise ConfigError(f"topology_m must be at least 1, got {self.topology_m}")
+            raise InputError(f"topology_m must be at least 1, got {self.topology_m}")
         for key, known in (
             ("topology_source", ("ppp", "file")),
             ("mobility_source", ("rwp", "file")),
@@ -107,14 +103,14 @@ class ExperimentConfig:
             ("pilot_method", ch.PILOT_METHODS),
         ):
             if getattr(self, key) not in known:
-                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; known: {list(known)}")
+                raise InputError(f"unknown {key} {getattr(self, key)!r}; known: {list(known)}")
         if self.tau_p >= self.tau_c:
-            raise ConfigError(f"tau_p ({self.tau_p}) must be shorter than tau_c ({self.tau_c})")
+            raise InputError(f"tau_p ({self.tau_p}) must be shorter than tau_c ({self.tau_c})")
         try:
             self.constraints()
             self.radio()
         except ValueError as e:
-            raise ConfigError(str(e)) from e
+            raise InputError(str(e)) from e
 
     def radio(self) -> ch.RadioConfig:
         return ch.RadioConfig(
@@ -168,10 +164,10 @@ def parse_config(text: str, path=None) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+            raise InputError(f"{where}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in types:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
+            raise InputError(f"{where}: unknown config key {key!r}")
         current = getattr(defaults, key)
         try:
             if isinstance(current, bool):
@@ -185,19 +181,13 @@ def parse_config(text: str, path=None) -> ExperimentConfig:
             else:
                 values[key] = raw
         except ValueError as e:
-            raise ConfigError(f"{where}: bad value for {key}: {e}") from e
-    try:
-        return ExperimentConfig(**values)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+            raise InputError(f"{where}: bad value for {key}: {e}") from e
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open_text(path, ConfigError) as f:
-            return parse_config(f.read(), path)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+    with open_text(path) as f:
+        return parse_config(f.read(), path)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -216,7 +206,7 @@ def _build_topology(cfg: ExperimentConfig) -> tp.NetworkTopology:
         topo = tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
     else:
         if not cfg.topology_file:
-            raise ConfigError("topology_source=file needs topology_file")
+            raise InputError("topology_source=file needs topology_file")
         topo = tp.load_topology(cfg.topology_file)
     if cfg.clusters_per_side > 0:
         topo = tp.build_square_clusters(topo, cfg.clusters_per_side)
@@ -235,11 +225,11 @@ def _build_trace(cfg: ExperimentConfig, area: tp.AreaSpec) -> mb.MobilityTrace:
             seed=int(derive_seed(cfg.seed, "mobility").generate_state(1)[0]),
         )
     if not cfg.tracks_file:
-        raise ConfigError("mobility_source=file needs tracks_file")
+        raise InputError("mobility_source=file needs tracks_file")
     trace = mb.load_tracks(cfg.tracks_file, cfg.block_duration_s, area=area)
     if trace.n_blocks < cfg.blocks:
-        raise ConfigError(
-            f"track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
+        raise InputError(
+            f"{cfg.tracks_file}: track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
         )
     return trace
 
@@ -250,7 +240,7 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
             topo, radio, n_ues, seed=derive_seed(cfg.seed, "shadowing")
         )
     if not cfg.pathloss_map_file:
-        raise ConfigError("channel_provider=map needs pathloss_map_file")
+        raise InputError("channel_provider=map needs pathloss_map_file")
     return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
 
 
@@ -282,9 +272,9 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     algorithms = list(dict.fromkeys(algorithms))
     for name in algorithms:
         if name not in sel.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+            raise InputError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
     if "cuc" in algorithms and cfg.clusters_per_side < 1:
-        raise ConfigError("cuc needs a cluster grid: set clusters_per_side to at least 1")
+        raise InputError("cuc needs a cluster grid: set clusters_per_side to at least 1")
     radio = cfg.radio()
     constraints = cfg.constraints()
     topo = _build_topology(cfg)
@@ -295,7 +285,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
         # a map that covers no UE would run to SE 0 for all and a Jain index of 1
         losses = provider.pathloss_db(trace.positions[:, : cfg.blocks].reshape(-1, 2))
         if (losses == np.inf).all():
-            raise ConfigError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
+            raise InputError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
     pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
     se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     rate_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
@@ -327,8 +317,6 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
                 rate_blocks[algo][:, b] = rate
                 g_blocks[algo][:, b] = coop.g_k
                 w_blocks[algo][:, b] = coop.w_m
-        except ConfigError:
-            raise
         except Exception as e:
             raise RuntimeError(f"{where}: {e}") from e
     return {

@@ -18,10 +18,6 @@ from . import InputError, _check_ids, open_text, read_rows
 from .topology import AreaSpec
 
 
-class TrackParseError(InputError):
-    """Malformed track file; message names the offending line."""
-
-
 @dataclass(frozen=True)
 class MobilityTrace:
     """Per-UE positions at block boundaries.
@@ -142,31 +138,31 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
         raise ValueError("block_duration must be positive")
     tracks: dict[int, list[tuple[float, float, float]]] = {}
     line_of: dict[int, int] = {}
-    with open_text(path, TrackParseError) as f:
-        parsed = read_rows(f, path, "ue_id,t,x,y", (int, float, float, float), TrackParseError)
+    with open_text(path) as f:
+        parsed = read_rows(f, path, "ue_id,t,x,y", (int, float, float, float))
         for ln, row, (ue, t, x, y) in parsed:
             if not math.isfinite(t):
-                raise TrackParseError(f"{path}:{ln}: non-finite time in {row!r}")
+                raise InputError(f"{path}:{ln}: non-finite time in {row!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise TrackParseError(f"{path}:{ln}: non-finite point in {row!r}")
+                raise InputError(f"{path}:{ln}: non-finite point in {row!r}")
             if area is not None and not bool(area.contains((x, y))):
-                raise TrackParseError(f"{path}:{ln}: point ({x}, {y}) outside area")
+                raise InputError(f"{path}:{ln}: point ({x}, {y}) outside area")
             rows = tracks.setdefault(ue, [])
             line_of.setdefault(ue, ln)
             if rows and t <= rows[-1][0]:
-                raise TrackParseError(f"{path}:{ln}: timestamps not strictly increasing for UE {ue}")
+                raise InputError(f"{path}:{ln}: timestamps not strictly increasing for UE {ue}")
             if rows and t - rows[-1][0] > 10.0 * block_duration + 1e-9:
-                raise TrackParseError(
+                raise InputError(
                     f"{path}:{ln}: gap {t - rows[-1][0]:.4g} s exceeds 10x block duration for UE {ue}"
                 )
             rows.append((t, x, y))
     if not tracks:
-        raise TrackParseError(f"{path}: no track rows")
-    _check_ids(line_of, path, "UE", "tracks", TrackParseError)
+        raise InputError(f"{path}: no track rows")
+    _check_ids(line_of, path, "UE", "tracks")
     k = len(tracks)
     for ue in range(k):
         if tracks[ue][0][0] > 1e-9:
-            raise TrackParseError(f"{path}: UE {ue} track must start at t=0")
+            raise InputError(f"{path}: UE {ue} track must start at t=0")
 
     last_t = min(tracks[ue][-1][0] for ue in range(k))
     n_blocks = int(np.floor(last_t / block_duration + 1e-9)) + 1

@@ -17,10 +17,6 @@ import numpy as np
 from . import InputError, _check_ids, open_text, read_rows
 
 
-class TopologyParseError(InputError):
-    """Malformed topology file; message names the offending line."""
-
-
 @dataclass(frozen=True)
 class AreaSpec:
     """Rectangular simulation area in meters, origin at (0, 0)."""
@@ -114,35 +110,35 @@ def load_topology(path) -> NetworkTopology:
     """Parse a topology file, enforcing bounds and id uniqueness.
 
     The AP ids of M rows must be 0..M-1, in any order. Raises
-    TopologyParseError naming the 1-based line number on any malformed row,
+    InputError naming the 1-based line number on any malformed row,
     duplicate AP id, id outside 0..M-1, non-finite or out-of-area position.
     """
     by_id: dict[int, tuple[float, float]] = {}
     line_of: dict[int, int] = {}
-    with open_text(path, TopologyParseError) as f:
+    with open_text(path) as f:
         first = f.readline()
         if not first:
-            raise TopologyParseError(f"{path}: empty topology file")
+            raise InputError(f"{path}: empty topology file")
         head = first.rstrip("\n").split(",")
         if len(head) != 2:
-            raise TopologyParseError(f"{path}:1: expected header 'area_width,area_height'")
+            raise InputError(f"{path}:1: expected header 'area_width,area_height'")
         try:
             area = AreaSpec(width=float(head[0]), height=float(head[1]))
         except ValueError as e:
-            raise TopologyParseError(f"{path}:1: bad area header: {e}") from e
+            raise InputError(f"{path}:1: bad area header: {e}") from e
 
-        parsed = read_rows(f, path, "ap_id,x,y", (int, float, float), TopologyParseError, start=2)
+        parsed = read_rows(f, path, "ap_id,x,y", (int, float, float), start=2)
         for ln, row, (ap_id, x, y) in parsed:
             if ap_id in by_id:
-                raise TopologyParseError(f"{path}:{ln}: duplicate AP id {ap_id}")
+                raise InputError(f"{path}:{ln}: duplicate AP id {ap_id}")
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise TopologyParseError(f"{path}:{ln}: non-finite point in {row!r}")
+                raise InputError(f"{path}:{ln}: non-finite point in {row!r}")
             if not bool(area.contains((x, y))):
-                raise TopologyParseError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
+                raise InputError(f"{path}:{ln}: AP {ap_id} at ({x}, {y}) outside area")
             by_id[ap_id] = (x, y)
             line_of[ap_id] = ln
     if not by_id:
-        raise TopologyParseError(f"{path}: no AP rows")
-    _check_ids(line_of, path, "AP", "rows", TopologyParseError)
+        raise InputError(f"{path}: no AP rows")
+    _check_ids(line_of, path, "AP", "rows")
     pos = np.array([by_id[i] for i in range(len(by_id))], dtype=float)
     return NetworkTopology(area=area, ap_positions=pos)

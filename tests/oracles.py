@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from cfmimo import InputError
 from cfmimo.channel import (
-    MapParseError,
     PathLossMap,
     RadioConfig,
     aging_coefficient,
@@ -571,25 +571,25 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
     with open(path, encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]
     if not lines:
-        raise MapParseError(f"{path}: empty map file")
+        raise InputError(f"{path}: empty map file")
     head = lines[0].split(",")
     if len(head) != 4:
-        raise MapParseError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
+        raise InputError(f"{path}:1: expected header 'grid_dx,grid_dy,origin_x,origin_y'")
     try:
         dx, dy, ox, oy = (float(v) for v in head)
     except ValueError:
-        raise MapParseError(f"{path}:1: non-numeric header field") from None
+        raise InputError(f"{path}:1: non-numeric header field") from None
     if not all(math.isfinite(v) for v in (dx, dy, ox, oy)):
-        raise MapParseError(f"{path}:1: non-finite header field")
+        raise InputError(f"{path}:1: non-finite header field")
     if dx <= 0 or dy <= 0:
-        raise MapParseError(f"{path}:1: grid spacing must be positive and uniform per axis")
+        raise InputError(f"{path}:1: grid spacing must be positive and uniform per axis")
     w, h = topo.area.width, topo.area.height
     if max(abs(ox), abs(w - ox)) / dx >= 2**63 or max(abs(oy), abs(h - oy)) / dy >= 2**63:
-        raise MapParseError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
+        raise InputError(f"{path}:1: the {w:g} x {h:g} m area's cell indices pass int64 on this grid")
 
     body = lines[1:]
     if not any(line.strip() for line in body):
-        raise MapParseError(f"{path}: no map rows")
+        raise InputError(f"{path}: no map rows")
     bad = None
     try:
         rows = np.loadtxt(body, delimiter=",", dtype=_MAP_ROW, comments=None, ndmin=1)
@@ -619,26 +619,26 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
         repeats = order[1:][cell[order[1:]] == cell[order[:-1]]]
         if repeats.size:
             i = int(repeats.min())
-            raise MapParseError(
+            raise InputError(
                 f"{path}:{_map_row_line_reference(body, i)}: duplicate cell ({ap[i]}, {ix[i]}, {iy[i]})"
             )
     if stops.size:
         ln = _map_row_line_reference(body, n_ok)
         if unknown[n_ok]:
-            raise MapParseError(f"{path}:{ln}: unknown AP id {rows['ap'][n_ok]}")
+            raise InputError(f"{path}:{ln}: unknown AP id {rows['ap'][n_ok]}")
         if non_finite[n_ok]:
-            raise MapParseError(f"{path}:{ln}: non-finite path loss in {body[ln - 2]!r}")
-        raise MapParseError(f"{path}:{ln}: cell index out of range in {body[ln - 2]!r}")
+            raise InputError(f"{path}:{ln}: non-finite path loss in {body[ln - 2]!r}")
+        raise InputError(f"{path}:{ln}: cell index out of range in {body[ln - 2]!r}")
     if bad is not None:
         raise bad
     missing = np.flatnonzero(np.bincount(ap, minlength=topo.n_aps) == 0).tolist()
     if missing:
-        raise MapParseError(f"{path}: no coverage rows for AP ids {missing}")
+        raise InputError(f"{path}: no coverage rows for AP ids {missing}")
 
     try:
         table = np.full((topo.n_aps, nx, ny), np.inf)
     except (ValueError, MemoryError):
-        raise MapParseError(
+        raise InputError(
             f"{path}: a path-loss table of {topo.n_aps} x {nx} x {ny} cells is too large to allocate"
         ) from None
     table.reshape(-1)[cell] = rows["pl"]
@@ -653,20 +653,20 @@ def _scan_map_rows_reference(path, body, n_aps):
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            bad = MapParseError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db', got {line!r}")
+            bad = InputError(f"{path}:{ln}: expected 'ap_id,cell_ix,cell_iy,pathloss_db', got {line!r}")
             break
         try:
             # stripped as np.loadtxt strips a field: str.strip takes \x1c-\x1f too
             ap, cix, ciy = (int(part.strip()) for part in parts[:3])
             pl = float(parts[3].strip())
         except ValueError:
-            bad = MapParseError(f"{path}:{ln}: non-numeric field in {line!r}")
+            bad = InputError(f"{path}:{ln}: non-numeric field in {line!r}")
             break
         if not 0 <= ap < n_aps:
-            bad = MapParseError(f"{path}:{ln}: unknown AP id {ap}")
+            bad = InputError(f"{path}:{ln}: unknown AP id {ap}")
             break
         if max(abs(cix), abs(ciy)) >= 2**63:
-            bad = MapParseError(f"{path}:{ln}: cell index out of range in {line!r}")
+            bad = InputError(f"{path}:{ln}: cell index out of range in {line!r}")
             break
         parsed.append((ap, cix, ciy, pl))
     return np.array(parsed, dtype=_MAP_ROW), bad

@@ -7,11 +7,11 @@ import pytest
 from scipy.special import j0 as scipy_j0
 from scipy.stats import ks_2samp
 
+from cfmimo import InputError
 from cfmimo.channel import (
     LIGHT_SPEED,
     ChannelSnapshot,
     LogDistanceProvider,
-    MapParseError,
     RadioConfig,
     _j0,
     aging_coefficient,
@@ -377,7 +377,7 @@ def test_map_unknown_ap_rejected(tmp_path):
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 1, seed=1)
     path = tmp_path / "map.txt"
     save_pathloss_map(path, 10.0, 10.0, (0.0, 0.0), [(0, 0, 0, 90.0), (7, 0, 0, 90.0)])
-    with pytest.raises(MapParseError, match="unknown AP id 7"):
+    with pytest.raises(InputError, match="unknown AP id 7"):
         load_pathloss_map(path, topo)
 
 
@@ -385,7 +385,7 @@ def test_map_missing_ap_coverage_rejected(tmp_path):
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 2, seed=1)
     path = tmp_path / "map.txt"
     save_pathloss_map(path, 10.0, 10.0, (0.0, 0.0), [(0, 0, 0, 90.0)])
-    with pytest.raises(MapParseError, match="no coverage"):
+    with pytest.raises(InputError, match="no coverage"):
         load_pathloss_map(path, topo)
 
 
@@ -393,7 +393,7 @@ def test_map_bad_spacing_rejected(tmp_path):
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 1, seed=1)
     path = tmp_path / "map.txt"
     _write_map(path, "0,10,0,0", [(0, 0, 0, 90.0)])
-    with pytest.raises(MapParseError, match="spacing"):
+    with pytest.raises(InputError, match="spacing"):
         load_pathloss_map(path, topo)
 
 
@@ -403,7 +403,7 @@ def test_map_non_finite_header_rejected(tmp_path, header):
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 1, seed=1)
     path = tmp_path / "map.txt"
     _write_map(path, header, [(0, 0, 0, 90.0)])
-    with pytest.raises(MapParseError, match=r"map\.txt:1: non-finite header field$"):
+    with pytest.raises(InputError, match=r"map\.txt:1: non-finite header field$"):
         load_pathloss_map(path, topo)
 
 
@@ -444,14 +444,14 @@ def _load_two_ap_map(path):
 
 def test_map_duplicate_cell_names_line(tmp_path):
     path = _write_map_text(tmp_path / "map.txt", "0,0,0,90\n1,0,0,91\n0,1,0,92\n1,0,0,93\n")
-    with pytest.raises(MapParseError, match=r"map\.txt:5: duplicate cell \(1, 0, 0\)$"):
+    with pytest.raises(InputError, match=r"map\.txt:5: duplicate cell \(1, 0, 0\)$"):
         _load_two_ap_map(path)
 
 
 @pytest.mark.parametrize("row", ["0,x,0,90", "0,0,0,loud", "0,1.5,0,90", "1.5,0,0,90"])
 def test_map_non_numeric_field_names_line(tmp_path, row):
     path = _write_map_text(tmp_path / "map.txt", f"0,0,0,90\n1,0,0,91\n{row}\n")
-    with pytest.raises(MapParseError, match=rf"map\.txt:4: non-numeric field in '{row}'$"):
+    with pytest.raises(InputError, match=rf"map\.txt:4: non-numeric field in '{row}'$"):
         _load_two_ap_map(path)
 
 
@@ -459,13 +459,13 @@ def test_map_non_numeric_field_names_line(tmp_path, row):
 def test_map_wrong_field_count_names_line(tmp_path, row):
     path = _write_map_text(tmp_path / "map.txt", f"0,0,0,90\n{row}\n1,0,0,91\n")
     message = f"expected 'ap_id,cell_ix,cell_iy,pathloss_db', got '{row}'"
-    with pytest.raises(MapParseError, match=rf"map\.txt:3: {message}$"):
+    with pytest.raises(InputError, match=rf"map\.txt:3: {message}$"):
         _load_two_ap_map(path)
 
 
 def test_map_hash_starts_no_comment(tmp_path):
     path = _write_map_text(tmp_path / "map.txt", "0,0,0,90\n1,0,0,91\n#0,1,0,90\n")
-    with pytest.raises(MapParseError, match=r"map\.txt:4: non-numeric field in '#0,1,0,90'$"):
+    with pytest.raises(InputError, match=r"map\.txt:4: non-numeric field in '#0,1,0,90'$"):
         _load_two_ap_map(path)
 
 
@@ -481,7 +481,7 @@ def test_map_hash_starts_no_comment(tmp_path):
 def test_map_line_number_counts_blank_lines(tmp_path, row, message):
     # blank and whitespace-only lines are skipped but still count as lines
     path = _write_map_text(tmp_path / "map.txt", f"\n0,0,0,90\n  \n\n1,0,0,91\n\t\n{row}\n")
-    with pytest.raises(MapParseError, match=rf"map\.txt:8: {message}$"):
+    with pytest.raises(InputError, match=rf"map\.txt:8: {message}$"):
         _load_two_ap_map(path)
 
 
@@ -503,7 +503,7 @@ def test_map_names_first_bad_row_in_file_order(tmp_path, order, blank):
     lead = "0,0,0,90\n" + ("  \n" if blank else "") + "1,0,0,91\n"
     path = _write_map_text(tmp_path / "map.txt", lead + "".join(_MAP_ROW_ERRORS[e][0] + "\n" for e in order))
     message = _MAP_ROW_ERRORS[order[0]][1]
-    with pytest.raises(MapParseError, match=rf"map\.txt:{4 + blank}: {message}$"):
+    with pytest.raises(InputError, match=rf"map\.txt:{4 + blank}: {message}$"):
         _load_two_ap_map(path)
 
 
@@ -518,7 +518,7 @@ def test_map_path_loss_is_a_number_or_inf(tmp_path, blank):
     for row in ("1,1,0,nan", "0,0,0,-inf", "0,0,0,nan"):
         path = _write_map_text(tmp_path / "map.txt", lead + f"0,0,0,90\n1,0,0,91\n{row}\n")
         for loader in (load_pathloss_map, oracles.load_pathloss_map_reference):
-            with pytest.raises(MapParseError, match=rf"map\.txt:{4 + blank}: non-finite path loss in '{row}'$"):
+            with pytest.raises(InputError, match=rf"map\.txt:{4 + blank}: non-finite path loss in '{row}'$"):
                 loader(path, topo)
 
 
@@ -540,7 +540,7 @@ def test_map_path_loss_is_a_number_or_inf(tmp_path, blank):
 def test_map_grid_past_int64_names_row(tmp_path, body, line):
     path = _write_map_text(tmp_path / "map.txt", body)
     row = body.splitlines()[line - 2]
-    with pytest.raises(MapParseError, match=rf"map\.txt:{line}: cell index out of range in '{row}'$"):
+    with pytest.raises(InputError, match=rf"map\.txt:{line}: cell index out of range in '{row}'$"):
         _load_two_ap_map(path)
 
 
@@ -558,7 +558,7 @@ def test_map_grid_must_index_the_area_in_int64(tmp_path, header, ok):
         if ok:
             assert loader(path, topo).pathloss_db(np.array([[0.0, 0.0], [0.0, 100.0]]))[0].tolist() == [90.0, np.inf]
         else:
-            with pytest.raises(MapParseError, match=r"map\.txt:1: the 100 x 100 m area's cell indices pass int64"):
+            with pytest.raises(InputError, match=r"map\.txt:1: the 100 x 100 m area's cell indices pass int64"):
                 loader(path, topo)
 
 
@@ -574,7 +574,7 @@ def test_map_header_without_rows_rejected(tmp_path, body):
     path = _write_map_text(tmp_path / "map.txt", body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MapParseError, match=r"map\.txt: no map rows$"):
+        with pytest.raises(InputError, match=r"map\.txt: no map rows$"):
             _load_two_ap_map(path)
 
 
@@ -587,7 +587,7 @@ def test_map_non_utf8_byte_deep_in_file_rejected(tmp_path, blank):
     path = tmp_path / "map.txt"
     path.write_bytes(("10,10,0,0\n" + (" \n" if blank else "") + rows).encode() + b"1,0,0,9\xff1\n")
     assert path.stat().st_size > 100_000
-    with pytest.raises(MapParseError, match=r"map\.txt: not UTF-8 text$"):
+    with pytest.raises(InputError, match=r"map\.txt: not UTF-8 text$"):
         _load_two_ap_map(path)
 
 

@@ -30,6 +30,8 @@ _SELECT = {
 # rows' texts are written as UTF-8 with surrogateescape, so this stands for
 # the byte \xff
 _NOT_UTF8 = "\udcff"
+# a file given as this is made a directory
+_DIRECTORY = object()
 
 
 def _row(id, message, command="simulate", files=None, config=(), argv=()):
@@ -59,6 +61,7 @@ _BAD_SETTINGS = {
     "tx_power_w = nan": "tx_power_w must be finite, got nan",
     "area_height = nan": "area_height must be finite, got nan",
     "shadowing_sigma_db = nan": "shadowing_sigma_db must be finite, got nan",
+    "shadowing_sigma_db = -1": "shadowing_sigma_db must be at least 0, got -1.0",
     "beta0_db = nan": "beta0_db must be finite, got nan",
     "beta0_db = inf": "beta0_db must be finite, got inf",
     "topology_source = grid": "unknown topology_source 'grid'; known: ['ppp', 'file']",
@@ -74,8 +77,17 @@ ROWS = [
          config=["blocks = banana"]),
     _row("config-unknown-key", "{config}:8: unknown config key 'bogus'", config=["bogus = 1"]),
     _row("config-no-equals", "{config}:8: expected 'key = value', got 'blocks 3'", config=["blocks 3"]),
-    _row("config-missing", "cannot read config {config}: [Errno 2] No such file or directory: '{config}'",
-         files={"config": None}),
+    _row("config-bad-bool", "{config}:8: bad value for allow_tau_p_equality: expected true/false",
+         config=["allow_tau_p_equality = maybe"]),
+    *(_row(name + "-missing", f"{{{name}}}: cannot read: No such file or directory", files={name: None})
+      for name in ["config", *_SELECT]),
+    *(_row(name + "-is-a-directory", f"{{{name}}}: cannot read: Is a directory", files={name: _DIRECTORY})
+      for name in ["config", *_SELECT]),
+    _row("cdf-is-a-directory", "{se_blocks}: cannot read: Is a directory", "export-cdf",
+         files={"se_blocks": _DIRECTORY}),
+    # the source line alone: the config names no file
+    *(_row(name + "-without-file", f"{source.replace(' = ', '=')} needs {key.split(' = ')[0]}", config=[source])
+      for name, (source, key) in _SELECT.items()),
     _row("config-not-utf8", "{config}: not UTF-8 text", config=["n_mc = 8" + _NOT_UTF8]),
     # speed 0 is fine for a track file; --mobility rwp makes it a config error
     _row("mobility-override", "speed_mps must be positive, got 0.0",
@@ -86,19 +98,29 @@ ROWS = [
          argv=["--algorithms", "small-cell,cuc"]),
     _row("compare-negative-grid", "clusters_per_side must be at least 0, got -3", "compare",
          config=["clusters_per_side = -3"], argv=["--algorithms", "small-cell"]),
+    _row("compare-no-algorithm", "--algorithms must name at least one algorithm", "compare",
+         argv=["--algorithms", ","]),
     *(_row("topology-" + id, "{topology}" + message, files={"topology": text}) for id, text, message in [
         ("not-utf8", "100,100\n0,20,20" + _NOT_UTF8 + "\n1,70,70\n", ": not UTF-8 text"),
+        ("empty", "", ": empty topology file"),
+        ("three-field-header", "100,100,5\n0,20,20\n1,70,70\n", ":1: expected header 'area_width,area_height'"),
+        ("header-only", "100,100\n", ": no AP rows"),
         ("infinite-area", "inf,100\n0,10,10\n1,20,20\n",
          ":1: bad area header: area must have finite, positive extent, got infx100.0"),
         ("nan-point", "100,100\n0,nan,10\n1,20,20\n", ":2: non-finite point in '0,nan,10'"),
     ]),
     *(_row("tracks-" + id, "{tracks}" + message, files={"tracks": text}) for id, text, message in [
         ("not-utf8", "0,0,1,1" + _NOT_UTF8 + "\n1,0,2,2\n0,0.02,1.5,1\n1,0.02,2.5,2\n", ": not UTF-8 text"),
+        ("blank-lines-only", "\n \n", ": no track rows"),
+        ("late-start", "0,0.01,1,1\n1,0,2,2\n0,0.02,1.5,1\n1,0.02,2.5,2\n", ": UE 0 track must start at t=0"),
         ("stray-id", "0,0,10,10\n2,0,20,20\n0,0.02,11,10\n2,0.02,21,20\n",
          ":2: UE id 2 is outside 0..1; the ids of 2 UE tracks must be 0..1, and id 1 is missing"),
         ("nan-time", "0,0,10,10\n1,0,20,20\n0,nan,11,10\n1,0.02,21,20\n", ":3: non-finite time in '0,nan,11,10'"),
         ("nan-point", "0,0,10,10\n1,0,20,20\n0,0.02,nan,10\n1,0.02,21,20\n", ":3: non-finite point in '0,0.02,nan,10'"),
     ]),
+    # the base tracks run from t = 0 to 0.02 s: two 20 ms blocks
+    _row("tracks-short-horizon", "{tracks}: track horizon covers 2 blocks, config asks for 5",
+         files={"tracks": _BASE_FILES["tracks"]}, config=["blocks = 5"]),
     *(_row("map-" + id, "{map}" + message, files={"map": text}) for id, text, message in [
         ("header-only", "10,10,0,0\n", ": no map rows"),
         ("duplicate", "10,10,0,0\n0,0,0,90\n1,0,0,91\n0,0,0,92\n", ":4: duplicate cell (0, 0, 0)"),
@@ -125,7 +147,8 @@ ROWS = [
     # 8 * (2**62 + 1) bytes overflows, so numpy refuses the table before it allocates
     _row("map-table-too-large", f"{{map}}: a path-loss table of 1 x {2**62 + 1} x 1 cells is too large to allocate",
          files={"topology": "100,100\n0,20,20\n", "map": f"10,10,0,0\n0,0,0,90\n0,{2**62},0,91\n"}),
-    _row("cdf-no-file", "no raw SE file at {se_blocks}", "export-cdf", files={"se_blocks": None}),
+    _row("cdf-no-file", "{se_blocks}: cannot read: No such file or directory", "export-cdf",
+         files={"se_blocks": None}),
     *(_row("cdf-" + id, message, "export-cdf", files={"se_blocks": text}) for id, text, message in [
         ("header-only", "block,ue_id,se,g\n", "{se_blocks}: no SE rows"),
         ("blank-row", "block,ue_id,se,g\n\n", "{se_blocks}: no SE rows"),
@@ -151,7 +174,9 @@ def _write_inputs(tmp_path, command, files, config, argv):
     lines += [line.format(**names) for name in files if name in _SELECT for line in _SELECT[name]]
     texts = {**_BASE_FILES, "config": "".join(line + "\n" for line in [*lines, *config]), **files}
     for name, text in texts.items():
-        if text is not None:
+        if text is _DIRECTORY:
+            paths[name].mkdir()
+        elif text is not None:
             paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
     if command == "export-cdf":
         return ["export-cdf", "--run", str(paths["se_blocks"].parent), *argv], names

@@ -16,7 +16,6 @@ from cfmimo import selection as sel
 from cfmimo.channel import RadioConfig
 from cfmimo.evaluation import write_report
 from cfmimo.harness import (
-    ConfigError,
     ExperimentConfig,
     compare_algorithms,
     comparison_table,
@@ -50,12 +49,12 @@ def test_config_round_trip():
 
 
 def test_config_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(cfmimo.InputError, match="unknown config key"):
         parse_config("not_a_key = 3\n")
 
 
 def test_config_bad_value_rejected():
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(cfmimo.InputError, match="bad value"):
         parse_config("blocks = many\n")
 
 
@@ -67,7 +66,7 @@ def test_config_comments_and_blanks_ok():
 def test_config_lines_end_only_at_newlines():
     cfg = parse_config("blocks = 7\rn_mc = 3\r\nue_count = 4\n")
     assert (cfg.blocks, cfg.n_mc, cfg.ue_count) == (7, 3, 4)
-    with pytest.raises(ConfigError, match="^line 1: bad value for blocks"):
+    with pytest.raises(cfmimo.InputError, match="^line 1: bad value for blocks"):
         parse_config("blocks = 7\fn_mc = 3\n")
 
 
@@ -252,7 +251,7 @@ def test_compare_draws_once_per_block(tmp_path, monkeypatch):
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(ConfigError, match="unknown algorithm"):
+    with pytest.raises(cfmimo.InputError, match="unknown algorithm"):
         run_experiment(mini_config(), algorithm="magic")
 
 
@@ -275,7 +274,7 @@ def test_track_file_too_short_rejected(tmp_path):
     with open(path, "w") as f:
         f.write("0,0.0,10,10\n0,0.02,11,10\n")
     cfg = mini_config(mobility_source="file", tracks_file=str(path), blocks=50)
-    with pytest.raises(ConfigError, match="track horizon"):
+    with pytest.raises(cfmimo.InputError, match="track horizon"):
         run_experiment(cfg)
 
 
@@ -330,7 +329,7 @@ def test_cli_compare_equals_lone_run_of_another_algorithm(tmp_path):
 
 
 def test_config_estimate_form_raw_removed():
-    with pytest.raises(ConfigError, match="'raw' was removed"):
+    with pytest.raises(cfmimo.InputError, match="'raw' was removed"):
         parse_config("estimate_form = raw\n")
 
 
@@ -346,6 +345,19 @@ def test_cli_simulate_and_export(tmp_path):
     lines = (run_dir / "cdf.csv").read_text().splitlines()
     assert lines[0] == "se,cdf"
     assert lines[-1].endswith(",1")
+
+
+def test_cli_seed_override_equals_config_seed(tmp_path):
+    # simulate --seed 9 on a seed = 5 config writes the bytes of a config
+    # that sets seed = 9
+    override, config = tmp_path / "override.txt", tmp_path / "config.txt"
+    override.write_text(serialize_config(mini_config(seed=5)))
+    config.write_text(serialize_config(mini_config(seed=9)))
+    assert cli.main(["simulate", "--config", str(override), "--seed", "9", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    for name in ("report.txt", "se_blocks.csv"):
+        a, b = (tmp_path / side / "small-cell" / name for side in "ab")
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_compare(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cfmimo.mobility import TrackParseError, generate_rwp, load_tracks
+from cfmimo import InputError
+from cfmimo import mobility as mb
+from cfmimo.mobility import generate_rwp, load_tracks
 from cfmimo.topology import AreaSpec
 
 
@@ -29,6 +31,20 @@ def test_rwp_stays_in_area():
     area = AreaSpec(50.0, 80.0)
     trace = generate_rwp(area, k=6, speed=3.6, duration=200.0, block_duration=1.0, seed=4)
     assert np.all(area.contains(trace.positions.reshape(-1, 2)))
+
+
+def test_rwp_wall_truncation_stays_in_area(monkeypatch):
+    # a 1 x 1 m area with 50 m mean legs: 1000 draws of a leg can all miss
+    # the area, and the walk then cuts its leg at the wall
+    cuts = []
+    truncate = mb._truncate_to_area
+    monkeypatch.setattr(mb, "_truncate_to_area", lambda *args: cuts.append(args) or truncate(*args))
+    area = AreaSpec(1.0, 1.0)
+    trace = generate_rwp(area, k=3, speed=0.8, duration=1.0, block_duration=0.02, mean_transition=50.0, seed=1)
+    assert cuts
+    assert np.all(area.contains(trace.positions.reshape(-1, 2)))
+    step = np.linalg.norm(np.diff(trace.positions, axis=1), axis=2)
+    assert step.max() <= 0.8 * 0.02 + 1e-9
 
 
 def test_rwp_rejects_bad_args():
@@ -97,6 +113,15 @@ def test_tracks_mobility_period_block_count(tmp_path):
     assert trace.speed[0] == pytest.approx(0.5, rel=1e-6)
 
 
+def test_tracks_one_point_per_ue(tmp_path):
+    path = tmp_path / "tracks.txt"
+    _write_track(path, [(0, 0.0, 1.0, 2.0), (1, 0.0, 3.0, 4.0)])
+    trace = load_tracks(path, block_duration=0.02)
+    assert trace.n_blocks == 1
+    assert trace.positions[:, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert trace.speed.tolist() == [0.0, 0.0]
+
+
 def test_tracks_never_extrapolate(tmp_path):
     path = tmp_path / "tracks.txt"
     _write_track(path, [(0, 0.0, 0.0, 0.0), (0, 0.95, 9.5, 0.0)])
@@ -109,21 +134,21 @@ def test_tracks_never_extrapolate(tmp_path):
 def test_tracks_gap_rejected(tmp_path):
     path = tmp_path / "tracks.txt"
     _write_track(path, [(0, 0.0, 0.0, 0.0), (0, 0.05, 1.0, 0.0), (0, 2.0, 2.0, 0.0)])
-    with pytest.raises(TrackParseError, match="gap"):
+    with pytest.raises(InputError, match="gap"):
         load_tracks(path, block_duration=0.02)
 
 
 def test_tracks_out_of_area_rejected(tmp_path):
     path = tmp_path / "tracks.txt"
     _write_track(path, [(0, 0.0, 5.0, 5.0), (0, 0.1, 20.0, 5.0)])
-    with pytest.raises(TrackParseError, match="outside"):
+    with pytest.raises(InputError, match="outside"):
         load_tracks(path, block_duration=0.02, area=AreaSpec(10.0, 10.0))
 
 
 def test_tracks_nonincreasing_time_rejected(tmp_path):
     path = tmp_path / "tracks.txt"
     _write_track(path, [(0, 0.0, 0.0, 0.0), (0, 0.1, 1.0, 0.0), (0, 0.1, 2.0, 0.0)])
-    with pytest.raises(TrackParseError, match="increasing"):
+    with pytest.raises(InputError, match="increasing"):
         load_tracks(path, block_duration=0.02)
 
 
@@ -144,7 +169,7 @@ def test_tracks_non_finite_time_names_line(tmp_path, row, what, area):
     # a nan speed); with an area, a nan point read as outside it
     path = tmp_path / "tracks.txt"
     path.write_text(f"0,0,10,10\n{row}\n0,0.04,12,10\n")
-    with pytest.raises(TrackParseError, match=rf"tracks\.txt:2: non-finite {what} in '{row}'$"):
+    with pytest.raises(InputError, match=rf"tracks\.txt:2: non-finite {what} in '{row}'$"):
         load_tracks(path, block_duration=0.02, area=area)
 
 
@@ -169,7 +194,7 @@ def test_tracks_non_finite_first_time_names_line(tmp_path):
     # block count
     path = tmp_path / "tracks.txt"
     path.write_text("0,-inf,10,10\n")
-    with pytest.raises(TrackParseError, match=r"tracks\.txt:1: non-finite time in '0,-inf,10,10'$"):
+    with pytest.raises(InputError, match=r"tracks\.txt:1: non-finite time in '0,-inf,10,10'$"):
         load_tracks(path, block_duration=0.02)
 
 
@@ -182,7 +207,7 @@ def test_tracks_ids_must_be_0_to_k_minus_1(tmp_path, ids, line, stray, missing):
     path = tmp_path / "tracks.txt"
     _write_track(path, [(u, t, 1.0, 1.0) for t in (0.0, 0.02) for u in ids])
     message = rf"tracks\.txt:{line}: UE id {stray} is outside 0\.\.1; .* id {missing} is missing$"
-    with pytest.raises(TrackParseError, match=message):
+    with pytest.raises(InputError, match=message):
         load_tracks(path, block_duration=0.02)
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from cfmimo import InputError
 from cfmimo.topology import (
     AreaSpec,
     NetworkTopology,
-    TopologyParseError,
     build_square_clusters,
     generate_ppp_topology,
     load_topology,
@@ -31,7 +31,7 @@ def test_load_non_finite_area_header_names_line_1(tmp_path, header):
     # an infinite area let every AP and UE in and ran to a sum rate of 0
     path = tmp_path / "t.txt"
     path.write_text(f"{header}\n0,10,20\n")
-    with pytest.raises(TopologyParseError, match=r"t\.txt:1: bad area header: area must have finite"):
+    with pytest.raises(InputError, match=r"t\.txt:1: bad area header: area must have finite"):
         load_topology(path)
 
 
@@ -86,14 +86,14 @@ def test_load_out_of_bounds_names_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("750,750\n0,10,20\n1,900,0\n")
     # a finite point outside the area; a nan or inf one is a non-finite point
-    with pytest.raises(TopologyParseError, match=r"t\.txt:3: AP 1 at \(900\.0, 0\.0\) outside area$"):
+    with pytest.raises(InputError, match=r"t\.txt:3: AP 1 at \(900\.0, 0\.0\) outside area$"):
         load_topology(path)
 
 
 def test_load_duplicate_id(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100,100\n0,1,1\n0,2,2\n")
-    with pytest.raises(TopologyParseError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         load_topology(path)
 
 
@@ -106,7 +106,7 @@ def test_load_ids_must_be_0_to_m_minus_1(tmp_path, rows, line, stray, missing):
     path = tmp_path / "t.txt"
     path.write_text("100,100\n" + rows)
     message = rf"t\.txt:{line}: AP id {stray} is outside 0\.\.1; .* id {missing} is missing$"
-    with pytest.raises(TopologyParseError, match=message):
+    with pytest.raises(InputError, match=message):
         load_topology(path)
 
 
@@ -119,7 +119,7 @@ def test_load_ids_in_any_order(tmp_path):
 def test_load_malformed_row_names_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("100,100\n0,1,1\nnot-a-row\n")
-    with pytest.raises(TopologyParseError, match=":3:"):
+    with pytest.raises(InputError, match=":3:"):
         load_topology(path)
 
 
