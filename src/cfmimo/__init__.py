@@ -14,6 +14,9 @@ from contextlib import contextmanager
 
 __version__ = "0.1.0"
 
+#: header line of a run's se_blocks.csv, which write_report writes and export-cdf reads
+SE_BLOCKS_HEADER = "block,ue_id,se,g"
+
 
 class InputError(ValueError):
     """A bad configuration or input file; the CLI exits 2 on it."""

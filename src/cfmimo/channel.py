@@ -26,6 +26,9 @@ T0_KELVIN = 290.0
 LIGHT_SPEED = 299792458.0
 ESTIMATE_FORMS = ("mmse",)
 PILOT_METHODS = ("random", "sequential")
+# near and far breakpoints of the three-slope path loss, in meters
+D0_M = 10.0
+DC_M = 50.0
 
 
 @dataclass(frozen=True)
@@ -49,17 +52,12 @@ class RadioConfig:
     ap_height_m: float = 12.5
     ue_height_m: float = 1.65
     shadowing_sigma_db: float = 8.0
-    d0_m: float = 10.0
-    dc_m: float = 50.0
     estimate_form: str = "mmse"
 
     def __post_init__(self):
         if self.pilot_len_slots >= self.block_len_slots:
             raise ValueError("pilot length must be shorter than the block")
-        for name in (
-            "carrier_freq_hz", "bandwidth_hz", "slot_duration_s", "tx_power_w",
-            "ap_height_m", "ue_height_m", "d0_m", "dc_m",
-        ):
+        for name in ("carrier_freq_hz", "bandwidth_hz", "slot_duration_s", "tx_power_w", "ap_height_m", "ue_height_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.shadowing_sigma_db < 0:
@@ -96,13 +94,13 @@ def pathloss_three_slope(d, cfg: RadioConfig):
     """
     d = np.maximum(np.asarray(d, dtype=float), 1.0)
     l0 = hata_offset_db(cfg)
-    dc_km = cfg.dc_m / 1e3
-    d0_km = cfg.d0_m / 1e3
+    dc_km = DC_M / 1e3
+    d0_km = D0_M / 1e3
     d_km = d / 1e3
     near = l0 + 15.0 * np.log10(dc_km) + 20.0 * np.log10(d0_km)
     mid = l0 + 15.0 * np.log10(dc_km) + 20.0 * np.log10(d_km)
     far = l0 + 35.0 * np.log10(d_km)
-    out = np.where(d > cfg.dc_m, far, np.where(d <= cfg.d0_m, near, mid))
+    out = np.where(d > DC_M, far, np.where(d <= D0_M, near, mid))
     return out if out.ndim else float(out)
 
 

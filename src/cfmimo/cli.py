@@ -7,13 +7,12 @@ failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
 
-from . import InputError, open_text, read_rows
-
-SE_BLOCKS_HEADER = "block,ue_id,se,g"
+from . import SE_BLOCKS_HEADER, InputError, open_text, read_rows
 
 
 def _pin_malloc_thresholds() -> None:
@@ -41,12 +40,29 @@ def _pin_malloc_thresholds() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-# simulate and compare import the simulator modules when they run, so that
-# export-cdf, which only reads and writes text, starts no numpy
-def _load(args):
-    """The run's ExperimentConfig: the config file with the command line's overrides."""
+def _check_out_dir(out_dir: str) -> None:
+    """Raise InputError ``<out_dir>: cannot write: <reason>`` unless the nearest
+    existing ancestor of ``out_dir`` ("" is the current directory) is a
+    directory this process may write and enter. Nothing is created."""
+    out_dir = out_dir or "."
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InputError(f"{out_dir}: cannot write: {os.strerror(errno.ENOTDIR)}")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise InputError(f"{out_dir}: cannot write: {os.strerror(errno.EACCES)}")
+
+
+def _run(args, algorithms=None) -> int:
+    """Run compare_algorithms on the config file with the command line's
+    overrides, and write each algorithm's report directory under out_dir.
+    ``algorithms=None`` is simulate, a one-algorithm compare: the config's
+    algorithm, a summary line and no comparison.csv."""
+    # imported here, so that export-cdf, which only reads and writes text, starts no numpy
     from dataclasses import replace
 
+    from . import evaluation as ev
     from . import harness as hn
 
     cfg = hn.load_config(args.config)
@@ -59,32 +75,16 @@ def _load(args):
         overrides["mobility_source"] = args.mobility
     # replace() checks the overridden config again: --mobility rwp brings in
     # the rwp rules
-    return replace(cfg, **overrides)
-
-
-def _cmd_simulate(args) -> int:
-    from . import evaluation as ev
-    from . import harness as hn
-
-    cfg = _load(args)
-    report = hn.run_experiment(cfg)
-    out = os.path.join(cfg.out_dir, report.algorithm)
-    ev.write_report(report, out)
-    print(f"wrote {out}/report.txt (sum rate {report.sum_rate:.4g} bit/s, jain {report.jain:.4f})")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from . import evaluation as ev
-    from . import harness as hn
-
-    cfg = _load(args)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    if not algorithms:
-        raise InputError("--algorithms must name at least one algorithm")
-    reports = hn.compare_algorithms(cfg, algorithms)
+    cfg = replace(cfg, **overrides)
+    _check_out_dir(cfg.out_dir)
+    reports = hn.compare_algorithms(cfg, algorithms or [cfg.algorithm])
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
+    if algorithms is None:
+        rep = reports[cfg.algorithm]
+        print(f"wrote {os.path.join(cfg.out_dir, cfg.algorithm)}/report.txt "
+              f"(sum rate {rep.sum_rate:.4g} bit/s, jain {rep.jain:.4f})")
+        return 0
     table = hn.comparison_table(reports)
     path = os.path.join(cfg.out_dir, "comparison.csv")
     with open(path, "w") as f:
@@ -94,13 +94,20 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _cmd_compare(args) -> int:
+    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise InputError("--algorithms must name at least one algorithm")
+    return _run(args, algorithms)
+
+
 def export_cdf(run_dir) -> list[float]:
     """Write ``cdf.csv``, the empirical CDF of a finished run's per-UE-per-block SE.
 
     Reads the SE column of the run's ``se_blocks.csv`` and writes rows
     ``se,cdf`` in ascending SE, the i-th of n at ordinate i/n. Returns the
     sorted SE values. A file that cannot be read or is not UTF-8 text, a
-    header other than ``block,ue_id,se,g``, no rows, or a row that is not
+    header other than SE_BLOCKS_HEADER, no rows, or a row that is not
     four fields with a finite SE raises InputError, and nothing is written.
     """
     raw = os.path.join(run_dir, "se_blocks.csv")
@@ -141,8 +148,7 @@ def main(argv=None) -> int:
     run.add_argument("--mobility", choices=("rwp", "file"), default=None,
                      help="override the config's mobility source")
 
-    p_sim = sub.add_parser("simulate", parents=[run], help="run one experiment")
-    p_sim.set_defaults(func=_cmd_simulate)
+    sub.add_parser("simulate", parents=[run], help="run one experiment").set_defaults(func=_run)
 
     p_cmp = sub.add_parser("compare", parents=[run], help="run several algorithms on shared realizations")
     p_cmp.add_argument("--algorithms", required=True, help="comma-separated algorithm keys")

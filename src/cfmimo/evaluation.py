@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import SE_BLOCKS_HEADER
 from .channel import ChannelSnapshot, RadioConfig, aging_coefficient, estimate_variance_matrix
 from .selection import CooperationMatrix, SelectionConstraints, jain_index
 
@@ -226,22 +227,22 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norm, out=x, where=norm > 0)
 
 
-def precode_pmmse(
-    ctx: PrecodingContext, estimates: np.ndarray, noise: float, powers_ue: np.ndarray
-) -> np.ndarray:
+def precode_pmmse(ctx: PrecodingContext, estimates: np.ndarray, reg: float) -> np.ndarray:
     """Unit-norm partial MMSE precoders over each UE's serving set.
 
-    w_k solves (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k and
-    is normalized per draw. ``estimates`` is (N, M, K) and so is the return,
-    with zeros outside the serving sets.
+    Every UE sends at the one power p, so w_k solves
+    (sum_{i in S_k} est_i est_i^H |_{M_k} + reg I) w = est_k with
+    reg = n0 / p, the P-MMSE system of Bjornson and Sanguinetti (IEEE Trans.
+    Commun., 2020) divided by p, and is normalized per draw. ``estimates``
+    is (N, M, K) and so is the return, with zeros outside the serving sets.
 
     The work follows ctx.groups, the layout built once per context: served
     UEs grouped by interferer set S, each group gathering its estimates
     est[:, R, S] once, C-contiguous, over the union R of its members' serving
     sets. A member with G <= |S| solves the G x G system directly. A member
     with G > |S| solves an S x S system instead: its estimate is column j of
-    its serving rows U, so (n0 I + U P U^H)^-1 U e_j = U (U^H U + n0 P^-1)^-1
-    e_j / p_j, with nothing subtracted (the b - U(...)U^H b form of the
+    its serving rows U, so (reg I + U U^H)^-1 U e_j = U (U^H U + reg I)^-1
+    e_j, with nothing subtracted (the b - U(...)U^H b form of the
     matrix-inversion lemma cancels away the result at high SNR). The Gram
     U^H U is additive over serving rows: the Gram over the core (the APs every
     such member of the group serves) is formed once, and each member adds the
@@ -259,14 +260,13 @@ def precode_pmmse(
     w = np.zeros_like(est)
     flat = est.reshape(n, -1)
     for g in ctx.groups:
-        p = powers_ue[g.s_set]
         u = flat.take(g.rows[:, None] * k_ues + g.s_set, axis=1)  # (n, R, S)
         # G <= |S|: the G x G system is no larger than the S x S one below,
         # and solving these members by that form too measured slower
         for k, pos, col in g.direct:
             uk = u[:, pos]  # (n, G, S)
-            a = (uk * p) @ uk.conj().transpose(0, 2, 1)
-            a[:, np.arange(pos.size), np.arange(pos.size)] += noise
+            a = uk @ uk.conj().transpose(0, 2, 1)
+            a[:, np.arange(pos.size), np.arange(pos.size)] += reg
             w[:, g.rows[pos], k] = _normalize(np.linalg.solve(a, uk[:, :, col, None])[..., 0])
         if not g.wide.size:
             continue
@@ -274,7 +274,7 @@ def precode_pmmse(
         uh = u.conj()
         a = np.empty((n, g.wide.size, s, s), dtype=u.dtype)
         _write_leaf_grams(g.tree, _gram(u, uh, g.core), u, uh, a)
-        a.reshape(n, g.wide.size, s * s)[:, :, :: s + 1] += noise / p
+        a.reshape(n, g.wide.size, s * s)[:, :, :: s + 1] += reg
         coef = np.linalg.solve(a, g.wide_rhs)[..., 0]  # (n, W, S)
         proj = u @ coef.transpose(0, 2, 1)  # (n, R, W)
         proj *= g.wide_mask
@@ -394,7 +394,7 @@ def evaluate_matrices(
     rho = np.atleast_1d(aging_coefficient(cfg.block_len_slots, speeds, cfg))
     resid = np.maximum(snap.channel_gain() - rho**2 * z, 0.0)
     est_scale, nu_scale = np.sqrt(z / 2.0), np.sqrt(resid / 2.0)
-    powers_ue = np.full(k, cfg.tx_power_w)
+    reg = snap.noise_power / cfg.tx_power_w
     plans = []
     for coop in coops:
         ctx = PrecodingContext.from_matrix(coop)
@@ -416,7 +416,7 @@ def evaluate_matrices(
             for s in range(0, n, sub):
                 part, out = slice(s, s + sub), slice(start + s, start + min(s + sub, n))
                 # sqrt(p) conj(w), formed in the precoders' own array
-                sw = precode_pmmse(ctx, est[part], snap.noise_power, powers_ue)
+                sw = precode_pmmse(ctx, est[part], reg)
                 np.conj(sw, out=sw)
                 sw *= root_powers
                 if hardening:
@@ -559,7 +559,7 @@ def write_report(report: MetricsReport, out_dir) -> None:
         f.write(f"w_violation_blocks = {report.w_violation_blocks}\n")
         f.write(f"g_violation_blocks = {report.g_violation_blocks}\n")
     with open(os.path.join(out_dir, "se_blocks.csv"), "w") as f:
-        f.write("block,ue_id,se,g\n")
+        f.write(SE_BLOCKS_HEADER + "\n")
         for t in range(report.n_blocks):
             for k in range(report.n_ues):
                 f.write(f"{t},{k},{report.se_per_block[k, t]:.10g},{int(report.g_per_block[k, t])}\n")

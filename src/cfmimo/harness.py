@@ -87,7 +87,7 @@ class ExperimentConfig:
                 raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.clusters_per_side < 0:
             raise InputError(f"clusters_per_side must be at least 0, got {self.clusters_per_side}")
-        positive = ["area_width", "area_height"]
+        positive = ["area_width", "area_height", "block_duration_s"]
         if self.mobility_source == "rwp":
             positive += ["speed_mps", "mean_transition_m"]
         for key in positive:
@@ -244,16 +244,6 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
     return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
 
 
-def run_experiment(cfg: ExperimentConfig, algorithm: str | None = None) -> ev.MetricsReport:
-    """Run one experiment end to end; fully deterministic per (config, seed).
-
-    The block loop of compare_algorithms with one algorithm, so a lone run
-    and the same algorithm inside a comparison write the same report.
-    """
-    algo = algorithm or cfg.algorithm
-    return compare_algorithms(cfg, [algo])[algo]
-
-
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
@@ -266,6 +256,8 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Monte-Carlo draws for cfg.sinr_estimator (evaluation.evaluate_matrices),
     so that the draws live one chunk at a time, whatever n_mc and the
     number of algorithms.
+    An algorithm's report does not depend on which others share the run, so
+    ``compare_algorithms(cfg, [name])[name]`` is a lone run of ``name``.
     Module errors, and a non-finite SE, raise RuntimeError naming the block,
     and the algorithm where the error is its own.
     """

@@ -348,16 +348,15 @@ def _cdiv(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
 
 
-def _system_exact(est, rows, interferers, k, noise, powers_ue):
+def _system_exact(est, rows, interferers, k, reg):
     """pmmse_oracle's system for one draw (M, K) as rational (re, im) pairs."""
-    a = [[(Fraction(noise) if r == c else Fraction(0), Fraction(0)) for c in rows] for r in rows]
+    a = [[(Fraction(reg) if r == c else Fraction(0), Fraction(0)) for c in rows] for r in rows]
     for i in interferers:
         v = [_q(est[r, i]) for r in rows]
-        p = Fraction(float(powers_ue[i]))
         for r, vr in enumerate(v):
             for c, vc in enumerate(v):
                 prod = _cmul(vr, (vc[0], -vc[1]))
-                a[r][c] = (a[r][c][0] + p * prod[0], a[r][c][1] + p * prod[1])
+                a[r][c] = (a[r][c][0] + prod[0], a[r][c][1] + prod[1])
     return a, [_q(est[r, k]) for r in rows]
 
 
@@ -376,15 +375,16 @@ def _solve_exact(a, b):
     return np.array([complex(float(x[0]), float(x[1])) for x in out])
 
 
-def pmmse_oracle(d, estimates, noise, powers_ue, exact=False):
+def pmmse_oracle(d, estimates, reg, exact=False):
     """Unit-norm partial MMSE precoders by one direct solve per UE and draw.
 
     M_k is the serving set {m : d[m][k] = 1} of the M x K 0/1 matrix d and
     S_k the UEs sharing at least one of its APs. w_k solves
-    (sum_{i in S_k} p_i est_i est_i^H |_{M_k} + n0 I) w = est_k|_{M_k} and is
-    normalized; entries outside M_k stay zero. ``estimates`` is (N, M, K).
-    With ``exact`` the system is formed and solved in rational arithmetic
-    (tiny sizes only), which stays accurate however badly n0 conditions it.
+    (sum_{i in S_k} est_i est_i^H |_{M_k} + reg I) w = est_k|_{M_k}, reg = n0 / p
+    for the one UE power p, and is normalized; entries outside M_k stay zero.
+    ``estimates`` is (N, M, K). With ``exact`` the system is formed and
+    solved in rational arithmetic (tiny sizes only), which stays accurate
+    however badly reg conditions it.
     """
     est = np.asarray(estimates, dtype=complex)
     d = [[int(x) for x in row] for row in np.asarray(d)]
@@ -400,13 +400,13 @@ def pmmse_oracle(d, estimates, noise, powers_ue, exact=False):
             if not rows:
                 continue
             if exact:
-                a, b = _system_exact(est[n], rows, interferers[k], k, noise, powers_ue)
+                a, b = _system_exact(est[n], rows, interferers[k], k, reg)
                 sol = _solve_exact(a, b)
             else:
-                a = noise * np.eye(len(rows), dtype=complex)
+                a = reg * np.eye(len(rows), dtype=complex)
                 for i in interferers[k]:
                     v = est[n, rows, i]
-                    a += powers_ue[i] * np.outer(v, v.conj())
+                    a += np.outer(v, v.conj())
                 sol = np.linalg.solve(a, est[n, rows, k])
             norm = math.sqrt(sum(abs(x) ** 2 for x in sol))
             if norm > 0:
@@ -494,7 +494,7 @@ def evaluate_block_reference(snap, coop, pilots, speeds, cfg, n_mc=500, seed=0, 
             y = rng.standard_normal(shape)
             nu.append(np.sqrt(resid / 2.0) * (y[..., 0] + 1j * y[..., 1]))
     est = np.concatenate(est)
-    w = precode_pmmse(ctx, est, snap.noise_power, np.full(k, cfg.tx_power_w))
+    w = precode_pmmse(ctx, est, snap.noise_power / cfg.tx_power_w)
     sw = np.sqrt(powers_eff) * np.conj(w)
     if estimator == "hardening":
         desired, total = received_gains(est, sw)

@@ -9,6 +9,8 @@ from scipy.stats import ks_2samp
 
 from cfmimo import InputError
 from cfmimo.channel import (
+    DC_M,
+    D0_M,
     LIGHT_SPEED,
     ChannelSnapshot,
     LogDistanceProvider,
@@ -47,21 +49,21 @@ def test_pathloss_far_slope_hand_value(radio):
 
 def test_pathloss_continuity_at_breakpoints(radio):
     eps = 1e-9
-    for d in (radio.d0_m, radio.dc_m):
+    for d in (D0_M, DC_M):
         below = pathloss_three_slope(d - eps, radio)
         at = pathloss_three_slope(d, radio)
         above = pathloss_three_slope(d + eps, radio)
         assert abs(at - below) < 1e-6
         assert abs(at - above) < 1e-6
     # spec-level continuity bound at the exact breakpoints
-    mid_at_dc = hata_offset_db(radio) + 15 * np.log10(radio.dc_m / 1e3) + 20 * np.log10(radio.dc_m / 1e3)
-    far_at_dc = hata_offset_db(radio) + 35 * np.log10(radio.dc_m / 1e3)
+    mid_at_dc = hata_offset_db(radio) + 15 * np.log10(DC_M / 1e3) + 20 * np.log10(DC_M / 1e3)
+    far_at_dc = hata_offset_db(radio) + 35 * np.log10(DC_M / 1e3)
     assert abs(mid_at_dc - far_at_dc) <= 1e-9
 
 
 def test_pathloss_near_field_clamp(radio):
     assert np.isfinite(pathloss_three_slope(0.0, radio))
-    assert pathloss_three_slope(0.0, radio) == pathloss_three_slope(radio.d0_m, radio)
+    assert pathloss_three_slope(0.0, radio) == pathloss_three_slope(D0_M, radio)
 
 
 def test_pathloss_monotone(radio):

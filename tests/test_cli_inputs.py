@@ -49,6 +49,7 @@ _BAD_SETTINGS = {
     "pilot_method = bogus": "unknown pilot_method 'bogus'; known: ['random', 'sequential']",
     "tau_p = 300": "tau_p (300) must be shorter than tau_c (200)",
     "tx_power_w = 0": "tx_power_w must be positive, got 0.0",
+    "block_duration_s = 0": "block_duration_s must be positive, got 0.0",
     "delta = 1.5": "delta must lie in (0, 1], got 1.5",
     "g_max = 0": "g_max must be at least 1, got 0",
     "e_best = 0": "e_best must be at least 1, got 0",
@@ -100,6 +101,10 @@ ROWS = [
          config=["clusters_per_side = -3"], argv=["--algorithms", "small-cell"]),
     _row("compare-no-algorithm", "--algorithms must name at least one algorithm", "compare",
          argv=["--algorithms", ","]),
+    # an out_dir below a regular file cannot be made
+    *(_row(command + "-out-under-a-file", "{config}/out: cannot write: Not a directory", command,
+           argv=[*extra, "--out", "{config}/out"])
+      for command, extra in [("simulate", []), ("compare", ["--algorithms", "small-cell"])]),
     *(_row("topology-" + id, "{topology}" + message, files={"topology": text}) for id, text, message in [
         ("not-utf8", "100,100\n0,20,20" + _NOT_UTF8 + "\n1,70,70\n", ": not UTF-8 text"),
         ("empty", "", ": empty topology file"),
@@ -165,7 +170,8 @@ ROWS = [
 
 def _write_inputs(tmp_path, command, files, config, argv):
     """Write the base set with the row's files and config lines; return the
-    CLI's argv and the paths that messages name."""
+    CLI's argv, whose ``{config}`` and the like name the set's files, and the
+    paths that messages name."""
     paths = {name: tmp_path / f"{name}.txt" for name in ("config", "topology", "tracks", "map")}
     paths["se_blocks"] = tmp_path / "run" / "se_blocks.csv"
     paths["se_blocks"].parent.mkdir()
@@ -178,6 +184,7 @@ def _write_inputs(tmp_path, command, files, config, argv):
             paths[name].mkdir()
         elif text is not None:
             paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = [arg.format(**names) for arg in argv]
     if command == "export-cdf":
         return ["export-cdf", "--run", str(paths["se_blocks"].parent), *argv], names
     return [command, "--config", names["config"], *argv], names

@@ -72,7 +72,7 @@ def test_context_contains_self_even_unserved():
     (group,) = ctx.groups
     assert group.s_set.tolist() == [0]
     assert _members(group) == [(0, [0], 0)]
-    w = precode_pmmse(ctx, np.ones((1, 2, 2), dtype=complex), noise=1e-3, powers_ue=np.ones(2))
+    w = precode_pmmse(ctx, np.ones((1, 2, 2), dtype=complex), reg=1e-3)
     assert abs(w[0, 0, 0]) == pytest.approx(1.0) and not w[..., 1].any()
 
 
@@ -131,7 +131,7 @@ def test_instant_sinr_unknown_estimator_rejected():
 def test_precoder_single_link_matched_filter():
     ctx = PrecodingContext.from_matrix(CooperationMatrix(np.array([[1]])))
     est = np.array([[0.3 - 0.4j]])
-    w = precode_pmmse(ctx, est[None], noise=1e-6, powers_ue=np.array([0.2]))[0]
+    w = precode_pmmse(ctx, est[None], reg=1e-6 / 0.2)[0]
     assert abs(w[0, 0]) == pytest.approx(1.0)
     # conjugate-matched received gain is real positive
     gain = np.conj(est[0, 0]) * w[0, 0]
@@ -143,7 +143,7 @@ def test_precoder_orthogonal_channels_align():
     d = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx = PrecodingContext.from_matrix(d)
     est = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])
-    w = precode_pmmse(ctx, est[None], noise=1e-12, powers_ue=np.array([0.2, 0.2]))[0]
+    w = precode_pmmse(ctx, est[None], reg=1e-12 / 0.2)[0]
     assert abs(np.vdot(est[:, 0], w[:, 0])) == pytest.approx(1.0, abs=1e-9)
     assert abs(np.vdot(est[:, 1], w[:, 0])) < 1e-6
     assert abs(np.vdot(est[:, 0], w[:, 1])) < 1e-6
@@ -157,9 +157,9 @@ def test_precoder_woodbury_path_matches_direct():
     est = rng.standard_normal((3, m, k)) + 1j * rng.standard_normal((3, m, k))
     d = CooperationMatrix(np.ones((m, k), dtype=int))
     ctx = PrecodingContext.from_matrix(d)
-    powers = np.full(k, 0.3)
-    w_wood = precode_pmmse(ctx, est, noise=1e-3, powers_ue=powers)
-    w_direct = oracles.pmmse_oracle(d.d, est, 1e-3, powers)
+    reg = 1e-3 / 0.3
+    w_wood = precode_pmmse(ctx, est, reg)
+    w_direct = oracles.pmmse_oracle(d.d, est, reg)
     assert np.allclose(w_wood, w_direct, atol=1e-9)
 
 
@@ -167,12 +167,10 @@ def _cn(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _assert_matches_oracle(d, est, noise=0.05, powers=None, ues=None):
+def _assert_matches_oracle(d, est, reg=0.05 / 0.2, ues=None):
     ctx = PrecodingContext.from_matrix(CooperationMatrix(np.asarray(d)))
-    if powers is None:
-        powers = np.linspace(0.2, 0.5, est.shape[-1])
-    w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
-    ref = oracles.pmmse_oracle(d, est, noise, powers)
+    w = precode_pmmse(ctx, est, reg)
+    ref = oracles.pmmse_oracle(d, est, reg)
     assert w.shape == est.shape
     cols = slice(None) if ues is None else ues
     assert np.abs(w[..., cols] - ref[..., cols]).max() < 1e-9
@@ -235,11 +233,11 @@ def test_precoder_layout_built_once_serves_any_chunk():
     d[[18, 19, 6, 7], [4, 5, 6, 7]] = 0
     ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
     est = _cn(np.random.default_rng(27), (n, m, k))
-    powers = np.linspace(0.2, 0.5, k)
-    ref = oracles.pmmse_oracle(d, est, 0.05, powers)
+    reg = 0.05 / 0.2
+    ref = oracles.pmmse_oracle(d, est, reg)
     runs = []
     for step in (1, 3, n):
-        w = np.concatenate([precode_pmmse(ctx, est[i : i + step], 0.05, powers) for i in range(0, n, step)])
+        w = np.concatenate([precode_pmmse(ctx, est[i : i + step], reg) for i in range(0, n, step)])
         assert np.abs(w - ref).max() < 1e-9
         runs.append(w)
     assert all(np.array_equal(w, runs[-1]) for w in runs)
@@ -282,10 +280,10 @@ def test_precoder_accurate_at_high_snr(noise):
     d[3:, 2] = 0
     rng = np.random.default_rng(26)
     est = _cn(rng, (3, m, 3))
-    powers = np.array([0.2, 0.3, 0.25])
+    reg = noise / 0.2
     ctx = PrecodingContext.from_matrix(CooperationMatrix(d))
-    w = precode_pmmse(ctx, est, noise=noise, powers_ue=powers)
-    ref = oracles.pmmse_oracle(d, est, noise, powers, exact=True)
+    w = precode_pmmse(ctx, est, reg)
+    ref = oracles.pmmse_oracle(d, est, reg, exact=True)
     assert np.abs(w - ref).max() < 1e-12
 
 
@@ -296,7 +294,7 @@ def _sinr_instance(seed, n=7, m=5, k=4):
     coop = CooperationMatrix(d)
     ctx = PrecodingContext.from_matrix(coop)
     h = _cn(rng, (n, m, k))
-    w = precode_pmmse(ctx, _cn(rng, (n, m, k)), noise=0.1, powers_ue=np.full(k, 0.2))
+    w = precode_pmmse(ctx, _cn(rng, (n, m, k)), reg=0.1 / 0.2)
     powers = radiated_powers(coop, RadioConfig(tx_power_w=0.2))
     return h, w, powers, rng.uniform(0.3, 1.0, size=k)
 
@@ -318,14 +316,14 @@ def test_precoder_duplicate_channels_split_interference():
     # single UE baseline
     d1 = CooperationMatrix(np.ones((2, 1), dtype=int))
     ctx1 = PrecodingContext.from_matrix(d1)
-    w1 = precode_pmmse(ctx1, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
+    w1 = precode_pmmse(ctx1, h[None], reg=n0 / 0.2)[0]
     p1 = np.full((2, 1), 0.1)
     g1 = instant_sinr(*received_gains(h[None], _sw(w1[None], p1)), rho=1.0, noise=n0)
     # duplicated UE with the same channel
     h2 = np.concatenate([h, h], axis=1)
     d2 = CooperationMatrix(np.ones((2, 2), dtype=int))
     ctx2 = PrecodingContext.from_matrix(d2)
-    w2 = precode_pmmse(ctx2, h2[None], noise=n0, powers_ue=np.array([0.2, 0.2]))[0]
+    w2 = precode_pmmse(ctx2, h2[None], reg=n0 / 0.2)[0]
     p2 = np.full((2, 2), 0.1)
     g2 = instant_sinr(*received_gains(h2[None], _sw(w2[None], p2)), rho=1.0, noise=n0)
     assert g2[0] <= g1[0] + 1e-9
@@ -341,7 +339,7 @@ def test_instant_sinr_single_link_oracle():
     d = CooperationMatrix(np.ones((m, 1), dtype=int))
     ctx = PrecodingContext.from_matrix(d)
     n0 = 1e-13
-    w = precode_pmmse(ctx, h[None], noise=n0, powers_ue=np.array([0.2]))[0]
+    w = precode_pmmse(ctx, h[None], reg=n0 / 0.2)[0]
     p = np.full((m, 1), 0.2)
     gamma = instant_sinr(*received_gains(h[None], _sw(w[None], p)), rho=1.0, noise=n0)
     direct = abs(np.sum(np.sqrt(0.2) * np.conj(h[:, 0]) * w[:, 0])) ** 2 / n0
@@ -353,7 +351,7 @@ def test_instant_sinr_unserved_ue_zero():
     ctx = PrecodingContext.from_matrix(d)
     rng = np.random.default_rng(2)
     h = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
-    w = precode_pmmse(ctx, h, noise=1e-3, powers_ue=np.array([0.2, 0.2]))
+    w = precode_pmmse(ctx, h, reg=1e-3 / 0.2)
     gamma = instant_sinr(*received_gains(h, _sw(w, np.full((2, 2), 0.1))), rho=1.0, noise=1e-3)
     assert gamma[1] == 0.0
 
@@ -473,7 +471,7 @@ def test_hardening_moments_rao_blackwell_identity():
     est = np.sqrt(z / 2.0) * _cn(np.random.default_rng(21), (2, 6, 3))
     powers = radiated_powers(coop, cfg)
     ctx = PrecodingContext.from_matrix(coop)
-    w = precode_pmmse(ctx, est, snap.noise_power, np.full(3, cfg.tx_power_w))
+    w = precode_pmmse(ctx, est, snap.noise_power / cfg.tx_power_w)
     desired, total = hardening_moments(est, _sw(w, powers), rho, resid)
     rng = np.random.default_rng(22)
     n = 120_000
@@ -566,7 +564,7 @@ def test_se_invariant_under_joint_ap_relabeling():
         rng.standard_normal((50, 10, 4)) + 1j * rng.standard_normal((50, 10, 4))
     )
     powers = split_powers(coop, cfg)
-    w = precode_pmmse(ctx, h, noise=snap.noise_power, powers_ue=np.full(4, cfg.tx_power_w))
+    w = precode_pmmse(ctx, h, reg=snap.noise_power / cfg.tx_power_w)
     gamma = instant_sinr(*received_gains(h, _sw(w, powers)), rho=1.0, noise=snap.noise_power)
     perm = rng.permutation(10)
     gamma_p = instant_sinr(

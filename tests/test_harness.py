@@ -22,7 +22,6 @@ from cfmimo.harness import (
     config_hash,
     derive_seed,
     parse_config,
-    run_experiment,
     serialize_config,
 )
 from cfmimo.mobility import load_tracks
@@ -41,6 +40,12 @@ def mini_config(**kw) -> ExperimentConfig:
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def lone_run(cfg: ExperimentConfig, algorithm=None):
+    """The report of a run of one algorithm, the config's by default."""
+    algorithm = algorithm or cfg.algorithm
+    return compare_algorithms(cfg, [algorithm])[algorithm]
 
 
 def test_config_round_trip():
@@ -136,7 +141,7 @@ def test_derive_seed_stable_and_distinct():
 
 def test_minimal_run_shapes():
     cfg = mini_config(topology_m=2, ue_count=1, blocks=1, n_mc=40)
-    rep = run_experiment(cfg)
+    rep = lone_run(cfg)
     assert rep.se_per_block.shape == (1, 1)
     assert rep.g_per_block[0, 0] == 1  # small cell serves with exactly one AP
     assert rep.se_per_block[0, 0] >= 0.0
@@ -144,8 +149,8 @@ def test_minimal_run_shapes():
 
 def test_run_determinism_byte_identical(tmp_path):
     cfg = mini_config()
-    rep1 = run_experiment(cfg)
-    rep2 = run_experiment(cfg)
+    rep1 = lone_run(cfg)
+    rep2 = lone_run(cfg)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_report(rep1, d1)
     write_report(rep2, d2)
@@ -155,8 +160,8 @@ def test_run_determinism_byte_identical(tmp_path):
 
 def test_full_cf_outranks_small_cell_sum_rate():
     cfg = mini_config(topology_m=20, ue_count=5, blocks=3, n_mc=80)
-    rep_cf = run_experiment(cfg, algorithm="full-cf")
-    rep_sc = run_experiment(cfg, algorithm="small-cell")
+    rep_cf = lone_run(cfg, algorithm="full-cf")
+    rep_sc = lone_run(cfg, algorithm="small-cell")
     assert rep_cf.sum_rate > rep_sc.sum_rate
 
 
@@ -184,7 +189,7 @@ def _assert_compare_matches_lone_run(cfg, tmp_path, algorithms=("small-cell", "f
     # every algorithm, not just the first, since later ones reuse the block's draws
     reports = compare_algorithms(cfg, algorithms)
     for algo, inside in reports.items():
-        outside = run_experiment(cfg, algorithm=algo)
+        outside = lone_run(cfg, algorithm=algo)
         d1, d2 = tmp_path / "in" / algo, tmp_path / "out" / algo
         write_report(inside, d1)
         write_report(outside, d2)
@@ -252,7 +257,7 @@ def test_compare_draws_once_per_block(tmp_path, monkeypatch):
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(cfmimo.InputError, match="unknown algorithm"):
-        run_experiment(mini_config(), algorithm="magic")
+        lone_run(mini_config(), algorithm="magic")
 
 
 def test_track_file_mobility_round_trip(tmp_path):
@@ -265,7 +270,7 @@ def test_track_file_mobility_round_trip(tmp_path):
     cfg = mini_config(
         mobility_source="file", tracks_file=str(path), ue_count=3, blocks=2
     )
-    rep = run_experiment(cfg)
+    rep = lone_run(cfg)
     assert rep.se_per_block.shape == (3, 2)
 
 
@@ -275,12 +280,12 @@ def test_track_file_too_short_rejected(tmp_path):
         f.write("0,0.0,10,10\n0,0.02,11,10\n")
     cfg = mini_config(mobility_source="file", tracks_file=str(path), blocks=50)
     with pytest.raises(cfmimo.InputError, match="track horizon"):
-        run_experiment(cfg)
+        lone_run(cfg)
 
 
 def test_export_cdf_ordinates(tmp_path):
     cfg = mini_config(topology_m=4, ue_count=1, blocks=3, n_mc=40)
-    rep = run_experiment(cfg)
+    rep = lone_run(cfg)
     write_report(rep, tmp_path)
     values = cli.export_cdf(tmp_path)
     rows = [line.split(",") for line in (tmp_path / "cdf.csv").read_text().splitlines()[1:]]
@@ -333,13 +338,16 @@ def test_config_estimate_form_raw_removed():
         parse_config("estimate_form = raw\n")
 
 
-def test_cli_simulate_and_export(tmp_path):
+def test_cli_simulate_and_export(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(tmp_path / "out"))))
     rc = cli.main(["simulate", "--config", str(cfg_path)])
     assert rc == 0
     run_dir = tmp_path / "out" / "small-cell"
-    assert (run_dir / "report.txt").exists()
+    # simulate is a one-algorithm compare that prints one line and writes no comparison.csv
+    assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["report.txt", "se_blocks.csv", "small-cell"]
+    assert re.fullmatch(rf"wrote {re.escape(str(run_dir))}/report\.txt \(sum rate \S+ bit/s, jain \S+\)\n",
+                        capsys.readouterr().out)
     rc = cli.main(["export-cdf", "--run", str(run_dir)])
     assert rc == 0
     lines = (run_dir / "cdf.csv").read_text().splitlines()
@@ -394,6 +402,40 @@ def test_cli_export_cdf_loads_no_numpy(tmp_path):
     proc = run_python(_NUMPY_FREE_EXPORT, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cdf.csv").exists()
+
+
+_PEAK_MEMORY_RUN = """
+import sys
+from cfmimo import cli
+
+def vm_hwm_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+out = sys.argv[1]
+peaks = []
+for n_mc in (256, 4096):
+    cfg = f"{out}/cfg-{n_mc}.txt"
+    with open(cfg, "w") as f:
+        f.write(f"topology_m = 100\\nue_count = 20\\nblocks = 1\\nn_mc = {n_mc}\\nseed = 3\\n")
+    argv = ["compare", "--config", cfg, "--algorithms", "small-cell", "--out", f"{out}/{n_mc}"]
+    if cli.main(argv) != 0:
+        sys.exit(f"compare at n_mc = {n_mc} failed")
+    peaks.append(vm_hwm_kb())
+print(*peaks)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
+def test_cli_peak_memory_flat_in_n_mc(tmp_path):
+    # one small-cell hardening block at M = 100, K = 20, compared in a fresh
+    # interpreter at n_mc = 256 and then at 4096 (32 draw chunks of 131):
+    # the draws live one chunk at a time, so the process's peak RSS (VmHWM)
+    # after the larger run may pass the one after the smaller by at most 10%
+    proc = run_python(_PEAK_MEMORY_RUN, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    small, large = map(int, proc.stdout.splitlines()[-1].split())
+    assert large <= 1.1 * small, f"VmHWM after n_mc = 256: {small} kB, after n_mc = 4096: {large} kB"
 
 
 _NO_SCIPY_RUN = """
@@ -482,10 +524,10 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config()))
 
-    def boom(cfg):
+    def boom(cfg, algorithms):
         raise RuntimeError("backend exploded")
 
-    monkeypatch.setattr("cfmimo.harness.run_experiment", boom)
+    monkeypatch.setattr("cfmimo.harness.compare_algorithms", boom)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
 
 
