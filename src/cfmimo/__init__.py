@@ -16,6 +16,8 @@ __version__ = "0.1.0"
 
 #: header line of a run's se_blocks.csv, which write_report writes and export-cdf reads
 SE_BLOCKS_HEADER = "block,ue_id,se,g"
+#: the files write_report writes in a report directory, which the CLI checks before a run
+REPORT_FILES = ("report.txt", "se_blocks.csv")
 
 
 class InputError(ValueError):

@@ -145,19 +145,14 @@ class LogDistanceProvider:
     def __init__(self, topo, cfg: RadioConfig, n_ues: int, seed=0):
         self._ap_pos = topo.ap_positions
         self._cfg = cfg
-        self._n_ues = n_ues
-        if cfg.shadowing_sigma_db > 0:
-            rng = np.random.default_rng(seed)
-            self._shadow = cfg.shadowing_sigma_db * rng.standard_normal(
-                (topo.n_aps, n_ues)
-            )
-        else:
-            self._shadow = np.zeros((topo.n_aps, n_ues))
+        # at sigma 0 the field is signed zeros, and loss + (-0.0) is the loss
+        rng = np.random.default_rng(seed)
+        self._shadow = cfg.shadowing_sigma_db * rng.standard_normal((topo.n_aps, n_ues))
 
     def pathloss_db(self, positions: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
-        if positions.shape != (self._n_ues, 2):
-            raise ValueError(f"expected ({self._n_ues}, 2) positions")
+        if positions.shape != (self._shadow.shape[1], 2):
+            raise ValueError(f"expected ({self._shadow.shape[1]}, 2) positions")
         diff = self._ap_pos[:, None, :] - positions[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         return pathloss_three_slope(dist, self._cfg) + self._shadow

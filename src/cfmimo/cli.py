@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from . import SE_BLOCKS_HEADER, InputError, open_text, read_rows
+from . import REPORT_FILES, SE_BLOCKS_HEADER, InputError, open_text, read_rows
 
 
 def _pin_malloc_thresholds() -> None:
@@ -40,18 +40,28 @@ def _pin_malloc_thresholds() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def _check_out_dir(out_dir: str) -> None:
-    """Raise InputError ``<out_dir>: cannot write: <reason>`` unless the nearest
-    existing ancestor of ``out_dir`` ("" is the current directory) is a
-    directory this process may write and enter. Nothing is created."""
-    out_dir = out_dir or "."
-    path = os.path.abspath(out_dir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise InputError(f"{out_dir}: cannot write: {os.strerror(errno.ENOTDIR)}")
-    if not os.access(path, os.W_OK | os.X_OK):
-        raise InputError(f"{out_dir}: cannot write: {os.strerror(errno.EACCES)}")
+def _check_writes(out_dir: str, files) -> None:
+    """Raise InputError ``<path>: cannot write: <reason>`` unless this process
+    can write ``files`` (paths under ``out_dir``, "" the current directory),
+    making their directories. In turn, out_dir's nearest existing ancestor and
+    each existing parent of a file must be a directory it may write and enter,
+    then each existing file a file it may write. Nothing is created."""
+    top = os.path.abspath(out_dir or ".")
+    while not os.path.exists(top):
+        top = os.path.dirname(top)
+    paths = [os.path.join(out_dir, f) for f in files]
+    # (path, the name its refusal gives, whether it must be a directory)
+    checks = [(top, out_dir or ".", True), *((d, d, True) for d in map(os.path.dirname, paths))]
+    for path, name, is_dir in [*checks, *((p, p, False) for p in paths)]:
+        if not os.path.exists(path):
+            continue
+        if os.path.isdir(path) != is_dir:
+            code = errno.ENOTDIR if is_dir else errno.EISDIR
+        elif not os.access(path, os.W_OK | os.X_OK if is_dir else os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise InputError(f"{name}: cannot write: {os.strerror(code)}")
 
 
 def _run(args, algorithms=None) -> int:
@@ -76,7 +86,8 @@ def _run(args, algorithms=None) -> int:
     # replace() checks the overridden config again: --mobility rwp brings in
     # the rwp rules
     cfg = replace(cfg, **overrides)
-    _check_out_dir(cfg.out_dir)
+    files = [os.path.join(a, f) for a in algorithms or [cfg.algorithm] for f in REPORT_FILES]
+    _check_writes(cfg.out_dir, files if algorithms is None else [*files, "comparison.csv"])
     reports = hn.compare_algorithms(cfg, algorithms or [cfg.algorithm])
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
@@ -108,8 +119,10 @@ def export_cdf(run_dir) -> list[float]:
     ``se,cdf`` in ascending SE, the i-th of n at ordinate i/n. Returns the
     sorted SE values. A file that cannot be read or is not UTF-8 text, a
     header other than SE_BLOCKS_HEADER, no rows, or a row that is not
-    four fields with a finite SE raises InputError, and nothing is written.
+    four fields with a finite SE raises InputError, and nothing is written;
+    so does a ``cdf.csv`` that cannot be written, checked first.
     """
+    _check_writes(run_dir, ["cdf.csv"])
     raw = os.path.join(run_dir, "se_blocks.csv")
     values = []
     with open_text(raw) as f:

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import SE_BLOCKS_HEADER
+from . import REPORT_FILES, SE_BLOCKS_HEADER
 from .channel import ChannelSnapshot, RadioConfig, aging_coefficient, estimate_variance_matrix
 from .selection import CooperationMatrix, SelectionConstraints, jain_index
 
@@ -457,7 +457,6 @@ class MetricsReport:
     n_mc: int
     se_per_block: np.ndarray  # (K, T)
     g_per_block: np.ndarray  # (K, T)
-    rate_per_ue: np.ndarray  # (K,) mean over blocks
     sum_rate: float
     jain: float
     pf_objective: float
@@ -484,13 +483,13 @@ def build_report(
     config_hash: str,
     n_mc: int,
     se_blocks: np.ndarray,
-    rate_blocks: np.ndarray,
+    bandwidth_hz: float,
     g_blocks: np.ndarray,
     w_blocks: np.ndarray,
     constraints: SelectionConstraints,
 ) -> MetricsReport:
-    """Aggregate per-block results into a MetricsReport."""
-    rate_per_ue = rate_blocks.mean(axis=1)
+    """Aggregate per-block results into a MetricsReport; a rate is bandwidth_hz * SE."""
+    rate_per_ue = (bandwidth_hz * se_blocks).mean(axis=1)
     w_bad = int(np.count_nonzero((w_blocks > constraints.tau_p).any(axis=0)))
     g_bad = int(np.count_nonzero((g_blocks > constraints.g_max).any(axis=0)))
     return MetricsReport(
@@ -500,7 +499,6 @@ def build_report(
         n_mc=n_mc,
         se_per_block=se_blocks,
         g_per_block=g_blocks,
-        rate_per_ue=rate_per_ue,
         sum_rate=float(rate_per_ue.sum()),
         jain=jain_index(rate_per_ue),
         # rates floored at 1 bit/s keep a zero-rate UE's log finite
@@ -536,7 +534,8 @@ def write_report(report: MetricsReport, out_dir) -> None:
     """Serialize the report: metadata header, per-UE rows, aggregate rows,
     plus the raw per-block SE file for CDF plotting."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w") as f:
+    report_txt, se_blocks_csv = (os.path.join(out_dir, name) for name in REPORT_FILES)
+    with open(report_txt, "w") as f:
         f.write("# run metadata\n")
         f.write(f"algorithm = {report.algorithm}\n")
         f.write(f"seed = {report.seed}\n")
@@ -558,7 +557,7 @@ def write_report(report: MetricsReport, out_dir) -> None:
         f.write(f"mean_connections = {report.mean_connections:.10g}\n")
         f.write(f"w_violation_blocks = {report.w_violation_blocks}\n")
         f.write(f"g_violation_blocks = {report.g_violation_blocks}\n")
-    with open(os.path.join(out_dir, "se_blocks.csv"), "w") as f:
+    with open(se_blocks_csv, "w") as f:
         f.write(SE_BLOCKS_HEADER + "\n")
         for t in range(report.n_blocks):
             for k in range(report.n_ues):

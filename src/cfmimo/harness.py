@@ -280,7 +280,6 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
             raise InputError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
     pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
     se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
-    rate_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     g_blocks = {a: np.zeros((cfg_k, cfg.blocks), dtype=int) for a in algorithms}
     w_blocks = {a: np.zeros((topo.n_aps, cfg.blocks), dtype=int) for a in algorithms}
     for b in range(cfg.blocks):
@@ -299,14 +298,13 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
             results = ev.evaluate_matrices(
                 snap, coops, pilots, trace.speed, radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator
             )
-            for algo, coop, (_, se, rate) in zip(algorithms, coops, results):
+            for algo, coop, (_, se, _) in zip(algorithms, coops, results):
                 if len(algorithms) > 1:
                     where = f"block {b}, {algo}"
                 bad = np.flatnonzero(~np.isfinite(se))
                 if bad.size:
                     raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
                 se_blocks[algo][:, b] = se
-                rate_blocks[algo][:, b] = rate
                 g_blocks[algo][:, b] = coop.g_k
                 w_blocks[algo][:, b] = coop.w_m
         except Exception as e:
@@ -318,7 +316,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
             config_hash=config_hash(cfg),
             n_mc=cfg.n_mc,
             se_blocks=se_blocks[algo],
-            rate_blocks=rate_blocks[algo],
+            bandwidth_hz=cfg.bandwidth_hz,
             g_blocks=g_blocks[algo],
             w_blocks=w_blocks[algo],
             constraints=constraints,

@@ -22,25 +22,27 @@ from .topology import AreaSpec
 class MobilityTrace:
     """Per-UE positions at block boundaries.
 
-    positions: (K, T, 2) array, block_duration in seconds, speed: (K,) m/s.
+    positions: (K, T, 2) array, speed: (K,) m/s.
     """
 
-    ue_count: int
-    block_duration: float
     positions: np.ndarray
     speed: np.ndarray
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         spd = np.asarray(self.speed, dtype=float)
-        if pos.ndim != 3 or pos.shape[0] != self.ue_count or pos.shape[2] != 2:
-            raise ValueError("positions must be (ue_count, T, 2)")
-        if spd.shape != (self.ue_count,):
+        if pos.ndim != 3 or pos.shape[2] != 2:
+            raise ValueError("positions must be (K, T, 2)")
+        if spd.shape != pos.shape[:1]:
             raise ValueError("speed must have one entry per UE")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "speed", spd)
         pos.setflags(write=False)
         spd.setflags(write=False)
+
+    @property
+    def ue_count(self) -> int:
+        return self.positions.shape[0]
 
     @property
     def n_blocks(self) -> int:
@@ -113,12 +115,7 @@ def generate_rwp(
                 filled += 1
             origin = end
             t_leg = t_end
-    return MobilityTrace(
-        ue_count=k,
-        block_duration=block_duration,
-        positions=positions,
-        speed=np.full(k, float(speed)),
-    )
+    return MobilityTrace(positions, np.full(k, float(speed)))
 
 
 def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> MobilityTrace:
@@ -182,9 +179,4 @@ def load_tracks(path, block_duration: float, area: AreaSpec | None = None) -> Mo
             speeds[i] = step[mid] if len(step) % 2 else (step[mid - 1] + step[mid]) / 2
         else:
             speeds[i] = 0.0
-    return MobilityTrace(
-        ue_count=k,
-        block_duration=block_duration,
-        positions=positions,
-        speed=speeds,
-    )
+    return MobilityTrace(positions, speeds)

@@ -3,7 +3,8 @@
 Each row of ``ROWS`` is one bad input: the command, the files and config
 lines that differ from one valid base set, extra argv, and the stderr line
 after ``config error: `` (``{map}`` and the like name the set's files). One
-runner checks each: exit 2, that one line, no run directory, no ``cdf.csv``.
+runner checks each: exit 2, that one line, and no path created at or under
+out_dir or as ``cdf.csv``.
 """
 
 import pytest
@@ -30,7 +31,8 @@ _SELECT = {
 # rows' texts are written as UTF-8 with surrogateescape, so this stands for
 # the byte \xff
 _NOT_UTF8 = "\udcff"
-# a file given as this is made a directory
+# a file given as this is made a directory; a row may also make a path the
+# run would write, such as "out/unifsrv-heu", named relative to the set
 _DIRECTORY = object()
 
 
@@ -105,6 +107,15 @@ ROWS = [
     *(_row(command + "-out-under-a-file", "{config}/out: cannot write: Not a directory", command,
            argv=[*extra, "--out", "{config}/out"])
       for command, extra in [("simulate", []), ("compare", ["--algorithms", "small-cell"])]),
+    # a path the run would write exists, and it cannot be written
+    _row("simulate-report-dir-is-a-file", "{out}/unifsrv-heu: cannot write: Not a directory",
+         files={"out/unifsrv-heu": ""}),
+    _row("simulate-report-is-a-directory", "{out}/unifsrv-heu/report.txt: cannot write: Is a directory",
+         files={"out/unifsrv-heu/report.txt": _DIRECTORY}),
+    _row("compare-comparison-is-a-directory", "{out}/comparison.csv: cannot write: Is a directory", "compare",
+         files={"out/comparison.csv": _DIRECTORY}, argv=["--algorithms", "small-cell,full-cf"]),
+    _row("cdf-output-is-a-directory", "{run}/cdf.csv: cannot write: Is a directory", "export-cdf",
+         files={"run/cdf.csv": _DIRECTORY}),
     *(_row("topology-" + id, "{topology}" + message, files={"topology": text}) for id, text, message in [
         ("not-utf8", "100,100\n0,20,20" + _NOT_UTF8 + "\n1,70,70\n", ": not UTF-8 text"),
         ("empty", "", ": empty topology file"),
@@ -173,26 +184,30 @@ def _write_inputs(tmp_path, command, files, config, argv):
     CLI's argv, whose ``{config}`` and the like name the set's files, and the
     paths that messages name."""
     paths = {name: tmp_path / f"{name}.txt" for name in ("config", "topology", "tracks", "map")}
-    paths["se_blocks"] = tmp_path / "run" / "se_blocks.csv"
-    paths["se_blocks"].parent.mkdir()
+    paths.update(out=tmp_path / "out", run=tmp_path / "run", se_blocks=tmp_path / "run" / "se_blocks.csv")
+    paths["run"].mkdir()
     names = {name: str(path) for name, path in paths.items()}
-    lines = [*_BASE_CONFIG, f"out_dir = {tmp_path / 'out'}"]
+    lines = [*_BASE_CONFIG, f"out_dir = {paths['out']}"]
     lines += [line.format(**names) for name in files if name in _SELECT for line in _SELECT[name]]
     texts = {**_BASE_FILES, "config": "".join(line + "\n" for line in [*lines, *config]), **files}
     for name, text in texts.items():
+        path = paths.get(name, tmp_path / name)
+        path.parent.mkdir(parents=True, exist_ok=True)
         if text is _DIRECTORY:
-            paths[name].mkdir()
+            path.mkdir()
         elif text is not None:
-            paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
     argv = [arg.format(**names) for arg in argv]
     if command == "export-cdf":
         return ["export-cdf", "--run", str(paths["se_blocks"].parent), *argv], names
     return [command, "--config", names["config"], *argv], names
 
 
-def _assert_nothing_written(tmp_path):
-    assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "run" / "cdf.csv").exists()
+def _outputs(tmp_path):
+    """out_dir, the paths under it and export-cdf's cdf.csv, those that
+    exist, each with whether it is a directory."""
+    out, cdf = tmp_path / "out", tmp_path / "run" / "cdf.csv"
+    return {(p, p.is_dir()) for p in [out, *out.rglob("*"), cdf] if p.exists()}
 
 
 @pytest.mark.parametrize("command, files, config, argv, message", ROWS)
@@ -203,9 +218,10 @@ def test_bad_input_exits_2_before_block_0(tmp_path, monkeypatch, capsys, command
         raise AssertionError("a block ran")
 
     monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", no_block)
+    made = _outputs(tmp_path)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message.format(**names)}\n"
-    _assert_nothing_written(tmp_path)
+    assert _outputs(tmp_path) == made
 
 
 def test_bad_input_exit_status_of_the_module(tmp_path):
@@ -215,7 +231,7 @@ def test_bad_input_exit_status_of_the_module(tmp_path):
     argv, names = _write_inputs(tmp_path, command, files, config, argv)
     proc = run_python("import runpy; runpy.run_module('cfmimo.cli', run_name='__main__')", *argv)
     assert (proc.returncode, proc.stderr) == (2, f"config error: {message.format(**names)}\n")
-    _assert_nothing_written(tmp_path)
+    assert not _outputs(tmp_path)
 
 
 def test_base_set_runs(tmp_path):

@@ -376,10 +376,11 @@ def test_spectral_efficiency_values(radio):
 
 
 def _block_report(coop, rates):
-    """build_report of one block in which ``coop`` serves UEs at ``rates``."""
+    """build_report of one block in which ``coop`` serves UEs at ``rates``:
+    the rates as SE over a 1 Hz band."""
     rates = np.asarray(rates, dtype=float)[:, None]
     cons = SelectionConstraints(g_max=30)
-    return build_report("small-cell", 0, "0" * 16, 1, rates, rates, coop.g_k[:, None], coop.w_m[:, None], cons)
+    return build_report("small-cell", 0, "0" * 16, 1, rates, 1.0, coop.g_k[:, None], coop.w_m[:, None], cons)
 
 
 def test_objective_values_basics():

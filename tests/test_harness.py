@@ -173,6 +173,17 @@ def test_compare_single_algorithm():
     assert table.splitlines()[0].startswith("algorithm,")
 
 
+def test_report_aggregates_are_formed_from_se():
+    # a UE's rate is bandwidth x SE, so the aggregates formed again from the
+    # report's own per-block SE are its aggregates to the bit
+    cfg = mini_config()
+    for rep in compare_algorithms(cfg, ["small-cell", "full-cf"]).values():
+        rate = (cfg.bandwidth_hz * rep.se_per_block).mean(axis=1)
+        assert rep.sum_rate == float(rate.sum())
+        assert rep.jain == sel.jain_index(rate)
+        assert rep.pf_objective == float(np.log(np.maximum(rate, 1.0)).sum())
+
+
 def map_config(tmp_path) -> ExperimentConfig:
     """mini_config on a file topology with a mapgen shadow map."""
     topo = generate_ppp_topology(AreaSpec(200.0, 200.0), 12, seed=4)

@@ -55,6 +55,17 @@ def test_rwp_rejects_bad_args():
         generate_rwp(area, k=1, speed=0.0, duration=1.0, block_duration=0.1)
 
 
+def test_trace_is_positions_and_speeds():
+    # the UE count and the horizon follow positions, and speed has one entry per UE
+    positions = np.zeros((3, 4, 2))
+    trace = mb.MobilityTrace(positions, np.ones(3))
+    assert (trace.ue_count, trace.n_blocks) == (3, 4)
+    with pytest.raises(ValueError, match="speed must have one entry per UE"):
+        mb.MobilityTrace(positions, np.ones(4))
+    with pytest.raises(ValueError, match=r"positions must be \(K, T, 2\)"):
+        mb.MobilityTrace(np.zeros((3, 4)), np.ones(3))
+
+
 def test_rwp_center_denser_than_corner():
     # qualitative stationary property over >= 1e4 samples
     area = AreaSpec(90.0, 90.0)
