@@ -86,9 +86,10 @@ def _run(args, algorithms=None) -> int:
     # replace() checks the overridden config again: --mobility rwp brings in
     # the rwp rules
     cfg = replace(cfg, **overrides)
-    files = [os.path.join(a, f) for a in algorithms or [cfg.algorithm] for f in REPORT_FILES]
+    names = hn.check_algorithms(cfg, algorithms or [cfg.algorithm])
+    files = [os.path.join(a, f) for a in names for f in REPORT_FILES]
     _check_writes(cfg.out_dir, files if algorithms is None else [*files, "comparison.csv"])
-    reports = hn.compare_algorithms(cfg, algorithms or [cfg.algorithm])
+    reports = hn.compare_algorithms(cfg, names)
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
     if algorithms is None:

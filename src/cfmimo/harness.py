@@ -85,8 +85,6 @@ class ExperimentConfig:
         for key in ("n_mc", "blocks", "ue_count", "mdp_round_budget", "tau_p"):
             if getattr(self, key) < 1:
                 raise InputError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if self.clusters_per_side < 0:
-            raise InputError(f"clusters_per_side must be at least 0, got {self.clusters_per_side}")
         positive = ["area_width", "area_height", "block_duration_s"]
         if self.mobility_source == "rwp":
             positive += ["speed_mps", "mean_transition_m"]
@@ -135,6 +133,7 @@ class ExperimentConfig:
             e_best=self.e_best,
             beta0=10.0 ** (self.beta0_db / 10.0),
             allow_tau_p_equality=self.allow_tau_p_equality,
+            clusters_per_side=self.clusters_per_side,
         )
 
 
@@ -203,14 +202,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def _build_topology(cfg: ExperimentConfig) -> tp.NetworkTopology:
     area = tp.AreaSpec(width=cfg.area_width, height=cfg.area_height)
     if cfg.topology_source == "ppp":
-        topo = tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
-    else:
-        if not cfg.topology_file:
-            raise InputError("topology_source=file needs topology_file")
-        topo = tp.load_topology(cfg.topology_file)
-    if cfg.clusters_per_side > 0:
-        topo = tp.build_square_clusters(topo, cfg.clusters_per_side)
-    return topo
+        return tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
+    if not cfg.topology_file:
+        raise InputError("topology_source=file needs topology_file")
+    return tp.load_topology(cfg.topology_file)
 
 
 def _build_trace(cfg: ExperimentConfig, area: tp.AreaSpec) -> mb.MobilityTrace:
@@ -244,13 +239,25 @@ def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.R
     return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
 
 
+def check_algorithms(cfg: ExperimentConfig, names) -> list[str]:
+    """``names`` de-duplicated in order; InputError for an unknown name, or
+    for cuc without a cluster grid in cfg."""
+    names = list(dict.fromkeys(names))
+    for name in names:
+        if name not in sel.ALGORITHMS:
+            raise InputError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
+    if "cuc" in names and cfg.clusters_per_side < 1:
+        raise InputError("cuc needs a cluster grid: set clusters_per_side to at least 1")
+    return names
+
+
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
-    Every algorithm name, and cuc's cluster grid, is checked before any
-    work. The run is block-major: the topology, trace, path-loss provider
-    and pilots are built once, and a path-loss map that covers none of the
-    run's UE positions is refused before block 0. Per block: advance UE
+    The algorithms pass check_algorithms before any work. The run is
+    block-major: the topology, trace, path-loss provider and pilots are
+    built once, and a path-loss map that covers none of the run's UE
+    positions is refused before block 0. Per block: advance UE
     positions, take one channel snapshot, select every algorithm's serving
     sets on it, then evaluate them all on one walk over the block's
     Monte-Carlo draws for cfg.sinr_estimator (evaluation.evaluate_matrices),
@@ -261,12 +268,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     Module errors, and a non-finite SE, raise RuntimeError naming the block,
     and the algorithm where the error is its own.
     """
-    algorithms = list(dict.fromkeys(algorithms))
-    for name in algorithms:
-        if name not in sel.ALGORITHMS:
-            raise InputError(f"unknown algorithm {name!r}; known: {sorted(sel.ALGORITHMS)}")
-    if "cuc" in algorithms and cfg.clusters_per_side < 1:
-        raise InputError("cuc needs a cluster grid: set clusters_per_side to at least 1")
+    algorithms = check_algorithms(cfg, algorithms)
     radio = cfg.radio()
     constraints = cfg.constraints()
     topo = _build_topology(cfg)

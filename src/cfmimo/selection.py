@@ -3,7 +3,7 @@
 Every algorithm selects from the candidate APs, those at or above the
 outage threshold beta0, and ranks a UE's candidates by descending beta with
 ties toward the lowest AP index. Besides the snapshot and the constraints,
-cuc reads the topology's cluster grid and mdp-greedy its round budget. The
+cuc reads the topology's AP positions and mdp-greedy its round budget. The
 rules that walk UEs do so in ascending UE id, which matters for the
 load-capped and eviction-based algorithms (documented order dependence).
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSnapshot
+from .topology import build_square_clusters
 
 #: sentinel action: end the current UE's round without connecting an AP
 SKIP = -1
@@ -53,7 +54,8 @@ class SelectionConstraints:
 
     delta is the serving-set SNR fraction in (0, 1]; beta0 the linear outage
     SNR below which an AP is never a candidate; e_best the number of anchor
-    APs for cluster-based selection.
+    APs and clusters_per_side the side, in cells, of the square cluster grid
+    for cluster-based selection (0: no grid).
     """
 
     g_max: int
@@ -62,11 +64,12 @@ class SelectionConstraints:
     e_best: int = 1
     beta0: float = 0.01
     allow_tau_p_equality: bool = False
+    clusters_per_side: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        for key, least in (("g_max", 1), ("tau_p", 0), ("e_best", 1)):
+        for key, least in (("g_max", 1), ("tau_p", 0), ("e_best", 1), ("clusters_per_side", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
@@ -232,16 +235,19 @@ def select_cuc(
 ) -> CooperationMatrix:
     """Serve each UE with the full clusters of its e_best strongest APs.
 
-    An AP serves a UE when its cluster holds one of the UE's first e_best
-    candidate APs in rank order.
+    The clusters are the cells of a clusters_per_side x clusters_per_side
+    grid over the topology's area; an AP serves a UE when its cluster holds
+    one of the UE's first e_best candidate APs in rank order.
     """
-    if topo is None or topo.cluster_of_ap is None:
-        raise ValueError("CUC requires a topology with a built cluster grid")
+    n = constraints.clusters_per_side
+    if topo is None or n < 1:
+        raise ValueError("CUC requires a topology and a cluster grid")
+    cluster = build_square_clusters(topo, n)
     beta, order, ranked = _ranked(snapshot, constraints)
     rank, ue = np.nonzero(ranked[: constraints.e_best] > 0.0)
-    hit = np.zeros((topo.n_clusters, beta.shape[1]), dtype=bool)
-    hit[topo.cluster_of_ap[order[rank, ue]], ue] = True
-    return CooperationMatrix(d=hit[topo.cluster_of_ap].astype(np.int8))
+    hit = np.zeros((n * n, beta.shape[1]), dtype=bool)
+    hit[cluster[order[rank, ue]], ue] = True
+    return CooperationMatrix(d=hit[cluster].astype(np.int8))
 
 
 def select_small_cell(snapshot: ChannelSnapshot, constraints: SelectionConstraints) -> CooperationMatrix:

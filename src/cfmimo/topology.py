@@ -1,10 +1,10 @@
-"""Static network layout: AP placement, simulation area, CPU cluster grid.
+"""Static network layout: AP placement, simulation area, square cluster grid.
 
 AP positions are either drawn uniformly over a rectangle (binomial point
 process, i.e. a PPP conditioned on the AP count) or ingested from a plain-text
-file. A disjoint square cluster grid can be overlaid for cluster-based
-serving-set selection. Topologies are immutable after construction and safe to
-share across workers.
+file. Cluster-based serving-set selection assigns each AP to a cell of a
+square grid over the area. Topologies are immutable after construction and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -36,17 +36,11 @@ class AreaSpec:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """AP layout over an area, with an optional disjoint square cluster grid.
-
-    ``ap_positions`` is an (M, 2) float array ordered by AP id. When a cluster
-    grid has been built, ``cluster_of_ap`` holds one cluster index in
-    [0, n_clusters) per AP; otherwise it is None and n_clusters is 0.
-    """
+    """AP layout over an area; ``ap_positions`` is an (M, 2) float array
+    ordered by AP id."""
 
     area: AreaSpec
     ap_positions: np.ndarray
-    cluster_of_ap: np.ndarray | None = None
-    n_clusters: int = 0
 
     def __post_init__(self):
         pos = np.asarray(self.ap_positions, dtype=float)
@@ -56,14 +50,6 @@ class NetworkTopology:
             raise ValueError("all AP positions must lie within the area bounds")
         object.__setattr__(self, "ap_positions", pos)
         pos.setflags(write=False)
-        if self.cluster_of_ap is not None:
-            cl = np.asarray(self.cluster_of_ap, dtype=int)
-            if cl.shape != (pos.shape[0],):
-                raise ValueError("cluster_of_ap must have one entry per AP")
-            if self.n_clusters < 1 or cl.min() < 0 or cl.max() >= self.n_clusters:
-                raise ValueError("cluster indices must lie in [0, n_clusters)")
-            object.__setattr__(self, "cluster_of_ap", cl)
-            cl.setflags(write=False)
 
     @property
     def n_aps(self) -> int:
@@ -84,12 +70,12 @@ def generate_ppp_topology(area: AreaSpec, m: int, seed) -> NetworkTopology:
     return NetworkTopology(area=area, ap_positions=pos)
 
 
-def build_square_clusters(topo: NetworkTopology, n_per_side: int) -> NetworkTopology:
-    """Overlay an n x n grid of equal square clusters and assign APs by cell.
+def build_square_clusters(topo: NetworkTopology, n_per_side: int) -> np.ndarray:
+    """Each AP's (M,) cell index in an n x n grid of equal square cells over the area.
 
     Assignment is a pure function of position: cell index = floor(coord / cell
-    size), row-major. APs sitting exactly on the outer boundary fall into the
-    last cell of that axis.
+    size), row-major, in [0, n * n). APs sitting exactly on the outer boundary
+    fall into the last cell of that axis.
     """
     if n_per_side < 1:
         raise ValueError(f"n_per_side must be >= 1, got {n_per_side}")
@@ -97,13 +83,7 @@ def build_square_clusters(topo: NetworkTopology, n_per_side: int) -> NetworkTopo
     ch = topo.area.height / n_per_side
     ix = np.minimum((topo.ap_positions[:, 0] // cw).astype(int), n_per_side - 1)
     iy = np.minimum((topo.ap_positions[:, 1] // ch).astype(int), n_per_side - 1)
-    cluster = iy * n_per_side + ix
-    return NetworkTopology(
-        area=topo.area,
-        ap_positions=topo.ap_positions,
-        cluster_of_ap=cluster,
-        n_clusters=n_per_side * n_per_side,
-    )
+    return iy * n_per_side + ix
 
 
 def load_topology(path) -> NetworkTopology:

@@ -112,13 +112,13 @@ def test_criterion_3_benchmark_convergence(benchmark_reports):
 
 def test_criterion_4_constraint_table():
     cfg = RadioConfig()
-    cons = SelectionConstraints(g_max=15, tau_p=4, delta=0.95, e_best=2, beta0=0.01)
+    cons = SelectionConstraints(g_max=15, tau_p=4, delta=0.95, e_best=2, beta0=0.01, clusters_per_side=5)
     area = AreaSpec(300.0, 300.0)
     names = ("unifsrv-heu", "puc-const", "cuc", "mdp-greedy", "puc")
     w_viol = {n: 0 for n in names}
     g_viol = {n: 0 for n in names}
     for seed in range(100):
-        topo = build_square_clusters(generate_ppp_topology(area, 50, seed=seed), 5)
+        topo = generate_ppp_topology(area, 50, seed=seed)
         provider = LogDistanceProvider(topo, cfg, 12, seed=seed + 1000)
         pos = np.random.default_rng(seed + 2000).uniform(0, 300, size=(12, 2))
         snap = snapshot(topo, pos, provider, cfg)
@@ -169,7 +169,7 @@ def test_criterion_5_serving_set_economy(tmp_path):
 
 def test_criterion_6_oracle_equivalence():
     mismatches = []
-    cons_kw = dict(g_max=3, tau_p=2, delta=0.9, e_best=2, beta0=0.4)
+    cons_kw = dict(g_max=3, tau_p=2, delta=0.9, e_best=2, beta0=0.4, clusters_per_side=2)
     for m in range(1, 13):
         for k in range(1, 13):
             if m * k > 12:
@@ -178,9 +178,7 @@ def test_criterion_6_oracle_equivalence():
                 snap = random_snapshot(m, k, seed=1000 * m + 10 * k + seed)
                 cons = SelectionConstraints(**cons_kw)
                 beta = snap.beta.tolist()
-                topo = build_square_clusters(
-                    generate_ppp_topology(AreaSpec(100.0, 100.0), m, seed=seed), 2
-                )
+                topo = generate_ppp_topology(AreaSpec(100.0, 100.0), m, seed=seed)
                 got = {
                     "unifsrv-heu": run_algorithm("unifsrv-heu", snap, cons),
                     "puc": run_algorithm("puc", snap, cons),
@@ -194,7 +192,7 @@ def test_criterion_6_oracle_equivalence():
                     "unifsrv-heu": oracles.unifsrv_heu_oracle(beta, 2, 3, 0.9, beta0=0.4),
                     "puc": oracles.puc_oracle(beta, 0.9, beta0=0.4),
                     "puc-const": oracles.puc_const_oracle(beta, 2, beta0=0.4),
-                    "cuc": oracles.cuc_oracle(beta, topo.cluster_of_ap.tolist(), 2, beta0=0.4),
+                    "cuc": oracles.cuc_oracle(beta, build_square_clusters(topo, 2).tolist(), 2, beta0=0.4),
                     "small-cell": oracles.small_cell_oracle(beta, beta0=0.4),
                     "full-cf": oracles.full_cf_oracle(beta, beta0=0.4),
                     "mdp-greedy": oracles.mdp_greedy_oracle(beta, 2, 3, 20, beta0=0.4),

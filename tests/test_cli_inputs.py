@@ -7,6 +7,8 @@ runner checks each: exit 2, that one line, and no path created at or under
 out_dir or as ``cdf.csv``.
 """
 
+import os
+
 import pytest
 
 from cfmimo import cli
@@ -103,6 +105,16 @@ ROWS = [
          config=["clusters_per_side = -3"], argv=["--algorithms", "small-cell"]),
     _row("compare-no-algorithm", "--algorithms must name at least one algorithm", "compare",
          argv=["--algorithms", ","]),
+    # the names are checked before the paths: a regular file where the
+    # report directory of a refused name would go does not mask the name
+    _row("compare-unknown-algorithm-over-a-file", "unknown algorithm 'bogus'; known: ['cuc', 'full-cf', "
+         "'mdp-greedy', 'puc', 'puc-const', 'small-cell', 'unifsrv-heu']", "compare",
+         files={"out/bogus": ""}, argv=["--algorithms", "small-cell,bogus"]),
+    _row("simulate-unknown-algorithm-over-a-file", "unknown algorithm 'bogus'; known: ['cuc', 'full-cf', "
+         "'mdp-greedy', 'puc', 'puc-const', 'small-cell', 'unifsrv-heu']",
+         files={"out/bogus": ""}, config=["algorithm = bogus"]),
+    _row("compare-cuc-without-grid-over-a-file", "cuc needs a cluster grid: set clusters_per_side to at least 1",
+         "compare", files={"out/cuc": ""}, argv=["--algorithms", "small-cell,cuc"]),
     # an out_dir below a regular file cannot be made
     *(_row(command + "-out-under-a-file", "{config}/out: cannot write: Not a directory", command,
            argv=[*extra, "--out", "{config}/out"])
@@ -221,6 +233,18 @@ def test_bad_input_exits_2_before_block_0(tmp_path, monkeypatch, capsys, command
     made = _outputs(tmp_path)
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message.format(**names)}\n"
+    assert _outputs(tmp_path) == made
+
+
+def test_unwritable_report_exits_2(tmp_path, monkeypatch, capsys):
+    # root passes every os.access check, so os.access itself refuses the report
+    argv, names = _write_inputs(tmp_path, "simulate", {"out/unifsrv-heu/report.txt": ""}, (), ())
+    report = os.path.join(names["out"], "unifsrv-heu", "report.txt")
+    access = os.access
+    monkeypatch.setattr("cfmimo.cli.os.access", lambda path, mode: path != report and access(path, mode))
+    made = _outputs(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {report}: cannot write: Permission denied\n"
     assert _outputs(tmp_path) == made
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from conftest import make_snapshot, no_outage, random_snapshot
 import oracles
 
 
-def loose(g_max=100, tau_p=100, delta=0.95, e_best=1, beta0=0.0):
-    return SelectionConstraints(g_max=g_max, tau_p=tau_p, delta=delta, e_best=e_best, beta0=beta0)
+def loose(g_max=100, tau_p=100, delta=0.95, e_best=1, beta0=0.0, clusters_per_side=0):
+    return SelectionConstraints(
+        g_max=g_max, tau_p=tau_p, delta=delta, e_best=e_best, beta0=beta0, clusters_per_side=clusters_per_side
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,60 +334,55 @@ def test_unifsrv_order_dependence_exhibit():
 # CUC
 # ---------------------------------------------------------------------------
 
-def _clustered_topo(m=20, n_per_side=2, seed=6):
-    topo = generate_ppp_topology(AreaSpec(200.0, 200.0), m, seed=seed)
-    return build_square_clusters(topo, n_per_side)
-
-
 def test_cuc_requires_clusters():
     topo = generate_ppp_topology(AreaSpec(100.0, 100.0), 4, seed=0)
     snap = random_snapshot(4, 2, seed=1)
-    message = "^CUC requires a topology with a built cluster grid$"
+    message = "^CUC requires a topology and a cluster grid$"
     with pytest.raises(ValueError, match=message):
         select_cuc(snap, topo, loose())
     with pytest.raises(ValueError, match=message):
-        run_algorithm("cuc", snap, loose(), topo=None)
+        run_algorithm("cuc", snap, loose(clusters_per_side=2), topo=None)
 
 
 def test_cuc_exhaustive_e_serves_all():
-    topo = _clustered_topo()
+    topo = generate_ppp_topology(AreaSpec(200.0, 200.0), 20, seed=6)
     snap = random_snapshot(topo.n_aps, 3, seed=7)
-    coop = select_cuc(snap, topo, loose(e_best=topo.n_aps))
+    coop = select_cuc(snap, topo, loose(e_best=topo.n_aps, clusters_per_side=2))
     assert np.array_equal(coop.d, select_full_cf(snap, loose()).d)
 
 
 def test_cuc_single_cluster_case():
     area = AreaSpec(100.0, 100.0)
     pos = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [80.0, 80.0]])
-    topo = build_square_clusters(NetworkTopology(area=area, ap_positions=pos), 2)
+    topo = NetworkTopology(area=area, ap_positions=pos)
     beta = np.array([[9.0], [8.0], [7.0], [0.1]])
     snap = make_snapshot(beta)
-    coop = select_cuc(snap, topo, loose(e_best=3))
+    coop = select_cuc(snap, topo, loose(e_best=3, clusters_per_side=2))
     # the three best APs share cluster 0; AP3 (cluster 3) stays out
     assert np.array_equal(coop.d[:, 0], [1, 1, 1, 0])
 
 
 def test_cuc_mean_serving_size_bounds():
     # medium-density configuration: 7 anchors, ~20 APs per cluster
-    topo = build_square_clusters(generate_ppp_topology(AreaSpec(750.0, 750.0), 180, seed=8), 3)
-    q = topo.n_aps / topo.n_clusters
+    topo = generate_ppp_topology(AreaSpec(750.0, 750.0), 180, seed=8)
+    q = topo.n_aps / 9
     e = 7
     snap = random_snapshot(topo.n_aps, 20, seed=9)
-    coop = select_cuc(snap, topo, loose(e_best=e))
+    coop = select_cuc(snap, topo, loose(e_best=e, clusters_per_side=3))
     mean_g = coop.g_k.mean()
     assert q <= mean_g <= e * q
     # direct simulation oracle: union of the clusters of the e best APs
-    want = oracles.cuc_oracle(snap.beta.tolist(), topo.cluster_of_ap.tolist(), e)
+    want = oracles.cuc_oracle(snap.beta.tolist(), build_square_clusters(topo, 3).tolist(), e)
     assert np.array_equal(coop.d, want)
 
 
 def test_cuc_matches_pseudocode_oracle():
-    topo = _clustered_topo(m=8, n_per_side=2, seed=10)
+    topo = generate_ppp_topology(AreaSpec(200.0, 200.0), 8, seed=10)
     for seed in range(10):
         snap = random_snapshot(8, 3, seed)
-        got = select_cuc(snap, topo, loose(e_best=2, beta0=0.4)).d
+        got = select_cuc(snap, topo, loose(e_best=2, beta0=0.4, clusters_per_side=2)).d
         want = oracles.cuc_oracle(
-            snap.beta.tolist(), topo.cluster_of_ap.tolist(), 2, beta0=0.4
+            snap.beta.tolist(), build_square_clusters(topo, 2).tolist(), 2, beta0=0.4
         )
         assert np.array_equal(got, want)
 
@@ -481,11 +480,11 @@ def test_algorithm_matches_oracle_on_tied_sweep(name):
             allow_tau_p_equality=bool(rng.integers(2)),
         )
         pos = rng.uniform(0.0, 100.0, size=(m, 2))
-        topo = build_square_clusters(
-            NetworkTopology(area=AreaSpec(100.0, 100.0), ap_positions=pos), int(rng.integers(1, 4))
-        )
+        cons = replace(cons, clusters_per_side=int(rng.integers(1, 4)))
+        topo = NetworkTopology(area=AreaSpec(100.0, 100.0), ap_positions=pos)
         got = run_algorithm(name, make_snapshot(beta), cons, topo=topo, mdp_round_budget=budget).d
-        want = ORACLES[name](beta.tolist(), cons, topo.cluster_of_ap.tolist(), budget)
+        cluster = build_square_clusters(topo, cons.clusters_per_side)
+        want = ORACLES[name](beta.tolist(), cons, cluster.tolist(), budget)
         assert np.array_equal(got, want), (i, m, k, cons, budget)
         # a UE whose served sum meets delta * total exactly, with one more
         # candidate left that puc must refuse

@@ -127,22 +127,20 @@ def test_clusters_uniform_grid_one_per_cell():
     area = AreaSpec(100.0, 100.0)
     pos = np.array([[25.0, 25.0], [75.0, 25.0], [25.0, 75.0], [75.0, 75.0]])
     topo = NetworkTopology(area=area, ap_positions=pos)
-    clustered = build_square_clusters(topo, 2)
-    assert clustered.n_clusters == 4
-    assert sorted(clustered.cluster_of_ap.tolist()) == [0, 1, 2, 3]
+    assert sorted(build_square_clusters(topo, 2).tolist()) == [0, 1, 2, 3]
 
 
 def test_single_cluster_absorbs_all():
     topo = generate_ppp_topology(AreaSpec(50.0, 50.0), 17, seed=5)
-    clustered = build_square_clusters(topo, 1)
-    assert clustered.n_clusters == 1
-    assert np.all(clustered.cluster_of_ap == 0)
+    cluster = build_square_clusters(topo, 1)
+    assert cluster.shape == (17,)
+    assert np.all(cluster == 0)
 
 
 def test_cluster_member_counts_sum_to_m():
     topo = generate_ppp_topology(AreaSpec(750.0, 750.0), 324, seed=7)
-    clustered = build_square_clusters(topo, 4)
-    counts = np.bincount(clustered.cluster_of_ap, minlength=clustered.n_clusters)
+    counts = np.bincount(build_square_clusters(topo, 4), minlength=16)
+    assert counts.size == 16
     assert counts.sum() == topo.n_aps
     # average occupancy matches the medium-density setting of ~20 APs/cluster
     assert abs(counts.mean() - 20.0) <= 0.5
@@ -152,14 +150,14 @@ def test_cluster_assignment_is_pure():
     topo = generate_ppp_topology(AreaSpec(300.0, 300.0), 60, seed=9)
     a = build_square_clusters(topo, 3)
     b = build_square_clusters(topo, 3)
-    assert np.array_equal(a.cluster_of_ap, b.cluster_of_ap)
+    assert np.array_equal(a, b)
 
 
 def test_boundary_ap_goes_to_last_cell():
     area = AreaSpec(100.0, 100.0)
     pos = np.array([[100.0, 100.0], [0.0, 0.0], [50.0, 50.0]])
     topo = NetworkTopology(area=area, ap_positions=pos)
-    clustered = build_square_clusters(topo, 2)
-    assert clustered.cluster_of_ap[0] == 3  # top-right cell
-    assert clustered.cluster_of_ap[1] == 0
-    assert clustered.cluster_of_ap[2] == 3  # interior boundary floors upward
+    cluster = build_square_clusters(topo, 2)
+    assert cluster[0] == 3  # top-right cell
+    assert cluster[1] == 0
+    assert cluster[2] == 3  # interior boundary floors upward
