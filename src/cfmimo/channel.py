@@ -157,6 +157,11 @@ class LogDistanceProvider:
         dist = np.hypot(diff[..., 0], diff[..., 1])
         return pathloss_three_slope(dist, self._cfg) + self._shadow
 
+    def min_pathloss_db(self) -> float:
+        """A floor of every loss pathloss_db returns: the near-field loss plus
+        the least entry of the shadow field."""
+        return pathloss_three_slope(0.0, self._cfg) + float(self._shadow.min())
+
 
 class PathLossMap:
     """Grid-sampled path loss per AP with nearest-cell lookup.
@@ -181,6 +186,10 @@ class PathLossMap:
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         out[:, inside] = self._table[:, ix[inside], iy[inside]]
         return out
+
+    def min_pathloss_db(self) -> float:
+        """The least loss in the table, +inf when every cell is outage."""
+        return float(self._table.min())
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])
@@ -337,6 +346,27 @@ def _scan_map_rows(path, body):
     except InputError as refusal:
         return np.frombuffer(packed, dtype=_MAP_ROW), refusal
     return np.frombuffer(packed, dtype=_MAP_ROW), None
+
+
+def check_scale(provider, cfg: RadioConfig, n_ues: int) -> None:
+    """Raise InputError unless every snapshot from ``provider`` holds finite
+    beta and a finite pilot term beta * p * tau_p * n_ues, the bound of the
+    estimate variance's contamination sum. The largest beta is p/n0 times the
+    gain of the provider's least path loss."""
+    pl = provider.min_pathloss_db()
+    n0 = noise_power_w(cfg)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        beta = float(cfg.tx_power_w * _gain(np.float64(pl)) / n0)
+    if not math.isfinite(beta):
+        raise InputError(
+            f"the largest beta of the run is not finite: tx_power_w {cfg.tx_power_w:.4g} W over noise "
+            f"{n0:.4g} W, times the gain of its least path loss {pl:.4g} dB"
+        )
+    if not math.isfinite(beta * cfg.tx_power_w * cfg.pilot_len_slots * n_ues):
+        raise InputError(
+            f"the pilot term of the run is not finite: largest beta {beta:.4g} x tx_power_w "
+            f"{cfg.tx_power_w:.4g} W x tau_p {cfg.pilot_len_slots} x {n_ues} UEs"
+        )
 
 
 def snapshot(topo, positions, provider, cfg: RadioConfig) -> ChannelSnapshot:

@@ -14,6 +14,9 @@ import sys
 
 from . import REPORT_FILES, SE_BLOCKS_HEADER, InputError, open_text, read_rows
 
+#: the table compare writes in out_dir, and the CDF export-cdf writes in a run directory
+COMPARISON_FILE, CDF_FILE = "comparison.csv", "cdf.csv"
+
 
 def _pin_malloc_thresholds() -> None:
     """Fix glibc malloc's mmap threshold at 32 MB and its trim threshold at 64 MB.
@@ -88,7 +91,7 @@ def _run(args, algorithms=None) -> int:
     cfg = replace(cfg, **overrides)
     names = hn.check_algorithms(cfg, algorithms or [cfg.algorithm])
     files = [os.path.join(a, f) for a in names for f in REPORT_FILES]
-    _check_writes(cfg.out_dir, files if algorithms is None else [*files, "comparison.csv"])
+    _check_writes(cfg.out_dir, files if algorithms is None else [*files, COMPARISON_FILE])
     reports = hn.compare_algorithms(cfg, names)
     for name, rep in reports.items():
         ev.write_report(rep, os.path.join(cfg.out_dir, name))
@@ -98,7 +101,7 @@ def _run(args, algorithms=None) -> int:
               f"(sum rate {rep.sum_rate:.4g} bit/s, jain {rep.jain:.4f})")
         return 0
     table = hn.comparison_table(reports)
-    path = os.path.join(cfg.out_dir, "comparison.csv")
+    path = os.path.join(cfg.out_dir, COMPARISON_FILE)
     with open(path, "w") as f:
         f.write(table)
     print(table, end="")
@@ -123,8 +126,8 @@ def export_cdf(run_dir) -> list[float]:
     four fields with a finite SE raises InputError, and nothing is written;
     so does a ``cdf.csv`` that cannot be written, checked first.
     """
-    _check_writes(run_dir, ["cdf.csv"])
-    raw = os.path.join(run_dir, "se_blocks.csv")
+    _check_writes(run_dir, [CDF_FILE])
+    raw = os.path.join(run_dir, REPORT_FILES[1])
     values = []
     with open_text(raw) as f:
         if f.readline().strip() != SE_BLOCKS_HEADER:
@@ -138,7 +141,7 @@ def export_cdf(run_dir) -> list[float]:
         raise InputError(f"{raw}: no SE rows")
     values.sort()
     n = len(values)
-    with open(os.path.join(run_dir, "cdf.csv"), "w") as f:
+    with open(os.path.join(run_dir, CDF_FILE), "w") as f:
         f.write("se,cdf\n")
         f.writelines(f"{v:.10g},{i / n:.10g}\n" for i, v in enumerate(values, start=1))
     return values
@@ -146,7 +149,7 @@ def export_cdf(run_dir) -> list[float]:
 
 def _cmd_export_cdf(args) -> int:
     values = export_cdf(args.run)
-    print(f"wrote {os.path.join(args.run, 'cdf.csv')} ({len(values)} samples)")
+    print(f"wrote {os.path.join(args.run, CDF_FILE)} ({len(values)} samples)")
     return 0
 
 

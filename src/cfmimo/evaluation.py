@@ -113,25 +113,20 @@ class PrecodingContext:
         return cls(n_ues=d.shape[1], groups=tuple(groups))
 
 
-def split_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
-    """Equal per-AP power split: p_mk = budget / W_m on serving links."""
-    d = coop.d.astype(float)
-    w = d.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(w > 0, cfg.tx_power_w / w, 0.0) * d
-    return p
-
-
 def radiated_powers(coop: CooperationMatrix, cfg: RadioConfig) -> np.ndarray:
     """Effective per-link powers entering the unit-norm precoded gains.
 
-    Each serving link radiates its split budget p_mk on average; since the
-    precoding direction w_k is normalized over the G_k serving APs
-    (mean |w_mk|^2 = 1/G_k), the per-link scaling is p_mk * G_k so that
-    E{p_eff |w_mk|^2} = p_mk. A UE's received power thus grows with its
-    serving-set size, as the per-AP budget model implies.
+    Each AP splits its budget equally, p_mk = budget / W_m on its serving
+    links, and each serving link radiates p_mk on average; since the precoding
+    direction w_k is normalized over the G_k serving APs (mean |w_mk|^2 =
+    1/G_k), the per-link scaling is p_mk * G_k so that E{p_eff |w_mk|^2} =
+    p_mk. A UE's received power thus grows with its serving-set size, as the
+    per-AP budget model implies.
     """
-    return split_powers(coop, cfg) * np.maximum(coop.g_k, 1)[None, :]
+    d = coop.d.astype(float)
+    w = d.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w > 0, cfg.tx_power_w / w, 0.0) * d * np.maximum(coop.g_k, 1)[None, :]
 
 
 def _complex_normal(rng, shape, scale) -> np.ndarray:

@@ -25,6 +25,11 @@ from . import selection as sel
 from . import topology as tp
 
 
+#: the most waypoints a random-waypoint run may draw, about
+#: ue_count * speed_mps * blocks * block_duration_s / mean_transition_m
+RWP_MAX_WAYPOINTS = 10**6
+
+
 def derive_seed(master: int, *tags) -> np.random.SeedSequence:
     """Stable per-stream seed: SHA-256 over the master seed and stream tags."""
     digest = hashlib.sha256(repr((int(master),) + tags).encode()).digest()
@@ -91,6 +96,13 @@ class ExperimentConfig:
         for key in positive:
             if getattr(self, key) <= 0:
                 raise InputError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.mobility_source == "rwp":
+            walk = self.ue_count * self.speed_mps * self.blocks * self.block_duration_s / self.mean_transition_m
+            if walk > RWP_MAX_WAYPOINTS:
+                raise InputError(
+                    f"the random-waypoint walk draws about ue_count x speed_mps x blocks x block_duration_s / "
+                    f"mean_transition_m = {walk:.4g} waypoints, more than the cap {RWP_MAX_WAYPOINTS:.0e}"
+                )
         if self.topology_source == "ppp" and self.topology_m < 1:
             raise InputError(f"topology_m must be at least 1, got {self.topology_m}")
         for key, known in (
@@ -256,8 +268,9 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
 
     The algorithms pass check_algorithms before any work. The run is
     block-major: the topology, trace, path-loss provider and pilots are
-    built once, and a path-loss map that covers none of the run's UE
-    positions is refused before block 0. Per block: advance UE
+    built once; a path-loss map that covers none of the run's UE positions,
+    and radio scales whose beta or pilot term overflows
+    (channel.check_scale), are refused before block 0. Per block: advance UE
     positions, take one channel snapshot, select every algorithm's serving
     sets on it, then evaluate them all on one walk over the block's
     Monte-Carlo draws for cfg.sinr_estimator (evaluation.evaluate_matrices),
@@ -280,6 +293,7 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
         losses = provider.pathloss_db(trace.positions[:, : cfg.blocks].reshape(-1, 2))
         if (losses == np.inf).all():
             raise InputError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
+    ch.check_scale(provider, radio, cfg_k)
     pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
     se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
     g_blocks = {a: np.zeros((cfg_k, cfg.blocks), dtype=int) for a in algorithms}

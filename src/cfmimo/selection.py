@@ -346,10 +346,8 @@ class ApSelectionEnv:
         k = self.current_ue
         info = {"r1": 0.0, "r2": 0.0, "r3": 0.0, "ue": k}
         space = self.action_space(k)
-        round_over = False
-        if action == SKIP:
-            round_over = True
-        else:
+        round_over = action == SKIP
+        if not round_over:
             if action not in space:
                 raise ValueError(f"action {action} outside the action space of UE {k}")
             beta_max = float(self.beta[space, k].max())
@@ -361,11 +359,7 @@ class ApSelectionEnv:
                     self.d[action, k] = 1
                     self.connect_order.append(action)
             self.steps_in_round += 1
-            if (
-                self.steps_in_round >= self.round_budget
-                or int(self.d[:, k].sum()) >= self.constraints.g_max
-            ):
-                round_over = True
+            round_over = self.steps_in_round >= self.round_budget or int(self.d[:, k].sum()) >= self.constraints.g_max
 
         if round_over:
             g = int(self.d[:, k].sum())
@@ -376,9 +370,7 @@ class ApSelectionEnv:
             if self.current_ue >= self.k_ues:
                 self.done = True
                 s = simplified_sinr_all(self.d, self.beta)
-                ssum = float(s.sum())
-                ssq = float(np.dot(s, s))
-                info["r3"] = 0.0 if ssq == 0.0 else self.weights.episode * ssum**3 / (self.k_ues * ssq)
+                info["r3"] = self.weights.episode * jain_index(s) * float(s.sum())
         reward = info["r1"] + info["r2"] + info["r3"]
         return self._state(), reward, self.done, info
 

@@ -72,6 +72,13 @@ _BAD_SETTINGS = {
     "topology_source = grid": "unknown topology_source 'grid'; known: ['ppp', 'file']",
     "mobility_source = walk": "unknown mobility_source 'walk'; known: ['rwp', 'file']",
     "channel_provider = raytrace": "unknown channel_provider 'raytrace'; known: ['log-distance', 'map']",
+    # radio scales whose beta, or the pilot term of the estimate variance, overflow
+    "shadowing_sigma_db = 1e4": "the largest beta of the run is not finite: tx_power_w 0.2 W over noise 6.361e-13 W, "
+                                "times the gain of its least path loss -2.241e+04 dB",
+    "bandwidth_hz = 1e-300": "the largest beta of the run is not finite: tx_power_w 0.2 W over noise 3.179e-320 W, "
+                             "times the gain of its least path loss 65.05 dB",
+    "tx_power_w = 1e300": "the pilot term of the run is not finite: largest beta 4.917e+305 x tx_power_w 1e+300 W "
+                          "x tau_p 10 x 2 UEs",
 }
 _DEEP_MAP = "10,10,0,0\n" + "".join(f"0,{i},0,90\n" for i in range(9000))  # 106 kB of rows
 _MIN_INT64_MAP = f"10,10,0,0\n0,{-2**63},0,90\n1,{-2**63},0,91\n"
@@ -94,6 +101,12 @@ ROWS = [
     *(_row(name + "-without-file", f"{source.replace(' = ', '=')} needs {key.split(' = ')[0]}", config=[source])
       for name, (source, key) in _SELECT.items()),
     _row("config-not-utf8", "{config}: not UTF-8 text", config=["n_mc = 8" + _NOT_UTF8]),
+    # two blocks, so each walk must reach t = 0.02 s: drawing 2 x 1e12 x 2 x 0.02 / 50
+    # or 2 x 0.8 x 2 x 0.02 / 1e-12 waypoints would hold the run before block 0 for hours
+    *(_row(id, "the random-waypoint walk draws about ue_count x speed_mps x blocks x block_duration_s / "
+           f"mean_transition_m = {walk} waypoints, more than the cap 1e+06", config=["blocks = 2", line])
+      for id, line, walk in [("rwp-too-fast", "speed_mps = 1e12", "1.6e+09"),
+                             ("rwp-too-short", "mean_transition_m = 1e-12", "6.4e+10")]),
     # speed 0 is fine for a track file; --mobility rwp makes it a config error
     _row("mobility-override", "speed_mps must be positive, got 0.0",
          config=["mobility_source = file", "speed_mps = 0"], argv=["--mobility", "rwp"]),
@@ -172,6 +185,10 @@ ROWS = [
         # the one covered cell lies at (5000, 5000), outside the 100 x 100 m area
         ("covers-no-ue", "10,10,5000,5000\n0,0,0,90\n1,0,0,91\n", ": no UE position of the run lies in a covered cell"),
     ]),
+    # the least loss of the whole table sets the largest beta, also in a cell no UE reaches
+    _row("map-loss-overflows", "the largest beta of the run is not finite: tx_power_w 0.2 W over noise 6.361e-13 W, "
+         "times the gain of its least path loss -1e+05 dB",
+         files={"tracks": _BASE_FILES["tracks"], "map": "10,10,0,0\n0,0,0,90\n1,0,0,91\n1,9,9,-1e5\n"}),
     # 8 * (2**62 + 1) bytes overflows, so numpy refuses the table before it allocates
     _row("map-table-too-large", f"{{map}}: a path-loss table of 1 x {2**62 + 1} x 1 cells is too large to allocate",
          files={"topology": "100,100\n0,20,20\n", "map": f"10,10,0,0\n0,0,0,90\n0,{2**62},0,91\n"}),

@@ -24,7 +24,6 @@ from cfmimo.evaluation import (
     radiated_powers,
     received_gains,
     spectral_efficiency,
-    split_powers,
 )
 from cfmimo.selection import (
     CooperationMatrix,
@@ -79,7 +78,7 @@ def test_context_contains_self_even_unserved():
 def test_split_powers_equal_share():
     cfg = RadioConfig()
     d = CooperationMatrix(np.array([[1, 1], [1, 0]]))
-    p = split_powers(d, cfg)
+    p = radiated_powers(d, cfg) / np.maximum(d.g_k, 1)
     assert p[0, 0] == pytest.approx(cfg.tx_power_w / 2)
     assert p[0, 1] == pytest.approx(cfg.tx_power_w / 2)
     assert p[1, 0] == pytest.approx(cfg.tx_power_w)
@@ -564,7 +563,7 @@ def test_se_invariant_under_joint_ap_relabeling():
     h = np.sqrt(r / 2)[None] * (
         rng.standard_normal((50, 10, 4)) + 1j * rng.standard_normal((50, 10, 4))
     )
-    powers = split_powers(coop, cfg)
+    powers = radiated_powers(coop, cfg) / np.maximum(coop.g_k, 1)
     w = precode_pmmse(ctx, h, reg=snap.noise_power / cfg.tx_power_w)
     gamma = instant_sinr(*received_gains(h, _sw(w, powers)), rho=1.0, noise=snap.noise_power)
     perm = rng.permutation(10)
