@@ -350,13 +350,15 @@ def _scan_map_rows(path, body):
 
 def check_scale(provider, cfg: RadioConfig, n_ues: int) -> None:
     """Raise InputError unless every snapshot from ``provider`` holds finite
-    beta and a finite pilot term beta * p * tau_p * n_ues, the bound of the
-    estimate variance's contamination sum. The largest beta is p/n0 times the
-    gain of the provider's least path loss."""
+    beta, a finite pilot term beta * p * tau_p * n_ues, the bound of the
+    estimate variance's contamination sum, and a finite numerator
+    R * beta * p * tau_p of the estimate variance. The largest R is the gain
+    of the provider's least path loss, and the largest beta p/n0 times it."""
     pl = provider.min_pathloss_db()
     n0 = noise_power_w(cfg)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        beta = float(cfg.tx_power_w * _gain(np.float64(pl)) / n0)
+        gain = float(_gain(np.float64(pl)))
+        beta = float(cfg.tx_power_w * gain / n0)
     if not math.isfinite(beta):
         raise InputError(
             f"the largest beta of the run is not finite: tx_power_w {cfg.tx_power_w:.4g} W over noise "
@@ -366,6 +368,11 @@ def check_scale(provider, cfg: RadioConfig, n_ues: int) -> None:
         raise InputError(
             f"the pilot term of the run is not finite: largest beta {beta:.4g} x tx_power_w "
             f"{cfg.tx_power_w:.4g} W x tau_p {cfg.pilot_len_slots} x {n_ues} UEs"
+        )
+    if not math.isfinite(gain * (beta * (cfg.tx_power_w * cfg.pilot_len_slots))):
+        raise InputError(
+            f"the estimate variance of the run is not finite: largest R {gain:.4g} x largest beta {beta:.4g} "
+            f"x tx_power_w {cfg.tx_power_w:.4g} W x tau_p {cfg.pilot_len_slots}"
         )
 
 

@@ -17,6 +17,9 @@ import numpy as np
 from . import InputError, _check_ids, open_text, read_rows
 from .topology import AreaSpec
 
+#: the most waypoints a random-waypoint leg draws before it is cut at the wall
+DRAWS_PER_LEG = 1000
+
 
 @dataclass(frozen=True)
 class MobilityTrace:
@@ -98,7 +101,7 @@ def generate_rwp(
         t_leg = 0.0  # time at which the current transition began
         filled = 0
         while filled < n_blocks:
-            for _ in range(1000):
+            for _ in range(DRAWS_PER_LEG):
                 theta = rng.uniform(0.0, 2.0 * np.pi)
                 length = rng.rayleigh(ray_scale)
                 direction = np.array([np.cos(theta), np.sin(theta)])

@@ -254,7 +254,9 @@ def test_compare_builds_provider_once(tmp_path, monkeypatch):
 
 
 def test_compare_draws_once_per_block(tmp_path, monkeypatch):
-    # one walk over each block's draws evaluates every algorithm
+    # one walk over each block's draws evaluates every algorithm; the calls
+    # are counted in this process, so no block runs in a forked worker
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 1)
     cfg = mini_config()
     calls = _count_calls(monkeypatch, ev, "evaluate_matrices")
     compare_algorithms(cfg, ["small-cell", "full-cf"])
@@ -543,6 +545,8 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
 
 
 def test_cli_non_finite_se_exits_3_without_report(tmp_path, monkeypatch, capsys):
+    # the calls are counted in this process, so no block runs in a forked worker
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 1)
     out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(serialize_config(mini_config(out_dir=str(out))))
@@ -609,3 +613,97 @@ def test_cli_compare_empty_out_dir_writes_current_dir(tmp_path, monkeypatch):
         "comparison.csv", "full-cf/report.txt", "full-cf/se_blocks.csv",
         "small-cell/report.txt", "small-cell/se_blocks.csv",
     ]
+
+
+# Block fan-out: compare runs the blocks b = w (mod P) in forked worker w of
+# P = min(blocks, usable CPUs); these tests pin P through the CPU lookup.
+
+
+def _fan_out_argv(tmp_path, command="simulate"):
+    """A run of mini_config with 5 blocks: simulate runs small-cell, compare three algorithms."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(tmp_path / "out"), blocks=5)))
+    algorithms = ["--algorithms", "small-cell,full-cf,unifsrv-heu"] if command == "compare" else []
+    return [command, "--config", str(cfg_path), *algorithms]
+
+
+def _fail_blocks(monkeypatch, cfg, fail):
+    """Make evaluate_matrices call fail(b, results) on each block b, which it
+    tells by the block's seed, wherever the block runs."""
+    evaluate_matrices = ev.evaluate_matrices
+    block_of = {derive_seed(cfg.seed, "eval", b).entropy: b for b in range(cfg.blocks)}
+
+    def failing(snap, coops, pilots, speeds, radio, n_mc, seed, **kwargs):
+        results = evaluate_matrices(snap, coops, pilots, speeds, radio, n_mc, seed, **kwargs)
+        fail(block_of[seed.entropy], results)
+        return results
+
+    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", failing)
+
+
+def _nan_se(results):
+    gamma, se, rate = results[0]
+    se = se.copy()
+    se[2] = np.nan
+    results[0] = gamma, se, rate
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_writes_the_same_bytes(tmp_path, monkeypatch):
+    runs = {}
+    for procs in (1, 3):
+        monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: procs)
+        out = tmp_path / f"p{procs}"
+        argv = _fan_out_argv(tmp_path, "compare")
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        runs[procs] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        _assert_no_child()
+    assert len(runs[1]) == 7
+    assert runs[1] == runs[3]
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_fan_out_worker_failure_exits_3_without_report(tmp_path, monkeypatch, capsys, procs):
+    # block 1 runs in forked worker 1
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: procs)
+    argv = _fan_out_argv(tmp_path)
+    _fail_blocks(monkeypatch, mini_config(blocks=5), lambda b, results: b == 1 and _nan_se(results))
+    assert cli.main(argv) == 3
+    assert "runtime error: block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+def test_fan_out_names_the_lowest_failing_block(tmp_path, monkeypatch, capsys, procs):
+    # block 1 runs in worker 1; block 2 in this process with two workers, in worker 2 with three
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: procs)
+    argv = _fan_out_argv(tmp_path)
+    _fail_blocks(monkeypatch, mini_config(blocks=5), lambda b, results: b in (1, 2) and _nan_se(results))
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "block 1: UE 2 has non-finite SE nan" in err
+    assert "block 2" not in err
+    _assert_no_child()
+
+
+def test_fan_out_worker_that_dies_fails_its_blocks(tmp_path, monkeypatch, capsys):
+    # a worker that ends without sending a result: the run names its blocks and exit status
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 2)
+    argv = _fan_out_argv(tmp_path)
+
+    def die_on_block_3(b, results):
+        if b == 3:
+            os._exit(7)
+
+    _fail_blocks(monkeypatch, mini_config(blocks=5), die_on_block_3)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "runtime error: block 3: the worker process of blocks 1, 3 ended without sending its result " \
+        "(exit status 7)\n"
+    assert not (tmp_path / "out").exists()
+    _assert_no_child()
