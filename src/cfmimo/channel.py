@@ -351,9 +351,11 @@ def _scan_map_rows(path, body):
 def check_scale(provider, cfg: RadioConfig, n_ues: int) -> None:
     """Raise InputError unless every snapshot from ``provider`` holds finite
     beta, a finite pilot term beta * p * tau_p * n_ues, the bound of the
-    estimate variance's contamination sum, and a finite numerator
-    R * beta * p * tau_p of the estimate variance. The largest R is the gain
-    of the provider's least path loss, and the largest beta p/n0 times it."""
+    estimate variance's contamination sum, a finite numerator
+    R * beta * p * tau_p of the estimate variance, and beta below 2**52, where
+    the P-MMSE regularizer n0/p = R/beta still outweighs the rounding of R.
+    The largest R is the gain of the provider's least path loss, and the
+    largest beta p/n0 times it."""
     pl = provider.min_pathloss_db()
     n0 = noise_power_w(cfg)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -373,6 +375,11 @@ def check_scale(provider, cfg: RadioConfig, n_ues: int) -> None:
         raise InputError(
             f"the estimate variance of the run is not finite: largest R {gain:.4g} x largest beta {beta:.4g} "
             f"x tx_power_w {cfg.tx_power_w:.4g} W x tau_p {cfg.pilot_len_slots}"
+        )
+    if beta >= 2.0**52:
+        raise InputError(
+            f"the largest beta of the run, {beta:.4g}, reaches 2^52: the P-MMSE regularizer n0/p = R/beta "
+            "falls below the rounding unit of the largest channel gain R"
         )
 
 

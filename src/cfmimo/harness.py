@@ -29,11 +29,6 @@ from . import selection as sel
 from . import topology as tp
 
 
-#: the most waypoints a random-waypoint run may draw, as ExperimentConfig
-#: counts them: a few seconds of drawing
-RWP_MAX_DRAWS = 10**5
-
-
 def derive_seed(master: int, *tags) -> np.random.SeedSequence:
     """Stable per-stream seed: SHA-256 over the master seed and stream tags."""
     digest = hashlib.sha256(repr((int(master),) + tags).encode()).digest()
@@ -100,23 +95,6 @@ class ExperimentConfig:
         for key in positive:
             if getattr(self, key) <= 0:
                 raise InputError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.mobility_source == "rwp":
-            # Each UE walks in legs about mean_transition_m long and never
-            # longer than the area's diagonal. A leg's waypoint is its start
-            # plus a Gaussian step of density at most 1 / (4 mean_transition_m^2),
-            # so a draw lands in the area at most area / (4 mean_transition_m^2)
-            # of the time, and a leg draws up to mb.DRAWS_PER_LEG waypoints.
-            area = self.area_width * self.area_height
-            leg = min(self.mean_transition_m, math.hypot(self.area_width, self.area_height))
-            legs = self.ue_count * self.speed_mps * self.blocks * self.block_duration_s / leg
-            draws = legs * min(mb.DRAWS_PER_LEG, max(1.0, 4.0 * self.mean_transition_m**2 / area))
-            if draws > RWP_MAX_DRAWS:
-                raise InputError(
-                    f"the random-waypoint walk draws about {draws:.4g} waypoints, more than the cap "
-                    f"{RWP_MAX_DRAWS:.0e}: ue_count x speed_mps x blocks x block_duration_s / "
-                    f"min(mean_transition_m, area diagonal) legs of min({mb.DRAWS_PER_LEG}, "
-                    f"4 mean_transition_m^2 / area) draws"
-                )
         if self.topology_source == "ppp" and self.topology_m < 1:
             raise InputError(f"topology_m must be at least 1, got {self.topology_m}")
         for key, known in (
@@ -278,9 +256,10 @@ def check_algorithms(cfg: ExperimentConfig, names) -> list[str]:
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on; 1 where the OS cannot say."""
+    """The number of CPUs this process may run on; 1 where the OS cannot say,
+    or has no os.memfd_create for the block workers' record files."""
     try:
-        return len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
     except AttributeError:  # no sched_getaffinity off Linux
         return 1
 
@@ -308,26 +287,22 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _block_worker(run_block, blocks: range, fd: int, parent: int, inherited) -> None:
-    """A forked worker: close the ``inherited`` descriptors, then pickle
-    ``(b, run_block(b), None)`` for each block down ``fd``, or
-    ``(b, None, error text)`` for the first that fails and stop; then end
-    the process without returning."""
+def _block_worker(run_block, blocks: range, records, parent: int) -> None:
+    """A forked worker: pickle ``(b, run_block(b), None)`` for each block
+    into the file ``records``, or ``(b, None, error text)`` for the first
+    that fails and stop; then end the process without returning."""
     code = 1
     try:
         _die_with_parent(parent)
-        for other in inherited:
-            os.close(other)
-        with os.fdopen(fd, "wb") as out:
-            for b in blocks:
-                try:
-                    record = (b, run_block(b), None)
-                except Exception as e:
-                    record = (b, None, str(e))
-                pickle.dump(record, out)
-                out.flush()
-                if record[2] is not None:
-                    break
+        for b in blocks:
+            try:
+                record = (b, run_block(b), None)
+            except Exception as e:
+                record = (b, None, str(e))
+            pickle.dump(record, records)
+            records.flush()
+            if record[2] is not None:
+                break
         code = 0
     finally:
         os._exit(code)
@@ -339,84 +314,61 @@ def _map_blocks(run_block, n_blocks: int) -> list:
 
     Worker w evaluates the blocks b = w (mod P). This process is worker 0:
     it forks the others first, each a copy of its memory that pickles its
-    results down a pipe and exits, then runs its own blocks and reaps every
-    worker. A block's result depends only on what was built before the fork
-    and on b, so it is the same in any worker and the list is the same for
-    any P; P = 1 forks nothing. A worker stops at its first failing block;
-    the exception of the lowest failing block is raised (a worker's as
-    RuntimeError with its text), and a worker that ends without sending a
-    block's result fails that block with a RuntimeError naming its blocks
-    and its exit status.
+    results into an anonymous in-memory file of its own and exits, then
+    runs its own blocks, reaps every worker and reads its file. A block's
+    result depends only on what was built before the fork and on b, so it
+    is the same in any worker and the list is the same for any P; P = 1
+    forks nothing. A worker stops at its first failing block; the exception
+    of the lowest failing block is raised (a worker's as RuntimeError with
+    its text), and a worker that ends without writing a block's result fails
+    that block with a RuntimeError naming its blocks and its exit status.
     """
-    # imported here, so that a set-up alone loads neither
-    import selectors
-    import signal
+    import signal  # imported here, so that a set-up alone does not load it
 
     procs = min(n_blocks, _usable_cpus())
     if procs > 1:
         sys.stdout.flush()
         sys.stderr.flush()
     parent = os.getpid()
-    workers = []  # (blocks, pid, read end of its pipe), until reaped
-    received = {}  # read end -> bytes so far
-    watch = selectors.DefaultSelector()
-
-    def drain(timeout):
-        # read what the workers have sent; with timeout None, up to every EOF
-        while watch.get_map():
-            events = watch.select(timeout)
-            if not events:
-                return
-            for key, _ in events:
-                chunk = os.read(key.fd, 1 << 20)
-                if chunk:
-                    received[key.fd] += chunk
-                else:
-                    watch.unregister(key.fd)
-
-    results, errors = {}, {}
+    files = []  # every worker's record file
+    workers = []  # (blocks, pid, record file), until reaped
+    results, errors, statuses = {}, {}, {}
     try:
         for w in range(1, procs):
             blocks = range(w, n_blocks, procs)
-            read_fd, write_fd = os.pipe()
-            received[read_fd] = bytearray()
+            records = open(os.memfd_create("cfmimo-blocks"), "w+b")
+            files.append(records)
             pid = os.fork()
             if pid == 0:
-                _block_worker(run_block, blocks, write_fd, parent, list(received))
-            os.close(write_fd)
-            workers.append((blocks, pid, read_fd))
-            watch.register(read_fd, selectors.EVENT_READ)
+                _block_worker(run_block, blocks, records, parent)
+            workers.append((blocks, pid, records))
         for b in range(0, n_blocks, procs):
             try:
                 results[b] = run_block(b)
             except Exception as e:
                 errors[b] = e
                 break
-            drain(0)
-        drain(None)
-        statuses = {}
         while workers:
-            blocks, pid, fd = workers[-1]
+            blocks, pid, records = workers[-1]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop()
             statuses[blocks] = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            stream = io.BytesIO(received[fd])
-            while stream.tell() < len(received[fd]):
+            records.seek(0)
+            while True:
                 try:
-                    b, value, error = pickle.load(stream)
-                except (EOFError, pickle.UnpicklingError):  # a record cut short
+                    b, value, error = pickle.load(records)
+                except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
                     break
                 if error is None:
                     results[b] = value
                 else:
                     errors[b] = RuntimeError(error)
     finally:
-        watch.close()
-        for _, pid, fd in workers:  # left by an exception above
+        for _, pid, _ in workers:  # left by an exception above
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in received:
-            os.close(fd)
+        for records in files:
+            records.close()
     for b in range(n_blocks):
         if b in errors:
             raise errors[b]
@@ -436,15 +388,16 @@ def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.Metric
     block-major: the topology, trace, path-loss provider and pilots are
     built once; a path-loss map that covers none of the run's UE positions,
     and radio scales whose beta, pilot term or estimate-variance numerator
-    overflows (channel.check_scale), are refused before block 0. Per block: advance UE
-    positions, take one channel snapshot, select every algorithm's serving
-    sets on it, then evaluate them all on one walk over the block's
-    Monte-Carlo draws for cfg.sinr_estimator (evaluation.evaluate_matrices),
-    so that the draws live one chunk at a time, whatever n_mc and the
-    number of algorithms. A block depends only on that set-up and its
-    index, so the blocks run on as many processes as there are CPUs to use
-    (_map_blocks), and the reports are the same bytes on any number.
-    An algorithm's report does not depend on which others share the run, so
+    overflows, or whose beta reaches 2**52 (channel.check_scale), are refused
+    before block 0. Per block: advance UE positions, take one channel
+    snapshot, select every algorithm's serving sets on it, then evaluate
+    them all on one walk over the block's Monte-Carlo draws for
+    cfg.sinr_estimator (evaluation.evaluate_matrices), so that the draws
+    live one chunk at a time, whatever n_mc and the number of algorithms.
+    A block depends only on that set-up and its index, so the blocks run on
+    as many processes as there are CPUs to use (_map_blocks), and the
+    reports are the same bytes on any number. An algorithm's report does
+    not depend on which others share the run, so
     ``compare_algorithms(cfg, [name])[name]`` is a lone run of ``name``.
     Module errors, and a non-finite SE, raise RuntimeError naming the block,
     and the algorithm where the error is its own.

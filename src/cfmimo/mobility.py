@@ -19,6 +19,9 @@ from .topology import AreaSpec
 
 #: the most waypoints a random-waypoint leg draws before it is cut at the wall
 DRAWS_PER_LEG = 1000
+#: the most waypoints a random-waypoint walk draws over all its UEs: about a
+#: second of drawing
+RWP_MAX_DRAWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,8 @@ def generate_rwp(
     mean, redrawing until the waypoint lands in-area (the classic RWP
     confinement that thins density at the walls), and moves there at constant
     ``speed``. T = floor(duration / block_duration) samples per UE.
-    Deterministic per (seed, ue index).
+    Deterministic per (seed, ue index). A walk that draws more than
+    RWP_MAX_DRAWS waypoints over all UEs raises InputError.
     """
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
@@ -95,6 +99,7 @@ def generate_rwp(
     extent = np.array([area.width, area.height])
 
     positions = np.empty((k, n_blocks, 2))
+    draws = 0
     for ue in range(k):
         rng = np.random.default_rng([seed, ue])
         origin = rng.uniform(0.0, 1.0, size=2) * extent
@@ -102,6 +107,12 @@ def generate_rwp(
         filled = 0
         while filled < n_blocks:
             for _ in range(DRAWS_PER_LEG):
+                draws += 1
+                if draws > RWP_MAX_DRAWS:
+                    raise InputError(
+                        f"the random-waypoint walk draws more than {RWP_MAX_DRAWS:.0e} waypoints: shorten it "
+                        "(ue_count, speed_mps, blocks, block_duration_s) or fit mean_transition_m to the area"
+                    )
                 theta = rng.uniform(0.0, 2.0 * np.pi)
                 length = rng.rayleigh(ray_scale)
                 direction = np.array([np.cos(theta), np.sin(theta)])

@@ -82,6 +82,10 @@ _BAD_SETTINGS = {
     # beta and the pilot term are finite, R * beta * p * tau_p is not
     "shadowing_sigma_db = 1e3": "the estimate variance of the run is not finite: largest R 4.379e+216 x largest "
                                 "beta 1.377e+228 x tx_power_w 0.2 W x tau_p 10",
+    # every scale is finite, and the P-MMSE regularizer rounds away beside the largest gain
+    **{f"shadowing_sigma_db = {sigma}": f"the largest beta of the run, {beta}, reaches 2^52: the P-MMSE regularizer "
+       "n0/p = R/beta falls below the rounding unit of the largest channel gain R"
+       for sigma, beta in [("400", "1.484e+93"), ("500", "4.635e+115")]},
 }
 _DEEP_MAP = "10,10,0,0\n" + "".join(f"0,{i},0,90\n" for i in range(9000))  # 106 kB of rows
 _MIN_INT64_MAP = f"10,10,0,0\n0,{-2**63},0,90\n1,{-2**63},0,91\n"
@@ -104,17 +108,15 @@ ROWS = [
     *(_row(name + "-without-file", f"{source.replace(' = ', '=')} needs {key.split(' = ')[0]}", config=[source])
       for name, (source, key) in _SELECT.items()),
     _row("config-not-utf8", "{config}: not UTF-8 text", config=["n_mc = 8" + _NOT_UTF8]),
-    # two blocks, so each walk must reach t = 0.02 s: drawing 2 x 1e12 x 2 x 0.02 / 50
-    # or 2 x 0.8 x 2 x 0.02 / 1e-12 waypoints would hold the run before block 0 for hours;
-    # in a 0.01 m or 1e-4 m square each leg spends its 1000 draws, for seconds or minutes
-    *(_row(id, f"the random-waypoint walk draws about {draws} waypoints, more than the cap 1e+05: ue_count x "
-           "speed_mps x blocks x block_duration_s / min(mean_transition_m, area diagonal) legs of min(1000, "
-           "4 mean_transition_m^2 / area) draws", config=lines)
-      for id, lines, draws in [
-          ("rwp-too-fast", ["blocks = 2", "speed_mps = 1e12"], "1.6e+09"),
-          ("rwp-too-short", ["blocks = 2", "mean_transition_m = 1e-12"], "6.4e+10"),
-          *((f"rwp-area-{side}", [f"area_width = {side}", f"area_height = {side}", "ue_count = 3", "blocks = 50"],
-             draws) for side, draws in [("0.01", "1.697e+05"), ("1e-4", "1.697e+07")]),
+    # two blocks, so each walk must reach t = 0.02 s: 2 x 1e12 x 2 x 0.02 / 50 legs, or legs
+    # of 1e-12 m; in a square of 0.02 m or less each leg spends up to 1000 draws
+    *(_row(id, "the random-waypoint walk draws more than 1e+05 waypoints: shorten it (ue_count, speed_mps, blocks, "
+           "block_duration_s) or fit mean_transition_m to the area", config=lines)
+      for id, lines in [
+          ("rwp-too-fast", ["blocks = 2", "speed_mps = 1e12"]),
+          ("rwp-too-short", ["blocks = 2", "mean_transition_m = 1e-12"]),
+          *((f"rwp-area-{side}", [f"area_width = {side}", f"area_height = {side}", "ue_count = 3", "blocks = 50"])
+            for side in ["0.02", "0.01", "1e-4"]),
       ]),
     # speed 0 is fine for a track file; --mobility rwp makes it a config error
     _row("mobility-override", "speed_mps must be positive, got 0.0",

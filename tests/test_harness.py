@@ -1,8 +1,10 @@
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -390,12 +392,16 @@ def test_cli_compare(tmp_path):
     assert (tmp_path / "out" / "full-cf" / "report.txt").exists()
 
 
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports cfmimo from this checkout."""
+    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports cfmimo from this checkout."""
-    src = os.path.dirname(os.path.dirname(cfmimo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+                          env=_checkout_env(), cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
 _NUMPY_FREE_EXPORT = """
@@ -707,3 +713,50 @@ def test_fan_out_worker_that_dies_fails_its_blocks(tmp_path, monkeypatch, capsys
         "(exit status 7)\n"
     assert not (tmp_path / "out").exists()
     _assert_no_child()
+
+
+_COMPARE_ON_TWO_CPUS = """
+import sys
+from cfmimo import cli, harness
+harness._usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _stat(pid):
+    """(state, parent pid) of a process, from /proc/<pid>/stat; ("gone", 0) once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state, ppid = f.read().rsplit(")", 1)[1].split()[:2]
+    except (FileNotFoundError, ProcessLookupError):
+        return "gone", 0
+    return state, int(ppid)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc; the death signal is Linux's")
+def test_killed_compare_leaves_no_worker_running(tmp_path):
+    # a block of n_mc = 1e6 takes seconds: SIGKILL the run once its worker exists
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(serialize_config(mini_config(out_dir=str(tmp_path / "out"), n_mc=10**6)))
+    argv = ["compare", "--config", str(cfg_path), "--algorithms", "full-cf"]
+    run = subprocess.Popen([sys.executable, "-c", _COMPARE_ON_TWO_CPUS, *argv], env=_checkout_env(),
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = [int(e) for e in os.listdir("/proc") if e.isdigit() and _stat(e)[1] == run.pid]
+        assert len(workers) == 1, f"the run ended with status {run.poll()} before its worker was seen"
+        run.kill()
+        run.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while _stat(workers[0])[0] not in ("gone", "Z") and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _stat(workers[0])[0] in ("gone", "Z")
+    finally:
+        run.kill()
+        run.wait(timeout=10)
+        for pid in workers:
+            if _stat(pid)[0] not in ("gone", "Z"):
+                os.kill(pid, signal.SIGKILL)
