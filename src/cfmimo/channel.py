@@ -197,6 +197,8 @@ _MAP_FIELDS = "ap_id,cell_ix,cell_iy,pathloss_db"
 _MAP_TYPES = (int, int, int, float)
 # names numpy opens through a decompressor when given them as a path
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+#: the most cells a path-loss table may hold: 2 GiB of float64
+MAP_MAX_CELLS = 2**28
 
 
 def load_pathloss_map(path, topo) -> PathLossMap:
@@ -211,8 +213,9 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     index, a path loss of ``nan`` or ``-inf``, a non-finite header field,
     non-positive grid spacing and a grid on which a point of ``topo.area``
     has a cell index past int64 are errors, each naming the file line
-    (``path:line``) of the first offending row. A table numpy cannot
-    allocate is an error naming its size.
+    (``path:line``) of the first offending row. A table of more than
+    MAP_MAX_CELLS cells, or one numpy cannot allocate, is an error naming
+    its size.
 
     The file is streamed: one ``np.loadtxt`` call reads the rows after the
     header into 32 B records, or, where it refuses a row, the row scanner
@@ -263,12 +266,14 @@ def load_pathloss_map(path, topo) -> PathLossMap:
     if missing:
         raise InputError(f"{path}: no coverage rows for AP ids {missing}")
 
+    size = f"{path}: a path-loss table of {topo.n_aps} x {grid[2]} x {grid[3]} cells"
+    # numpy refuses 2**60 cells or more (8 B each pass int64) before it allocates
+    if MAP_MAX_CELLS < topo.n_aps * grid[2] * grid[3] < 2**60:
+        raise InputError(f"{size} passes the 2^28-cell cap")
     try:
         table = np.full((topo.n_aps, *grid[2:]), np.inf)
     except (ValueError, MemoryError):
-        raise InputError(
-            f"{path}: a path-loss table of {topo.n_aps} x {grid[2]} x {grid[3]} cells is too large to allocate"
-        ) from None
+        raise InputError(f"{size} is too large to allocate") from None
     table.reshape(-1)[cell] = rows["pl"]
     return PathLossMap(dx, dy, (ox, oy), table, grid[:2])
 

@@ -1,10 +1,12 @@
 """Experiment orchestration: config parsing, seeding, per-block simulation.
 
-One experiment = (topology, mobility trace, channel provider, selection
-algorithms) driven block by block: update UE positions, snapshot the
-channel, select each algorithm's serving sets, then evaluate SE for all of
-them on the block's shared Monte-Carlo draws; aggregate per algorithm.
-Every random stream derives from the master seed by a stable hash, so a
+One experiment = (topology, mobility trace, channel provider, pilots,
+selection algorithms): ``prepare`` builds that ``Scenario`` and runs every
+refusal once, before block 0. Then ``run_block`` drives it block by block:
+snapshot the channel at the block's UE positions, select each algorithm's
+serving sets, then evaluate SE for all of them on the block's shared
+Monte-Carlo draws; ``compare_algorithms`` aggregates per algorithm. Every
+random stream derives from the master seed by a stable hash, so a
 (config, seed) pair reproduces byte-identical reports in any order.
 """
 
@@ -203,46 +205,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _build_topology(cfg: ExperimentConfig) -> tp.NetworkTopology:
-    area = tp.AreaSpec(width=cfg.area_width, height=cfg.area_height)
-    if cfg.topology_source == "ppp":
-        return tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
-    if not cfg.topology_file:
-        raise InputError("topology_source=file needs topology_file")
-    return tp.load_topology(cfg.topology_file)
-
-
-def _build_trace(cfg: ExperimentConfig, area: tp.AreaSpec) -> mb.MobilityTrace:
-    if cfg.mobility_source == "rwp":
-        return mb.generate_rwp(
-            area,
-            cfg.ue_count,
-            cfg.speed_mps,
-            duration=cfg.blocks * cfg.block_duration_s,
-            block_duration=cfg.block_duration_s,
-            mean_transition=cfg.mean_transition_m,
-            seed=int(derive_seed(cfg.seed, "mobility").generate_state(1)[0]),
-        )
-    if not cfg.tracks_file:
-        raise InputError("mobility_source=file needs tracks_file")
-    trace = mb.load_tracks(cfg.tracks_file, cfg.block_duration_s, area=area)
-    if trace.n_blocks < cfg.blocks:
-        raise InputError(
-            f"{cfg.tracks_file}: track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
-        )
-    return trace
-
-
-def _build_provider(cfg: ExperimentConfig, topo: tp.NetworkTopology, radio: ch.RadioConfig, n_ues: int):
-    if cfg.channel_provider == "log-distance":
-        return ch.LogDistanceProvider(
-            topo, radio, n_ues, seed=derive_seed(cfg.seed, "shadowing")
-        )
-    if not cfg.pathloss_map_file:
-        raise InputError("channel_provider=map needs pathloss_map_file")
-    return ch.load_pathloss_map(cfg.pathloss_map_file, topo)
-
-
 def check_algorithms(cfg: ExperimentConfig, names) -> list[str]:
     """``names`` de-duplicated in order; InputError for an unknown name, or
     for cuc without a cluster grid in cfg."""
@@ -253,6 +215,107 @@ def check_algorithms(cfg: ExperimentConfig, names) -> list[str]:
     if "cuc" in names and cfg.clusters_per_side < 1:
         raise InputError("cuc needs a cluster grid: set clusters_per_side to at least 1")
     return names
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What a run builds before block 0, shared by every block and algorithm."""
+
+    cfg: ExperimentConfig
+    algorithms: tuple
+    radio: ch.RadioConfig
+    constraints: sel.SelectionConstraints
+    topology: tp.NetworkTopology
+    trace: mb.MobilityTrace
+    provider: object  # ch.LogDistanceProvider or ch.PathLossMap
+    pilots: np.ndarray
+
+
+def prepare(cfg: ExperimentConfig, algorithms) -> Scenario:
+    """Build the topology, mobility trace, path-loss provider and pilots of
+    a run of ``algorithms`` once, refusing with InputError in the README's
+    order (cfg checked its own keys; the CLI checks its output paths after
+    the names): the algorithm list (check_algorithms), the input files,
+    where an rwp walk past its draw cap takes the place of the tracks, a
+    path-loss map that covers none of the run's UE positions, and last
+    radio scales whose beta, pilot term or estimate-variance numerator
+    overflows, or whose beta reaches 2**52 (channel.check_scale)."""
+    algorithms = tuple(check_algorithms(cfg, algorithms))
+    radio = cfg.radio()
+    if cfg.topology_source == "ppp":
+        area = tp.AreaSpec(width=cfg.area_width, height=cfg.area_height)
+        topo = tp.generate_ppp_topology(area, cfg.topology_m, derive_seed(cfg.seed, "topology"))
+    elif not cfg.topology_file:
+        raise InputError("topology_source=file needs topology_file")
+    else:
+        topo = tp.load_topology(cfg.topology_file)
+    if cfg.mobility_source == "rwp":
+        trace = mb.generate_rwp(
+            topo.area, cfg.ue_count, cfg.speed_mps, duration=cfg.blocks * cfg.block_duration_s,
+            block_duration=cfg.block_duration_s, mean_transition=cfg.mean_transition_m,
+            seed=int(derive_seed(cfg.seed, "mobility").generate_state(1)[0]),
+        )
+    elif not cfg.tracks_file:
+        raise InputError("mobility_source=file needs tracks_file")
+    else:
+        trace = mb.load_tracks(cfg.tracks_file, cfg.block_duration_s, area=topo.area)
+        if trace.n_blocks < cfg.blocks:
+            raise InputError(
+                f"{cfg.tracks_file}: track horizon covers {trace.n_blocks} blocks, config asks for {cfg.blocks}"
+            )
+    k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
+    if cfg.channel_provider == "log-distance":
+        provider = ch.LogDistanceProvider(topo, radio, k, seed=derive_seed(cfg.seed, "shadowing"))
+    elif not cfg.pathloss_map_file:
+        raise InputError("channel_provider=map needs pathloss_map_file")
+    else:
+        provider = ch.load_pathloss_map(cfg.pathloss_map_file, topo)
+        # a map that covers no UE would run to SE 0 for all and a Jain index of 1
+        losses = provider.pathloss_db(trace.positions[:, : cfg.blocks].reshape(-1, 2))
+        if (losses == np.inf).all():
+            raise InputError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
+    ch.check_scale(provider, radio, k)
+    pilots = ch.assign_pilots(k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
+    return Scenario(cfg, algorithms, radio, cfg.constraints(), topo, trace, provider, pilots)
+
+
+def run_block(scn: Scenario, b: int) -> list:
+    """(se, g_k, w_m) of each algorithm of ``scn`` on block b.
+
+    Take the block's channel snapshot at its UE positions, select every
+    algorithm's serving sets on it, then evaluate them all on one walk over
+    the block's Monte-Carlo draws for cfg.sinr_estimator
+    (evaluation.evaluate_matrices), so that the draws live one chunk at a
+    time, whatever n_mc and the number of algorithms. Module errors, and a
+    non-finite SE, raise RuntimeError naming the block, and the algorithm
+    where the error is its own.
+    """
+    cfg, algorithms = scn.cfg, scn.algorithms
+    where = f"block {b}"
+    try:
+        snap = ch.snapshot(scn.topology, scn.trace.positions[:, b, :], scn.provider, scn.radio)
+        coops = []
+        for algo in algorithms:
+            if len(algorithms) > 1:
+                where = f"block {b}, {algo}"
+            coops.append(sel.run_algorithm(algo, snap, scn.constraints, topo=scn.topology,
+                                           mdp_round_budget=cfg.mdp_round_budget))
+        where = f"block {b}"
+        seed = derive_seed(cfg.seed, "eval", b)
+        results = ev.evaluate_matrices(
+            snap, coops, scn.pilots, scn.trace.speed, scn.radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator
+        )
+        out = []
+        for algo, coop, (_, se, _) in zip(algorithms, coops, results):
+            if len(algorithms) > 1:
+                where = f"block {b}, {algo}"
+            bad = np.flatnonzero(~np.isfinite(se))
+            if bad.size:
+                raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
+            out.append((se, coop.g_k, coop.w_m))
+        return out
+    except Exception as e:
+        raise RuntimeError(f"{where}: {e}") from e
 
 
 def _usable_cpus() -> int:
@@ -287,8 +350,8 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _block_worker(run_block, blocks: range, records, parent: int) -> None:
-    """A forked worker: pickle ``(b, run_block(b), None)`` for each block
+def _block_worker(scn: Scenario, blocks: range, records, parent: int) -> None:
+    """A forked worker: pickle ``(b, run_block(scn, b), None)`` for each block
     into the file ``records``, or ``(b, None, error text)`` for the first
     that fails and stop; then end the process without returning."""
     code = 1
@@ -296,7 +359,7 @@ def _block_worker(run_block, blocks: range, records, parent: int) -> None:
         _die_with_parent(parent)
         for b in blocks:
             try:
-                record = (b, run_block(b), None)
+                record = (b, run_block(scn, b), None)
             except Exception as e:
                 record = (b, None, str(e))
             pickle.dump(record, records)
@@ -308,9 +371,9 @@ def _block_worker(run_block, blocks: range, records, parent: int) -> None:
         os._exit(code)
 
 
-def _map_blocks(run_block, n_blocks: int) -> list:
-    """``[run_block(b) for b in range(n_blocks)]`` on P = min(n_blocks, usable
-    CPUs) processes.
+def _map_blocks(scn: Scenario) -> list:
+    """``[run_block(scn, b) for b in range(n_blocks)]`` on P = min(n_blocks,
+    usable CPUs) processes, where n_blocks is scn.cfg.blocks.
 
     Worker w evaluates the blocks b = w (mod P). This process is worker 0:
     it forks the others first, each a copy of its memory that pickles its
@@ -325,6 +388,7 @@ def _map_blocks(run_block, n_blocks: int) -> list:
     """
     import signal  # imported here, so that a set-up alone does not load it
 
+    n_blocks = scn.cfg.blocks
     procs = min(n_blocks, _usable_cpus())
     if procs > 1:
         sys.stdout.flush()
@@ -340,11 +404,11 @@ def _map_blocks(run_block, n_blocks: int) -> list:
             files.append(records)
             pid = os.fork()
             if pid == 0:
-                _block_worker(run_block, blocks, records, parent)
+                _block_worker(scn, blocks, records, parent)
             workers.append((blocks, pid, records))
         for b in range(0, n_blocks, procs):
             try:
-                results[b] = run_block(b)
+                results[b] = run_block(scn, b)
             except Exception as e:
                 errors[b] = e
                 break
@@ -384,90 +448,24 @@ def _map_blocks(run_block, n_blocks: int) -> list:
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:
     """One report per algorithm on identical channel/mobility realizations.
 
-    The algorithms pass check_algorithms before any work. The run is
-    block-major: the topology, trace, path-loss provider and pilots are
-    built once; a path-loss map that covers none of the run's UE positions,
-    and radio scales whose beta, pilot term or estimate-variance numerator
-    overflows, or whose beta reaches 2**52 (channel.check_scale), are refused
-    before block 0. Per block: advance UE positions, take one channel
-    snapshot, select every algorithm's serving sets on it, then evaluate
-    them all on one walk over the block's Monte-Carlo draws for
-    cfg.sinr_estimator (evaluation.evaluate_matrices), so that the draws
-    live one chunk at a time, whatever n_mc and the number of algorithms.
-    A block depends only on that set-up and its index, so the blocks run on
-    as many processes as there are CPUs to use (_map_blocks), and the
-    reports are the same bytes on any number. An algorithm's report does
-    not depend on which others share the run, so
+    The run is block-major: prepare builds and checks the set-up once, then
+    run_block runs each block on it. A block depends only on that set-up and
+    its index, so the blocks run on as many processes as there are CPUs to
+    use (_map_blocks), and the reports are the same bytes on any number. An
+    algorithm's report does not depend on which others share the run, so
     ``compare_algorithms(cfg, [name])[name]`` is a lone run of ``name``.
-    Module errors, and a non-finite SE, raise RuntimeError naming the block,
-    and the algorithm where the error is its own.
     """
-    algorithms = check_algorithms(cfg, algorithms)
-    radio = cfg.radio()
-    constraints = cfg.constraints()
-    topo = _build_topology(cfg)
-    trace = _build_trace(cfg, topo.area)
-    cfg_k = trace.ue_count  # track files fix K; for rwp this equals cfg.ue_count
-    provider = _build_provider(cfg, topo, radio, cfg_k)
-    if cfg.channel_provider == "map":
-        # a map that covers no UE would run to SE 0 for all and a Jain index of 1
-        losses = provider.pathloss_db(trace.positions[:, : cfg.blocks].reshape(-1, 2))
-        if (losses == np.inf).all():
-            raise InputError(f"{cfg.pathloss_map_file}: no UE position of the run lies in a covered cell")
-    ch.check_scale(provider, radio, cfg_k)
-    pilots = ch.assign_pilots(cfg_k, cfg.tau_p, derive_seed(cfg.seed, "pilots"), method=cfg.pilot_method)
-    se_blocks = {a: np.zeros((cfg_k, cfg.blocks)) for a in algorithms}
-    g_blocks = {a: np.zeros((cfg_k, cfg.blocks), dtype=int) for a in algorithms}
-    w_blocks = {a: np.zeros((topo.n_aps, cfg.blocks), dtype=int) for a in algorithms}
-
-    def run_block(b: int) -> list:
-        """(se, g_k, w_m) of each algorithm on block b."""
-        where = f"block {b}"
-        try:
-            snap = ch.snapshot(topo, trace.positions[:, b, :], provider, radio)
-            coops = []
-            for algo in algorithms:
-                if len(algorithms) > 1:
-                    where = f"block {b}, {algo}"
-                coops.append(
-                    sel.run_algorithm(algo, snap, constraints, topo=topo, mdp_round_budget=cfg.mdp_round_budget)
-                )
-            where = f"block {b}"
-            seed = derive_seed(cfg.seed, "eval", b)
-            results = ev.evaluate_matrices(
-                snap, coops, pilots, trace.speed, radio, cfg.n_mc, seed, estimator=cfg.sinr_estimator
-            )
-            out = []
-            for algo, coop, (_, se, _) in zip(algorithms, coops, results):
-                if len(algorithms) > 1:
-                    where = f"block {b}, {algo}"
-                bad = np.flatnonzero(~np.isfinite(se))
-                if bad.size:
-                    raise FloatingPointError(f"UE {bad[0]} has non-finite SE {se[bad[0]]}")
-                out.append((se, coop.g_k, coop.w_m))
-            return out
-        except Exception as e:
-            raise RuntimeError(f"{where}: {e}") from e
-
-    for b, block in enumerate(_map_blocks(run_block, cfg.blocks)):
-        for algo, (se, g_k, w_m) in zip(algorithms, block):
-            se_blocks[algo][:, b] = se
-            g_blocks[algo][:, b] = g_k
-            w_blocks[algo][:, b] = w_m
-    return {
-        algo: ev.build_report(
-            algorithm=algo,
-            seed=cfg.seed,
-            config_hash=config_hash(cfg),
-            n_mc=cfg.n_mc,
-            se_blocks=se_blocks[algo],
-            bandwidth_hz=cfg.bandwidth_hz,
-            g_blocks=g_blocks[algo],
-            w_blocks=w_blocks[algo],
-            constraints=constraints,
+    scn = prepare(cfg, algorithms)
+    blocks = _map_blocks(scn)
+    reports = {}
+    for i, algo in enumerate(scn.algorithms):
+        # (K, blocks) SE and G, and (M, blocks) W, one column per block
+        se, g, w = (np.stack(column, axis=1) for column in zip(*(block[i] for block in blocks)))
+        reports[algo] = ev.build_report(
+            algorithm=algo, seed=cfg.seed, config_hash=config_hash(cfg), n_mc=cfg.n_mc, se_blocks=se,
+            bandwidth_hz=cfg.bandwidth_hz, g_blocks=g, w_blocks=w, constraints=scn.constraints,
         )
-        for algo in algorithms
-    }
+    return reports
 
 
 def comparison_table(reports: dict[str, ev.MetricsReport]) -> str:

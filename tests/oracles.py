@@ -635,6 +635,8 @@ def load_pathloss_map_reference(path, topo) -> PathLossMap:
     if missing:
         raise InputError(f"{path}: no coverage rows for AP ids {missing}")
 
+    if 2**28 < topo.n_aps * nx * ny < 2**60:
+        raise InputError(f"{path}: a path-loss table of {topo.n_aps} x {nx} x {ny} cells passes the 2^28-cell cap")
     try:
         table = np.full((topo.n_aps, nx, ny), np.inf)
     except (ValueError, MemoryError):

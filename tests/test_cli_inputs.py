@@ -200,6 +200,9 @@ ROWS = [
     _row("map-loss-overflows", "the largest beta of the run is not finite: tx_power_w 0.2 W over noise 6.361e-13 W, "
          "times the gain of its least path loss -1e+05 dB",
          files={"tracks": _BASE_FILES["tracks"], "map": "10,10,0,0\n0,0,0,90\n1,0,0,91\n1,9,9,-1e5\n"}),
+    # two rows that would size a 2 GiB table are refused before it is allocated
+    _row("map-table-past-cap", f"{{map}}: a path-loss table of 1 x {2**28 + 1} x 1 cells passes the 2^28-cell cap",
+         files={"topology": "100,100\n0,20,20\n", "map": f"10,10,0,0\n0,0,0,90\n0,{2**28},0,91\n"}),
     # 8 * (2**62 + 1) bytes overflows, so numpy refuses the table before it allocates
     _row("map-table-too-large", f"{{map}}: a path-loss table of 1 x {2**62 + 1} x 1 cells is too large to allocate",
          files={"topology": "100,100\n0,20,20\n", "map": f"10,10,0,0\n0,0,0,90\n0,{2**62},0,91\n"}),

@@ -12,7 +12,7 @@ import pytest
 
 import cfmimo
 from cfmimo import channel as ch
-from cfmimo import cli
+from cfmimo import cli, harness
 from cfmimo import evaluation as ev
 from cfmimo import selection as sel
 from cfmimo.channel import RadioConfig
@@ -268,6 +268,46 @@ def test_compare_draws_once_per_block(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, ev, "evaluate_matrices")
     compare_algorithms(cfg, ["small-cell", "full-cf"])
     assert len(calls) == cfg.blocks
+
+
+def test_run_block_is_a_column_of_compare(monkeypatch):
+    # block b of every algorithm, run alone on the prepared set-up, is column
+    # b of its compare report; nothing is forked
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 1)
+    cfg = mini_config(blocks=3)
+    reports = compare_algorithms(cfg, sel.ALGORITHMS)
+    scn = harness.prepare(cfg, sel.ALGORITHMS)
+    assert scn.algorithms == tuple(sel.ALGORITHMS)
+    w_bad = dict.fromkeys(scn.algorithms, 0)
+    for b in range(cfg.blocks):
+        for algo, (se, g_k, w_m) in zip(scn.algorithms, harness.run_block(scn, b)):
+            assert np.array_equal(se, reports[algo].se_per_block[:, b])
+            assert np.array_equal(g_k, reports[algo].g_per_block[:, b])
+            assert w_m.shape == (cfg.topology_m,) and w_m.sum() == g_k.sum()
+            w_bad[algo] += int((w_m > cfg.tau_p).any())
+    assert w_bad == {algo: reports[algo].w_violation_blocks for algo in scn.algorithms}
+
+
+def test_benchmark_scenario_matches_prepare(tmp_path, monkeypatch):
+    # perfbench/scenario.py restates the run's set-up; on each smoke workload
+    # it must build what prepare builds
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import scenario
+    import workloads
+
+    for name, w in workloads.workloads(smoke=True).items():
+        (tmp_path / name).mkdir()
+        config_path, _, _ = w.prepare(611, str(tmp_path / name))
+        cfg = harness.load_config(config_path)
+        topo, trace, provider, pilots = scenario.build(cfg)
+        scn = harness.prepare(cfg, w.algorithms)
+        assert np.array_equal(topo.ap_positions, scn.topology.ap_positions), name
+        assert np.array_equal(trace.positions, scn.trace.positions), name
+        assert np.array_equal(trace.speed, scn.trace.speed), name
+        assert np.array_equal(pilots, scn.pilots), name
+        for b in range(cfg.blocks):
+            positions = trace.positions[:, b, :]
+            assert np.array_equal(provider.pathloss_db(positions), scn.provider.pathloss_db(positions)), (name, b)
 
 
 def test_unknown_algorithm_rejected():
@@ -633,25 +673,23 @@ def _fan_out_argv(tmp_path, command="simulate"):
     return [command, "--config", str(cfg_path), *algorithms]
 
 
-def _fail_blocks(monkeypatch, cfg, fail):
-    """Make evaluate_matrices call fail(b, results) on each block b, which it
-    tells by the block's seed, wherever the block runs."""
-    evaluate_matrices = ev.evaluate_matrices
-    block_of = {derive_seed(cfg.seed, "eval", b).entropy: b for b in range(cfg.blocks)}
+def _fail_blocks(monkeypatch, fail):
+    """Call fail(b) as each block b starts, wherever the block runs."""
+    run_block = harness.run_block
 
-    def failing(snap, coops, pilots, speeds, radio, n_mc, seed, **kwargs):
-        results = evaluate_matrices(snap, coops, pilots, speeds, radio, n_mc, seed, **kwargs)
-        fail(block_of[seed.entropy], results)
-        return results
+    def failing(scn, b):
+        fail(b)
+        return run_block(scn, b)
 
-    monkeypatch.setattr("cfmimo.harness.ev.evaluate_matrices", failing)
+    monkeypatch.setattr(harness, "run_block", failing)
 
 
-def _nan_se(results):
-    gamma, se, rate = results[0]
-    se = se.copy()
-    se[2] = np.nan
-    results[0] = gamma, se, rate
+def _raise_on(*blocks):
+    """A fail hook that raises for each of ``blocks`` as a failing block does."""
+    def fail(b):
+        if b in blocks:
+            raise RuntimeError(f"block {b}: failed on purpose")
+    return fail
 
 
 def _assert_no_child():
@@ -677,9 +715,9 @@ def test_fan_out_worker_failure_exits_3_without_report(tmp_path, monkeypatch, ca
     # block 1 runs in forked worker 1
     monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: procs)
     argv = _fan_out_argv(tmp_path)
-    _fail_blocks(monkeypatch, mini_config(blocks=5), lambda b, results: b == 1 and _nan_se(results))
+    _fail_blocks(monkeypatch, _raise_on(1))
     assert cli.main(argv) == 3
-    assert "runtime error: block 1: UE 2 has non-finite SE nan" in capsys.readouterr().err
+    assert "runtime error: block 1: failed on purpose" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     _assert_no_child()
 
@@ -689,10 +727,10 @@ def test_fan_out_names_the_lowest_failing_block(tmp_path, monkeypatch, capsys, p
     # block 1 runs in worker 1; block 2 in this process with two workers, in worker 2 with three
     monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: procs)
     argv = _fan_out_argv(tmp_path)
-    _fail_blocks(monkeypatch, mini_config(blocks=5), lambda b, results: b in (1, 2) and _nan_se(results))
+    _fail_blocks(monkeypatch, _raise_on(1, 2))
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert "block 1: UE 2 has non-finite SE nan" in err
+    assert "block 1: failed on purpose" in err
     assert "block 2" not in err
     _assert_no_child()
 
@@ -702,11 +740,11 @@ def test_fan_out_worker_that_dies_fails_its_blocks(tmp_path, monkeypatch, capsys
     monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 2)
     argv = _fan_out_argv(tmp_path)
 
-    def die_on_block_3(b, results):
+    def die_on_block_3(b):
         if b == 3:
             os._exit(7)
 
-    _fail_blocks(monkeypatch, mini_config(blocks=5), die_on_block_3)
+    _fail_blocks(monkeypatch, die_on_block_3)
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err == "runtime error: block 3: the worker process of blocks 1, 3 ended without sending its result " \
