@@ -305,38 +305,34 @@ def _map_cells(rows, n_aps):
     a repeat whose path loss is ``nan`` or ``-inf`` is named for its loss.
     """
     index = _map_index(rows, n_aps)
-    if index:
+    if not isinstance(index, str):
         return *index, None
     lo, hi = 0, len(rows) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if _map_index(rows[:mid], n_aps) else (lo, mid - 1)
-    cells = rows[["ap", "ix", "iy"]]
-    if not 0 <= cells[lo]["ap"] < n_aps:
-        return None, None, (lo, "unknown AP id {0}")
-    if not rows[lo]["pl"] > -np.inf:
-        return None, None, (lo, "non-finite path loss in {row!r}")
-    if (cells[:lo] == cells[lo]).any():
-        return None, None, (lo, "duplicate cell ({0}, {1}, {2})")
-    return None, None, (lo, "cell index out of range in {row!r}")
+        lo, hi = (lo, mid - 1) if isinstance(_map_index(rows[:mid], n_aps), str) else (mid, hi)
+    return None, None, (lo, _map_index(rows[:lo + 1], n_aps))
 
 
 def _map_index(rows, n_aps):
     """(flat table index of each row, (ix_min, iy_min, nx, ny)) if the rows
-    form a map: every AP id in ``range(n_aps)``, every path loss a number or
-    ``inf``, every cell index below 2**63 in magnitude, a grid whose flat
-    index fits int64 and no cell twice."""
+    form a map; else the message template of the first rule they break, in
+    this order: every AP id in ``range(n_aps)``, every path loss a number or
+    ``inf``, every cell index below 2**63 in magnitude and a grid whose flat
+    index fits int64, no cell twice."""
     ap, ix, iy = rows["ap"], rows["ix"], rows["iy"]
-    if ((ap < 0) | (ap >= n_aps)).any() or not (rows["pl"] > -np.inf).all():
-        return None
+    if ((ap < 0) | (ap >= n_aps)).any():
+        return "unknown AP id {0}"
+    if not (rows["pl"] > -np.inf).all():
+        return "non-finite path loss in {row!r}"
     ix_min, iy_min = int(ix.min()), int(iy.min())
     nx, ny = int(ix.max()) - ix_min + 1, int(iy.max()) - iy_min + 1
     if min(ix_min, iy_min) == -(2**63) or n_aps * nx * ny >= 2**63:
-        return None
+        return "cell index out of range in {row!r}"
     cell = (ap * nx + ix - ix_min) * ny + iy - iy_min  # numpy reuses the temporaries
     ordered = np.sort(cell)
     if (ordered[1:] == ordered[:-1]).any():
-        return None
+        return "duplicate cell ({0}, {1}, {2})"
     return cell, (ix_min, iy_min, nx, ny)
 
 

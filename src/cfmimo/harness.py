@@ -350,22 +350,28 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+def _run_blocks(scn: Scenario, blocks):
+    """Yield ``(b, run_block(scn, b))`` for each of ``blocks`` in order, or
+    ``(b, the exception)`` for the first that fails, and stop there."""
+    for b in blocks:
+        try:
+            out = run_block(scn, b)
+        except Exception as e:
+            yield b, e
+            return
+        yield b, out
+
+
 def _block_worker(scn: Scenario, blocks: range, records, parent: int) -> None:
-    """A forked worker: pickle ``(b, run_block(scn, b), None)`` for each block
-    into the file ``records``, or ``(b, None, error text)`` for the first
-    that fails and stop; then end the process without returning."""
+    """A forked worker: pickle each ``(b, outcome)`` of _run_blocks into the
+    file ``records``, a failure as RuntimeError with its text; then end the
+    process without returning."""
     code = 1
     try:
         _die_with_parent(parent)
-        for b in blocks:
-            try:
-                record = (b, run_block(scn, b), None)
-            except Exception as e:
-                record = (b, None, str(e))
-            pickle.dump(record, records)
+        for b, out in _run_blocks(scn, blocks):
+            pickle.dump((b, RuntimeError(str(out)) if isinstance(out, Exception) else out), records)
             records.flush()
-            if record[2] is not None:
-                break
         code = 0
     finally:
         os._exit(code)
@@ -381,10 +387,11 @@ def _map_blocks(scn: Scenario) -> list:
     runs its own blocks, reaps every worker and reads its file. A block's
     result depends only on what was built before the fork and on b, so it
     is the same in any worker and the list is the same for any P; P = 1
-    forks nothing. A worker stops at its first failing block; the exception
-    of the lowest failing block is raised (a worker's as RuntimeError with
-    its text), and a worker that ends without writing a block's result fails
-    that block with a RuntimeError naming its blocks and its exit status.
+    forks nothing. Every process runs its blocks through _run_blocks, so it
+    stops at its first failing block; the exception of the lowest failing
+    block is raised (a worker's as RuntimeError with its text), and a worker
+    that ends without writing a block's result fails that block with a
+    RuntimeError naming its blocks and its exit status.
     """
     import signal  # imported here, so that a set-up alone does not load it
 
@@ -396,7 +403,7 @@ def _map_blocks(scn: Scenario) -> list:
     parent = os.getpid()
     files = []  # every worker's record file
     workers = []  # (blocks, pid, record file), until reaped
-    results, errors, statuses = {}, {}, {}
+    outcome = {}  # block -> its result, or the exception it failed with
     try:
         for w in range(1, procs):
             blocks = range(w, n_blocks, procs)
@@ -406,43 +413,35 @@ def _map_blocks(scn: Scenario) -> list:
             if pid == 0:
                 _block_worker(scn, blocks, records, parent)
             workers.append((blocks, pid, records))
-        for b in range(0, n_blocks, procs):
-            try:
-                results[b] = run_block(scn, b)
-            except Exception as e:
-                errors[b] = e
-                break
+        outcome.update(_run_blocks(scn, range(0, n_blocks, procs)))
         while workers:
             blocks, pid, records = workers[-1]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             workers.pop()
-            statuses[blocks] = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             records.seek(0)
             while True:
                 try:
-                    b, value, error = pickle.load(records)
+                    b, out = pickle.load(records)
                 except (EOFError, pickle.UnpicklingError):  # the end, or a record cut short
                     break
-                if error is None:
-                    results[b] = value
-                else:
-                    errors[b] = RuntimeError(error)
+                outcome[b] = out
+            status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            for b in set(blocks) - outcome.keys():  # raised in block order below
+                outcome[b] = RuntimeError(
+                    f"block {b}: the worker process of blocks {_blocks_text(blocks)} ended without "
+                    f"sending its result ({status})"
+                )
     finally:
         for _, pid, _ in workers:  # left by an exception above
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for records in files:
             records.close()
-    for b in range(n_blocks):
-        if b in errors:
-            raise errors[b]
-        if b not in results:
-            blocks = range(b % procs, n_blocks, procs)
-            raise RuntimeError(
-                f"block {b}: the worker process of blocks {_blocks_text(blocks)} ended without "
-                f"sending its result ({statuses[blocks]})"
-            )
-    return [results[b] for b in range(n_blocks)]
+    # only blocks after a failure of this process's own lane are missing
+    for b in sorted(outcome):
+        if isinstance(outcome[b], Exception):
+            raise outcome[b]
+    return [outcome[b] for b in range(n_blocks)]
 
 
 def compare_algorithms(cfg: ExperimentConfig, algorithms) -> dict[str, ev.MetricsReport]:

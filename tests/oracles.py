@@ -14,9 +14,11 @@ lists, deliberately avoiding the vectorized package code paths:
 - evaluate_block_reference is the exception: it pins the Monte-Carlo draw
   arithmetic bit for bit, so it redraws the package's stream in whole-array
   form and reuses the package's precoding, gain and SINR functions.
-- j0_series, estimate_variance, hardening_one_link_sinr and
-  per_draw_one_link_se are closed forms: the aging factor, one link's
-  estimate variance, and one link's SINR and SE.
+- j0_series, estimate_variance, hardening_one_link_sinr,
+  per_draw_one_link_se and small_cell_hardening_se are closed forms: the
+  aging factor, one link's estimate variance, one link's SINR and SE, and
+  every UE's SE of a small-cell block under the hardening bound; z_scores
+  measures a Monte-Carlo mean against one.
 - load_pathloss_map_reference is the line-list form of the streaming map
   loader; the parser fuzz holds the two to the same tables and messages.
 - export_cdf_reference is the numpy form of the CLI's text-only CDF export;
@@ -554,6 +556,55 @@ def estimate_variance(beta_mk, copilot_betas, t, v, cfg: RadioConfig):
     r_gain = beta_mk * n0 / p
     tp = cfg.pilot_len_slots
     return rho**2 * r_gain * (beta_mk * p * tp) / (csum * p * tp + 1.0)
+
+
+def small_cell_hardening_se(beta, serving, pilots, speeds, cfg: RadioConfig):
+    """Per-UE SE of a small-cell block under the package's hardening bound.
+
+    UE k is served by AP serving[k] alone, so its P-MMSE precoder is the
+    phase est/|est| and its per-link power p_k = tx_power_w over the number
+    of UEs that AP serves. With Z from estimate_variance at the block end,
+    rho_k the aging factor there, R = beta n0 / tx_power_w and
+    resid = R - rho^2 Z, h_t = rho est + nu gives the mean desired gain
+    s = rho_k sqrt(p_k) sqrt(pi Z_{m_k k}) / 2 (E|x| = sqrt(pi Z) / 2 for
+    x ~ CN(0, Z)) and the mean total power
+    sum_i p_i (rho_k^2 Z_{m_i k} + resid_{m_i k}), and the use-and-forget
+    bound on them is s^2 / (total - s^2 + n0).
+
+    Not derived here: the rho_k^2 that multiplies that bound is copied from
+    instant_sinr, and the rho^2 inside Z from estimate_variance, so a test
+    against this form does not judge where the aging factor enters. On desk
+    seed 3, block 0 (rho_k = 0.902 for every UE) the copied factor lowers
+    the sum SE by 15% against the bound alone.
+    """
+    n0, t = noise_power_w(cfg), cfg.block_len_slots
+    serving = list(serving)
+    power = [cfg.tx_power_w / serving.count(m) for m in serving]
+    se = []
+    for k, m_k in enumerate(serving):
+        rho = float(aging_coefficient(t, speeds[k], cfg))
+        copilots = [j for j in range(len(serving)) if pilots[j] == pilots[k]]
+
+        def z(m):
+            return float(estimate_variance(beta[m][k], [beta[m][j] for j in copilots], t, speeds[k], cfg))
+
+        signal = rho * math.sqrt(power[k] * math.pi * z(m_k)) / 2.0
+        total = 0.0
+        for p_i, m_i in zip(power, serving):
+            z_i, r = z(m_i), beta[m_i][k] * n0 / cfg.tx_power_w
+            total += p_i * (rho**2 * z_i + max(r - rho**2 * z_i, 0.0))
+        gamma = signal**2 / (total - signal**2 + n0)
+        gamma *= rho**2  # instant_sinr's aging factor, copied
+        se.append((t - cfg.pilot_len_slots) / t * math.log2(1.0 + gamma))
+    return se
+
+
+def z_scores(runs, want):
+    """(mean - want) / its standard error, per column of ``runs``: one row
+    per independent run (a seed, or a batch of draws)."""
+    runs = np.asarray(runs, dtype=float)
+    sem = runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+    return (runs.mean(axis=0) - np.asarray(want, dtype=float)) / sem
 
 
 _MAP_ROW = np.dtype([("ap", "i8"), ("ix", "i8"), ("iy", "i8"), ("pl", "f8")])

@@ -25,9 +25,11 @@ from cfmimo.evaluation import (
     received_gains,
     spectral_efficiency,
 )
+from cfmimo.harness import ExperimentConfig, prepare
 from cfmimo.selection import (
     CooperationMatrix,
     SelectionConstraints,
+    run_algorithm,
     select_full_cf,
     select_small_cell,
 )
@@ -529,6 +531,23 @@ def test_evaluate_block_one_link_per_draw_closed_form(monkeypatch, gamma_db):
     logs = np.log2(1.0 + np.abs(desired[:, 0]) ** 2 / n0)
     sem = logs.std() / np.sqrt(logs.size)
     assert abs(np.log2(1.0 + gamma) - oracles.per_draw_one_link_se(gamma_bar)) <= 5 * sem
+
+
+def test_small_cell_hardening_se_matches_its_closed_form():
+    # desk block 0 of seed 3: each UE's mean SE over 12 seeds at n_mc = 500
+    # within five standard errors of the small-cell form (its aging factor is
+    # copied from the package, see the oracle)
+    scn = prepare(ExperimentConfig(seed=3), ["small-cell"])
+    snap = make_channel_snapshot(scn.topology, scn.trace.positions[:, 0, :], scn.provider, scn.radio)
+    coop = run_algorithm("small-cell", snap, scn.constraints)
+    assert (coop.d.sum(axis=0) == 1).all()  # the form's premise: one AP per UE
+    se = [evaluate_matrices(snap, [coop], scn.pilots, scn.trace.speed, scn.radio, 500, seed)[0][1]
+          for seed in range(12)]
+    want = oracles.small_cell_hardening_se(
+        snap.beta, coop.d.argmax(axis=0), scn.pilots, scn.trace.speed, scn.radio
+    )
+    z = oracles.z_scores(se, want)
+    assert np.abs(z).max() <= 5
 
 
 def _desk_instance(m=30, k=8, seed=5):

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import shutil
@@ -456,6 +457,21 @@ sys.exit(rc)
 """
 
 
+_SETUP_IMPORTS = """
+import sys
+import cfmimo.harness
+machinery = ("signal", "selectors", "subprocess", "multiprocessing", "concurrent.futures")
+loaded = [m for m in machinery if m in sys.modules]
+sys.exit(f"import cfmimo.harness loaded {loaded}" if loaded else 0)
+"""
+
+
+def test_harness_import_loads_no_fan_out_machinery():
+    # the set-up imports cfmimo.harness; no fan-out or pool module enters it
+    proc = run_python(_SETUP_IMPORTS)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_export_cdf_loads_no_numpy(tmp_path):
     shutil.copy(Path(__file__).parent / "golden" / "all-algorithms" / "full-cf" / "se_blocks.csv", tmp_path)
     proc = run_python(_NUMPY_FREE_EXPORT, tmp_path)
@@ -749,6 +765,27 @@ def test_fan_out_worker_that_dies_fails_its_blocks(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err == "runtime error: block 3: the worker process of blocks 1, 3 ended without sending its result " \
         "(exit status 7)\n"
+    assert not (tmp_path / "out").exists()
+    _assert_no_child()
+
+
+def test_fan_out_fork_failure_exits_3_and_reaps_the_started_worker(tmp_path, monkeypatch, capsys):
+    # worker 1 starts, the fork of worker 2 fails: the run kills and reaps
+    # worker 1 and closes both record files (a leaked one is a ResourceWarning)
+    monkeypatch.setattr("cfmimo.harness._usable_cpus", lambda: 3)
+    argv = _fan_out_argv(tmp_path)
+    forks = []
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(harness.os, "fork", fork_once)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "runtime error: [Errno 11] Resource temporarily unavailable\n"
     assert not (tmp_path / "out").exists()
     _assert_no_child()
 
